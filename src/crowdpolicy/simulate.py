@@ -4,6 +4,10 @@ All randomness flows from NumPy's Philox4x64 counter-based generator seeded
 with the caller's integer seed, the same contract `generate_random_scenario`
 uses, so identical seeds reproduce identical batches on any platform. Batches
 are sampled with one uniform draw per trajectory per step via inverse CDF.
+
+Log-probabilities come from one gathered (count, N + 1) table of log factors
+(`log_pmf` runs once per behavior, on its stacked kernels), summed step by
+step in path order, so each total equals the scalar chain-rule sum.
 """
 
 from __future__ import annotations
@@ -11,11 +15,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from .evaluation import _check_setup
 from .model import Behavior, Label, RewardSchedule, log_pmf
 
 
@@ -63,11 +69,17 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
     return paths
 
 
-def _joint_log_prob(behavior: Behavior, path: Sequence[int]) -> float:
-    logs = log_pmf(behavior.initial.probs)[path[0]]
-    for idx in range(behavior.horizon):
-        logs += log_pmf(behavior.kernels[idx].matrix)[path[idx], path[idx + 1]]
-    return float(logs)
+def _path_log_terms(behavior: Behavior, paths: np.ndarray) -> np.ndarray:
+    """Log factors of each path, (count, N + 1): initial, then one per step (-inf: impossible)."""
+    log_kernels = log_pmf(np.stack([kernel.matrix for kernel in behavior.kernels]))
+    steps = np.arange(behavior.horizon)
+    initial = log_pmf(behavior.initial.probs)[paths[:, :1]]
+    return np.hstack([initial, log_kernels[steps, paths[:, :-1], paths[:, 1:]]])
+
+
+def _sum_in_path_order(terms: np.ndarray) -> np.ndarray:
+    """Row sums added left to right (`np.sum` adds pairwise, which moves the last bits)."""
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def sample_trajectories(
@@ -96,14 +108,16 @@ def sample_trajectories(
         raise ValueError("target must share the policy's state space and horizon")
     rng = np.random.Generator(np.random.Philox(seed))
     paths = _sample_paths(policy, count, rng)
+    log_policy = _sum_in_path_order(_path_log_terms(policy, paths)).tolist()
+    log_target = [None] * count
+    if target is not None:
+        log_target = _sum_in_path_order(_path_log_terms(target, paths)).tolist()
     labels = policy.space.labels
-    out = []
-    for row in paths:
-        states = tuple(labels[i] for i in row)
-        lp = _joint_log_prob(policy, row)
-        lt = _joint_log_prob(target, row) if target is not None else None
-        out.append(Trajectory(states, lp, lt))
-    return out
+    # a path holds at least two states, so itemgetter returns a tuple
+    return [
+        Trajectory(itemgetter(*row)(labels), lp, lt)
+        for row, lp, lt in zip(paths.tolist(), log_policy, log_target)
+    ]
 
 
 def most_likely_trajectory(policy: Behavior) -> Trajectory:
@@ -116,7 +130,7 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     returns the lexicographically smallest in state-index order.
     """
     d, n = policy.space.size, policy.horizon
-    log_kernels = [log_pmf(policy.kernels[idx].matrix) for idx in range(n)]
+    log_kernels = log_pmf(np.stack([kernel.matrix for kernel in policy.kernels]))
     to_go = np.zeros(d)
     best = [to_go]
     for idx in range(n - 1, -1, -1):
@@ -131,7 +145,8 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
         step_scores = log_kernels[idx][path[idx]] + best[idx + 1]
         path[idx + 1] = int(np.argmax(step_scores))
     states = tuple(policy.space.labels[i] for i in path)
-    return Trajectory(states, _joint_log_prob(policy, path))
+    log_prob = _sum_in_path_order(_path_log_terms(policy, path[None, :]))[0]
+    return Trajectory(states, float(log_prob))
 
 
 @dataclass(frozen=True)
@@ -164,25 +179,21 @@ def monte_carlo_cost(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if policy.space != target.space or rewards.space != target.space:
-        raise ValueError("policy, target, and rewards must share one state space")
-    if policy.horizon != target.horizon or rewards.horizon != target.horizon:
-        raise ValueError("policy, target, and rewards must share one horizon")
+    _check_setup(policy, target, rewards)
     rng = np.random.Generator(np.random.Philox(seed))
     paths = _sample_paths(policy, count, rng)
-    z = np.zeros(count)
-    for idx in range(policy.horizon):
-        prev, nxt = paths[:, idx], paths[:, idx + 1]
-        p_step = policy.kernels[idx].matrix[prev, nxt]
-        t_step = target.kernels[idx].matrix[prev, nxt]
-        dead = np.flatnonzero(t_step == 0.0)
-        if dead.size:
-            labels = tuple(policy.space.labels[i] for i in paths[dead[0]])
-            raise ValueError(
-                f"sampled trajectory {labels} has target probability 0 at step "
-                f"{idx + 1}; the cost is undefined for this policy/target pair"
-            )
-        z += np.log(p_step) - np.log(t_step) - rewards.values[idx][nxt]
+    log_p = _path_log_terms(policy, paths)[:, 1:]
+    log_t = _path_log_terms(target, paths)[:, 1:]
+    dead = np.isneginf(log_t)
+    if dead.any():
+        idx = int(np.argmax(dead.any(axis=0)))  # earliest step, then lowest path
+        labels = tuple(policy.space.labels[i] for i in paths[np.argmax(dead[:, idx])])
+        raise ValueError(
+            f"sampled trajectory {labels} has target probability 0 at step "
+            f"{idx + 1}; the cost is undefined for this policy/target pair"
+        )
+    collected = rewards.values[np.arange(policy.horizon), paths[:, 1:]]
+    z = _sum_in_path_order(log_p - log_t - collected)
     estimate = float(z.mean())
     stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return MonteCarloEstimate(estimate, stderr, count)

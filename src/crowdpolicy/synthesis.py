@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ValidationError
 from .model import (
     Behavior,
     RewardSchedule,
@@ -214,6 +214,7 @@ class SynthesizedPolicy:
         ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported per step below
 def synthesize(
     target: Behavior,
     contributors: ContributorSet,
@@ -244,8 +245,6 @@ def synthesize(
         raise ValueError(
             f"reward horizon {rewards.horizon} != target horizon {target.horizon}"
         )
-    if np.any(np.isnan(rewards.values)):  # RewardSchedule forbids this, but be explicit
-        raise ValueError("rewards contain NaN")
 
     report: FilterReport | None = None
     if prefilter:
@@ -268,8 +267,10 @@ def synthesize(
         for i in range(s):
             rows = contributors.kernel(i, k).matrix
             scores[idx, :, i] = kl_rows(rows, target_rows) - rows @ r_bar[idx]
-        if prefilter and not np.all(np.isfinite(scores[idx])):
-            raise AssertionError("filtered contributors produced a non-finite score")
+        if prefilter and not np.all(np.isfinite(scores[idx])):  # finite unless rewards overflow
+            raise ValidationError(
+                f"rewards overflow the value-to-go at k={k}; keep their sum below 1.8e308"
+            )
         for x in range(d):
             state_scores = scores[idx, x]
             if np.all(np.isinf(state_scores)):
@@ -325,9 +326,11 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
         )[:, 0]
         one_step = sel + kernel @ policy.r_hat[idx]
         total += float(mu @ one_step)
+        if not np.isfinite(total):  # the steps' costs, summed forward, overflowed
+            raise ValidationError(
+                f"rewards overflow the bound value at k={idx + 1}; keep their sum below 1.8e308"
+            )
         mu = mu @ kernel
-    if not np.isfinite(total):
-        raise AssertionError("bound value is not finite")
     return total
 
 

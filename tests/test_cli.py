@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report contents, byte determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -151,6 +152,19 @@ def test_synthesize_infeasible_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_synthesize_reward_overflow_exits_2(tmp_path, capsys):
+    doc = read_json(demo_scenario_path())
+    doc["rewards"]["favor-node-2"] = [[-1.7e308] * 6] * 4
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(
+        ["synthesize", "--scenario", str(bad), "--reward-profile", "favor-node-2",
+         "--out", str(tmp_path / "x")]
+    )
+    assert rc == 2
+    assert "value-to-go at k=" in capsys.readouterr().err
+
+
 def test_unknown_reward_profile_exits_2(tmp_path, capsys):
     rc = main(
         ["synthesize", "--scenario", DEMO, "--reward-profile", "nope",
@@ -261,6 +275,16 @@ def test_simulate_outputs(tmp_path, capsys):
     assert abs(
         report["monte_carlo"]["estimate"] - report["exact_cost"]["total"]
     ) <= 6 * report["monte_carlo"]["stderr"]
+    # pinned from the row-by-row sampler that the gathered log-probability
+    # table replaced: the batch and the estimate must not move by a bit
+    digest = hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
+    assert digest == "162c68511562fcf65bdc894d20e8abc75f2da7759d9b16c8e59260adcd707f66"
+    assert report["monte_carlo"] == {
+        "count": 500,
+        "estimate": -25.23089661903004,
+        "seed": 7,
+        "stderr": 0.09585743040817828,
+    }
 
     # identical invocation, identical bytes
     again = tmp_path / "sim2"

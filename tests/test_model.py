@@ -196,6 +196,20 @@ def test_kl_never_negative_on_near_identical_rows():
         assert float(kl_rows(p, q)) >= 0.0
 
 
+def test_kl_rows_finite_against_subnormal_reference_mass():
+    # p / q overflows where q is a positive subnormal, but the KL is finite
+    tiny = 5e-324
+    expected = 0.5 * math.log(0.5) + 0.5 * (math.log(0.5) - math.log(tiny))
+    assert float(kl_rows([0.5, 0.5], [1.0, tiny])) == pytest.approx(expected, rel=1e-15)
+    assert float(kl_rows([1.0, tiny], [0.5, 0.5])) == pytest.approx(math.log(2.0), abs=1e-15)
+    p = np.array([[0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])
+    q = np.array([[1.0, tiny], [0.5, 0.5], [1.0, 0.0]])
+    stacked = kl_rows(p, q)
+    assert stacked[0] == pytest.approx(expected, rel=1e-15)
+    assert stacked[1] == kl_rows(p[1], q[1])  # rows that do not overflow keep their value
+    assert stacked[2] == math.inf
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),

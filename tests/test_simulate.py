@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdpolicy.evaluation import evaluate_cost
 from crowdpolicy.model import (
@@ -12,9 +14,13 @@ from crowdpolicy.model import (
     StatePMF,
     StateSpace,
     TransitionKernel,
+    log_pmf,
 )
 from crowdpolicy.scenario import generate_random_scenario
 from crowdpolicy.simulate import (
+    MonteCarloEstimate,
+    Trajectory,
+    _sample_paths,
     monte_carlo_cost,
     most_likely_trajectory,
     sample_trajectories,
@@ -176,6 +182,134 @@ def test_monte_carlo_setup_validation():
     short = RewardSchedule(s2, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="horizon"):
         monte_carlo_cost(policy, policy, short, count=5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the path-by-path reference
+# ---------------------------------------------------------------------------
+
+
+def _joint_log_prob(behavior, path):
+    """Reference: one path's log-probability, one kernel log per step."""
+    logs = log_pmf(behavior.initial.probs)[path[0]]
+    for idx in range(behavior.horizon):
+        logs += log_pmf(behavior.kernels[idx].matrix)[path[idx], path[idx + 1]]
+    return float(logs)
+
+
+def _reference_trajectories(policy, count, seed, target=None):
+    """Reference: the per-path loop `sample_trajectories` used to run."""
+    paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed)))
+    labels = policy.space.labels
+    return [
+        Trajectory(
+            tuple(labels[i] for i in row),
+            _joint_log_prob(policy, row),
+            _joint_log_prob(target, row) if target is not None else None,
+        )
+        for row in paths
+    ]
+
+
+def _reference_monte_carlo(policy, target, rewards, count, seed):
+    """Reference: the per-step loop `monte_carlo_cost` used to run."""
+    paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed)))
+    z = np.zeros(count)
+    for idx in range(policy.horizon):
+        prev, nxt = paths[:, idx], paths[:, idx + 1]
+        p_step = policy.kernels[idx].matrix[prev, nxt]
+        t_step = target.kernels[idx].matrix[prev, nxt]
+        dead = np.flatnonzero(t_step == 0.0)
+        if dead.size:
+            labels = tuple(policy.space.labels[i] for i in paths[dead[0]])
+            raise ValueError(
+                f"sampled trajectory {labels} has target probability 0 at step "
+                f"{idx + 1}; the cost is undefined for this policy/target pair"
+            )
+        z += np.log(p_step) - np.log(t_step) - rewards.values[idx][nxt]
+    stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    return MonteCarloEstimate(float(z.mean()), stderr, count)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_matches_reference(policy, target, rewards, count, seed):
+    assert sample_trajectories(policy, count, seed) == _reference_trajectories(
+        policy, count, seed
+    )
+    assert sample_trajectories(policy, count, seed, target) == _reference_trajectories(
+        policy, count, seed, target
+    )
+    assert _outcome(monte_carlo_cost, policy, target, rewards, count, seed) == _outcome(
+        _reference_monte_carlo, policy, target, rewards, count, seed
+    )
+    best = most_likely_trajectory(policy)
+    path = [policy.space.index(s) for s in best.states]
+    assert best.log_prob_policy == _joint_log_prob(policy, path)
+
+
+def _random_rows(rng, shape, zero_share):
+    """Random pmf rows; each row keeps its largest entry, others may be zeroed."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    drop = rng.random(rows.shape) < zero_share
+    np.put_along_axis(drop, rows.argmax(axis=-1)[..., None], False, axis=-1)
+    rows = np.where(drop, 0.0, rows)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _random_behavior(space, horizon, rng, zero_share):
+    d = space.size
+    kernels = _random_rows(rng, (horizon, d, d), zero_share)
+    return Behavior(
+        StatePMF(space, _random_rows(rng, (d,), zero_share)),
+        tuple(TransitionKernel(space, kernel) for kernel in kernels),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    horizon=st.integers(1, 5),
+    count=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    string_labels=st.booleans(),
+    target_zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+)
+def test_sampling_and_monte_carlo_equal_the_reference(
+    d, horizon, count, seed, string_labels, target_zero_share
+):
+    # a sparse target leaves sampled paths off its support (log_prob_target
+    # = -inf, and monte_carlo_cost's dead-trajectory error)
+    space = StateSpace(tuple(f"s{i}" for i in range(d)) if string_labels else tuple(range(d)))
+    rng = np.random.default_rng(seed)
+    policy = _random_behavior(space, horizon, rng, 0.3)
+    target = _random_behavior(space, horizon, rng, target_zero_share)
+    rewards = RewardSchedule(space, rng.normal(size=(horizon, d)))
+    assert_matches_reference(policy, target, rewards, count, seed)
+
+
+def test_reference_edge_cases():
+    single = StateSpace(("only",))
+    point = behavior(single, [1.0], [[1.0]])
+    assert_matches_reference(point, point, RewardSchedule(single, [[2.5]]), 1, 0)
+    assert sample_trajectories(point, 1, 0) == [Trajectory(("only", "only"), 0.0)]
+
+    space = StateSpace(("s", "t"))
+    policy = behavior(space, [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
+    target = behavior(space, [1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]])
+    rewards = RewardSchedule(space, np.zeros((1, 2)))
+    assert_matches_reference(policy, target, rewards, 200, 4)
+    with pytest.raises(ValueError) as err:
+        monte_carlo_cost(policy, target, rewards, 200, 4)
+    assert str(err.value) == (
+        "sampled trajectory ('s', 't') has target probability 0 at step 1; "
+        "the cost is undefined for this policy/target pair"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdpolicy.errors import InfeasibleError
+from crowdpolicy.errors import InfeasibleError, ValidationError
 from crowdpolicy.evaluation import evaluate_cost, simplex_grid_oracle
 from crowdpolicy.model import (
     Behavior,
@@ -173,6 +173,35 @@ def test_prefilter_false_keeps_violators_but_avoids_them():
     only_bad = pool(2, bad, ids=("bad",))
     with pytest.raises(InfeasibleError, match="k=2"):
         synthesize(target, only_bad, rewards, prefilter=False)
+
+
+def test_subnormal_target_mass_keeps_contributor_admissible():
+    row = [1.0, 5e-324]
+    target = Behavior(StatePMF(AB, np.array([1.0, 0.0])), homogeneous(AB, [row, row], 1))
+    contributors = pool(1, [[0.5, 0.5], [0.5, 0.5]])
+    policy = synthesize(target, contributors, RewardSchedule(AB, np.zeros((1, 2))))
+    assert policy.filter_report.exclusions == ()
+    assert np.all(np.isfinite(policy.scores))
+
+
+@pytest.mark.parametrize("reward", [-1.7e308, 1.7e308])
+def test_reward_overflow_is_a_validation_error_naming_the_step(reward):
+    contributors = pool(2, [[0.5, 0.5], [0.5, 0.5]])
+    rewards = RewardSchedule(AB, np.full((2, 2), reward))
+    with pytest.raises(ValidationError, match="value-to-go at k=1"):
+        synthesize(uniform_target(2), contributors, rewards)
+
+
+def test_bound_value_overflow_is_a_validation_error_naming_the_step():
+    # the backward recursion sums 1e308 + (1e308 - 1e308) without overflow,
+    # but the bound adds the same step costs forward and passes -1.8e308 at k=2
+    single = StateSpace(("x",))
+    point = Behavior(StatePMF(single, np.array([1.0])), homogeneous(single, [[1.0]], 3))
+    contributors = ContributorSet(single, (homogeneous(single, [[1.0]], 3),), ("c",))
+    rewards = RewardSchedule(single, np.array([[1e308], [1e308], [-1e308]]))
+    policy = synthesize(point, contributors, rewards)
+    with pytest.raises(ValidationError, match="bound value at k=2"):
+        bound_value(policy, point)
 
 
 def test_bound_equals_exact_cost_on_random_instances():
