@@ -351,7 +351,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         estimate = monte_carlo_cost(
             policy, scenario.target, rewards, args.count, args.seed
         )
-    except ValueError as exc:
+    except ValidationError:
+        raise
+    except ValueError as exc:  # a sampled path the target cannot produce
         raise InfeasibleError(str(exc)) from None
     exact = evaluate_cost(policy, scenario.target, rewards)
     out = _out_dir(args)

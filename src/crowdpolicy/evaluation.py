@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OracleGuardError
+from .errors import OracleGuardError, ValidationError
 from .model import (
     Behavior,
     RewardSchedule,
@@ -80,6 +80,10 @@ def evaluate_cost(
     Returns:
         CostBreakdown whose kl_part may be ``+inf`` when a reachable row
         breaks absolute continuity.
+
+    Raises:
+        ValidationError: if the expected rewards, summed over the steps,
+            overflow; the first such step is named.
     """
     _check_setup(policy, target, rewards)
     mu = policy.initial.probs
@@ -93,6 +97,11 @@ def evaluate_cost(
         per_step.append((kl_k, reward_k))
         kl_part += kl_k
         reward_part += reward_k
+        if not math.isfinite(reward_part):  # the steps' rewards, summed forward, overflowed
+            raise ValidationError(
+                f"rewards overflow the expected reward at k={idx + 1}; "
+                "keep their sum below 1.8e308"
+            )
         mu = mu @ rows
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, tuple(per_step))
 

@@ -21,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .errors import ValidationError
 from .evaluation import _check_setup
 from .model import Behavior, Label, RewardSchedule, log_pmf
 
@@ -176,6 +177,8 @@ def monte_carlo_cost(
         ValueError: if a sampled trajectory has target probability zero (the
             cost integrand is undefined there); the offending trajectory is
             named.
+        ValidationError: if a sampled trajectory's rewards, summed over the
+            steps, overflow; the first such step is named.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -193,7 +196,14 @@ def monte_carlo_cost(
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
     collected = rewards.values[np.arange(policy.horizon), paths[:, 1:]]
-    z = _sum_in_path_order(log_p - log_t - collected)
+    with np.errstate(over="ignore"):  # reported below, naming the step
+        running = np.cumsum(log_p - log_t - collected, axis=1)  # as _sum_in_path_order
+    z = running[:, -1]
+    if not np.all(np.isfinite(z)):  # a running sum stays non-finite once it overflows
+        k = int(np.argmax(~np.isfinite(running).all(axis=0))) + 1
+        raise ValidationError(
+            f"rewards overflow the sampled cost at k={k}; keep their sum below 1.8e308"
+        )
     estimate = float(z.mean())
     stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     return MonteCarloEstimate(estimate, stderr, count)

@@ -10,10 +10,13 @@ The construction works backward in time. At the final step each contributor
 is scored, per conditioning state, by its row's KL divergence from the target
 row minus the expected reward its row collects. Minimizing a linear score
 over simplex weights always lands on a vertex, so the best single contributor
-is selected outright. The negated selected score is then carried one step
-back as a value-to-go bonus added to the raw reward, and the procedure
-repeats. The result is a per-(step, state) switch between contributors; the
-agent's row is the selected contributor's row verbatim.
+is selected outright (one array argmin per step; ties go to the lowest
+index). The negated selected score is then carried one step back as a
+value-to-go bonus added to the raw reward, and the procedure repeats. The
+result is a per-(step, state) switch between contributors; the agent's row
+is the selected contributor's row verbatim. The KL part of the scores is
+tabulated once per call, and that one table feeds both the filter and the
+recursion.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .model import (
     TransitionKernel,
     WeightVector,
     kl_rows,
-    simplex_argmin,
 )
 
 
@@ -125,37 +127,38 @@ def filter_contributors(
         InfeasibleError: if no contributor survives.
     """
     _check_compatible(target, contributors)
-    retained: list[int] = []
-    exclusions: list[Exclusion] = []
-    for i in range(contributors.size):
-        violation = _first_violation(target, contributors, i)
-        if violation is None:
-            retained.append(i)
-        else:
-            k, x = violation
-            exclusions.append(
-                Exclusion(contributors.ids[i], k, target.space.label(x))
-            )
+    retained, report = _filter(contributors, _kl_table(target, contributors))
+    return contributors.subset(retained), report
+
+
+def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
+    """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), one step at a time."""
+    kl = np.empty((contributors.size, target.horizon, target.space.size))
+    for idx, target_kernel in enumerate(target.kernels):
+        rows = _step_rows(contributors, idx)
+        kl[:, idx] = kl_rows(rows, np.broadcast_to(target_kernel.matrix, rows.shape))
+    return kl
+
+
+def _step_rows(contributors: ContributorSet, idx: int) -> np.ndarray:
+    return np.stack([per_k[idx].matrix for per_k in contributors.kernels])
+
+
+def _filter(contributors: ContributorSet, kl: np.ndarray) -> tuple[list[int], FilterReport]:
+    """Retained indices and report of `filter_contributors`, read off the KL table."""
+    violations = np.isinf(kl).reshape(contributors.size, -1)  # step-then-state order
+    excluded = violations.any(axis=1)
+    retained = np.flatnonzero(~excluded).tolist()
     if not retained:
         raise InfeasibleError(
             "no admissible contributor: every contributor places mass where the target has none"
         )
-    report = FilterReport(
-        tuple(contributors.ids[i] for i in retained), tuple(exclusions)
+    steps, states = np.divmod(violations.argmax(axis=1), contributors.space.size)
+    exclusions = tuple(
+        Exclusion(contributors.ids[i], int(steps[i]) + 1, contributors.space.label(int(states[i])))
+        for i in np.flatnonzero(excluded)
     )
-    return contributors.subset(retained), report
-
-
-def _first_violation(
-    target: Behavior, contributors: ContributorSet, i: int
-) -> tuple[int, int] | None:
-    for k in range(1, target.horizon + 1):
-        rows = contributors.kernel(i, k).matrix
-        kls = kl_rows(rows, target.kernels[k - 1].matrix)
-        bad = np.flatnonzero(np.isinf(kls))
-        if bad.size:
-            return k, int(bad[0])
-    return None
+    return retained, FilterReport(tuple(contributors.ids[i] for i in retained), exclusions)
 
 
 def _check_compatible(target: Behavior, contributors: ContributorSet) -> None:
@@ -246,44 +249,41 @@ def synthesize(
             f"reward horizon {rewards.horizon} != target horizon {target.horizon}"
         )
 
+    kl = _kl_table(target, contributors)
     report: FilterReport | None = None
     if prefilter:
-        contributors, report = filter_contributors(target, contributors)
+        retained, report = _filter(contributors, kl)
+        contributors, kl = contributors.subset(retained), kl[retained]
 
     n, d, s = target.horizon, target.space.size, contributors.size
     scores = np.empty((n, d, s))
     selected = np.empty((n, d), dtype=int)
-    weights = np.zeros((n, d, s))
     r_hat = np.empty((n, d))
     r_bar = np.empty((n, d))
     agent_rows = np.empty((n, d, d))
 
     value_to_go = np.zeros(d)  # r_hat at the step being processed; zero at k = N
-    for k in range(n, 0, -1):
-        idx = k - 1
+    for idx in range(n - 1, -1, -1):
         r_hat[idx] = value_to_go
         r_bar[idx] = rewards.values[idx] + value_to_go
-        target_rows = target.kernels[idx].matrix
-        for i in range(s):
-            rows = contributors.kernel(i, k).matrix
-            scores[idx, :, i] = kl_rows(rows, target_rows) - rows @ r_bar[idx]
-        if prefilter and not np.all(np.isfinite(scores[idx])):  # finite unless rewards overflow
+        rows = _step_rows(contributors, idx)
+        expected = rows @ r_bar[idx]
+        if not np.all(np.isfinite(expected)):  # KL is finite or +inf, so only rewards overflow
             raise ValidationError(
-                f"rewards overflow the value-to-go at k={k}; keep their sum below 1.8e308"
+                f"rewards overflow the value-to-go at k={idx + 1}; keep their sum below 1.8e308"
             )
-        for x in range(d):
-            state_scores = scores[idx, x]
-            if np.all(np.isinf(state_scores)):
-                raise InfeasibleError(
-                    f"every contributor score is +inf at k={k}, "
-                    f"state={target.space.label(x)!r}"
-                )
-            choice = simplex_argmin(state_scores)
-            selected[idx, x] = choice.index
-            weights[idx, x] = choice.weights.weights
-            agent_rows[idx, x] = contributors.kernel(choice.index, k).matrix[x]
+        scores[idx] = (kl[:, idx] - expected).T
+        dead = np.isinf(scores[idx]).all(axis=1)
+        if dead.any():
+            raise InfeasibleError(
+                f"every contributor score is +inf at k={idx + 1}, "
+                f"state={target.space.label(int(dead.argmax()))!r}"
+            )
+        selected[idx] = scores[idx].argmin(axis=1)  # first minimizer: ties to the lowest index
+        agent_rows[idx] = rows[selected[idx], np.arange(d)]
         value_to_go = -scores[idx].min(axis=1)
 
+    weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
     agent = Behavior(
         target.initial,
         tuple(TransitionKernel(target.space, agent_rows[idx]) for idx in range(n)),

@@ -165,6 +165,31 @@ def test_synthesize_reward_overflow_exits_2(tmp_path, capsys):
     assert "value-to-go at k=" in capsys.readouterr().err
 
 
+def test_synthesize_and_demo_outputs_are_pinned(tmp_path, monkeypatch):
+    # recorded before the per-(k, state) selection loop gave way to one KL
+    # table and an array argmin: reports, policies and selections must not
+    # move by a byte
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO, "demo.json")  # the report records the scenario path as given
+    assert main(["synthesize", "--scenario", "demo.json", "--reward-profile",
+                 "favor-node-3", "--out", "syn"]) == 0
+    assert main(["demo", "--seed", "0", "--out", "demo"]) == 0
+    pinned = {
+        "syn/report.json": "d7d172154f88a72161668147c6d74bbe702683e699e4fa192f3c1e1c7af07c69",
+        "demo/report.json": "ba1d06c8dd40e0e8c900b84525976b5cd57562c720240d4feab11e6156811bb1",
+        "demo/favor-node-2/policy.json":
+            "994cfb97d4b014b2629d1636f8753f0a84186a482e47f6171de789997458084e",
+        "demo/favor-node-2/selection.csv":
+            "6bd856461ab106395de3ab2ccf062db72f782e1994e77de84f4511d4c23e634e",
+        "demo/favor-node-3/policy.json":
+            "4024b77d5b9cf6147148bfa48a76a5e3717717f15e181bc730ad719cda7c0cb8",
+        "demo/favor-node-3/selection.csv":
+            "e8683e2a975d7a67017fdd5a014bbf30dc8cd5440c4724d25f3d9bc75fffedf2",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_unknown_reward_profile_exits_2(tmp_path, capsys):
     rc = main(
         ["synthesize", "--scenario", DEMO, "--reward-profile", "nope",
@@ -195,6 +220,26 @@ def test_evaluate_prints_cost_json(tmp_path, capsys):
     exact = evaluate_cost(policy.agent, scenario.target, scenario.rewards["favor-node-2"])
     assert doc["cost"]["total"] == pytest.approx(exact.total, abs=1e-12)
     assert doc["cost"]["kl_part"] == pytest.approx(exact.kl_part, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_expected_reward_overflow_exits_2(tmp_path, capsys, command):
+    # each reward is finite, but their sum along any route passes 1.8e308 at k=2
+    syn = tmp_path / "syn"
+    main(["synthesize", "--scenario", DEMO, "--reward-profile", "favor-node-2",
+          "--out", str(syn)])
+    doc = read_json(demo_scenario_path())
+    doc["rewards"]["huge"] = [[1e308] * 6, [1e308] * 6, [-1e308] * 6, [0.0] * 6]
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    capsys.readouterr()
+    args = [command, "--scenario", str(huge), "--reward-profile", "huge",
+            "--policy", str(syn / "policy.json")]
+    if command == "simulate":
+        args += ["--count", "20", "--seed", "1", "--out", str(tmp_path / "sim")]
+    assert main(args) == 2
+    what = "expected reward" if command == "evaluate" else "sampled cost"
+    assert f"rewards overflow the {what} at k=2" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_policy_from_other_space(tmp_path, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdpolicy.errors import OracleGuardError
+from crowdpolicy.errors import OracleGuardError, ValidationError
 from crowdpolicy.evaluation import (
     ORACLE_LIMIT,
     evaluate_cost,
@@ -116,6 +116,15 @@ def test_unreachable_violation_costs_nothing():
     slow = trajectory_enumeration_cost(policy, target, rewards)
     assert fast.total == 0.0
     assert slow.total == 0.0
+
+
+def test_reward_overflow_is_a_validation_error_naming_the_step():
+    # every reward is finite, but their forward sum passes 1.8e308 at k=2
+    single = StateSpace(("x",))
+    point = chain(single, [[1.0]], [[1.0]], [[1.0]])
+    rewards = RewardSchedule(single, np.array([[1e308], [1e308], [-1e308]]))
+    with pytest.raises(ValidationError, match="expected reward at k=2"):
+        evaluate_cost(point, point, rewards)
 
 
 def test_evaluators_reject_mismatched_setups():

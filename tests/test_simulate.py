@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdpolicy.errors import ValidationError
 from crowdpolicy.evaluation import evaluate_cost
 from crowdpolicy.model import (
     Behavior,
@@ -174,6 +175,15 @@ def test_dead_trajectory_raises_with_coordinates():
     rewards = RewardSchedule(space, np.zeros((1, 2)))
     with pytest.raises(ValueError, match="target probability 0 at step 1"):
         monte_carlo_cost(policy, target, rewards, count=10, seed=2)
+
+
+def test_reward_overflow_is_a_validation_error_naming_the_step():
+    # every reward is finite, but each path's running sum passes 1.8e308 at k=2
+    single = StateSpace(("x",))
+    point = behavior(single, [1.0], [[1.0]], [[1.0]], [[1.0]])
+    rewards = RewardSchedule(single, np.array([[1e308], [1e308], [-1e308]]))
+    with pytest.raises(ValidationError, match="sampled cost at k=2"):
+        monte_carlo_cost(point, point, rewards, count=3, seed=0)
 
 
 def test_monte_carlo_setup_validation():

@@ -10,19 +10,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crowdpolicy.errors import InfeasibleError, ValidationError
-from crowdpolicy.evaluation import evaluate_cost, simplex_grid_oracle
+from crowdpolicy.evaluation import evaluate_cost, pure_schedule_oracle, simplex_grid_oracle
 from crowdpolicy.model import (
     Behavior,
     RewardSchedule,
     StatePMF,
     StateSpace,
     TransitionKernel,
+    kl_rows,
+    simplex_argmin,
 )
 from crowdpolicy.scenario import generate_random_scenario
 from crowdpolicy.synthesis import (
     ContributorSet,
+    Exclusion,
+    FilterReport,
+    SynthesizedPolicy,
     bound_value,
     filter_contributors,
     synthesize,
@@ -192,6 +199,15 @@ def test_reward_overflow_is_a_validation_error_naming_the_step(reward):
         synthesize(uniform_target(2), contributors, rewards)
 
 
+@pytest.mark.parametrize("reward", [-1.7e308, 1.7e308])
+def test_unfiltered_reward_overflow_is_a_validation_error_naming_the_step(reward):
+    # the same overflow without the filter used to end in a wrong InfeasibleError
+    contributors = pool(2, [[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]])
+    rewards = RewardSchedule(AB, np.full((2, 2), reward))
+    with pytest.raises(ValidationError, match="value-to-go at k=1"):
+        synthesize(uniform_target(2), contributors, rewards, prefilter=False)
+
+
 def test_bound_value_overflow_is_a_validation_error_naming_the_step():
     # the backward recursion sums 1e308 + (1e308 - 1e308) without overflow,
     # but the bound adds the same step costs forward and passes -1.8e308 at k=2
@@ -273,3 +289,223 @@ def test_bound_value_mismatch_checks():
     policy = synthesize(target, contributors, rewards)
     with pytest.raises(ValueError, match="horizons differ"):
         bound_value(policy, uniform_target(2))
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the per-contributor, per-state reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_first_violation(target, contributors, i):
+    """Reference: first (k, state) where contributor i's KL is +inf, one kernel at a time."""
+    for k in range(1, target.horizon + 1):
+        rows = contributors.kernel(i, k).matrix
+        kls = kl_rows(rows, target.kernels[k - 1].matrix)
+        bad = np.flatnonzero(np.isinf(kls))
+        if bad.size:
+            return k, int(bad[0])
+    return None
+
+
+def _reference_filter(target, contributors):
+    """Reference: the contributor-by-contributor loop `filter_contributors` used to run."""
+    retained, exclusions = [], []
+    for i in range(contributors.size):
+        violation = _reference_first_violation(target, contributors, i)
+        if violation is None:
+            retained.append(i)
+        else:
+            k, x = violation
+            exclusions.append(Exclusion(contributors.ids[i], k, target.space.label(x)))
+    if not retained:
+        raise InfeasibleError(
+            "no admissible contributor: every contributor places mass where the target has none"
+        )
+    report = FilterReport(tuple(contributors.ids[i] for i in retained), tuple(exclusions))
+    return contributors.subset(retained), report
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_synthesize(target, contributors, rewards, prefilter=True):
+    """Reference: a second KL pass and one `simplex_argmin` per (k, state).
+
+    Kept as `synthesize` ran before its scores came from one KL table, overflow
+    branch included: without the filter it let non-finite scores through.
+    """
+    report = None
+    if prefilter:
+        contributors, report = _reference_filter(target, contributors)
+    n, d, s = target.horizon, target.space.size, contributors.size
+    scores = np.empty((n, d, s))
+    selected = np.empty((n, d), dtype=int)
+    weights = np.zeros((n, d, s))
+    r_hat = np.empty((n, d))
+    r_bar = np.empty((n, d))
+    agent_rows = np.empty((n, d, d))
+    value_to_go = np.zeros(d)
+    for k in range(n, 0, -1):
+        idx = k - 1
+        r_hat[idx] = value_to_go
+        r_bar[idx] = rewards.values[idx] + value_to_go
+        target_rows = target.kernels[idx].matrix
+        for i in range(s):
+            rows = contributors.kernel(i, k).matrix
+            scores[idx, :, i] = kl_rows(rows, target_rows) - rows @ r_bar[idx]
+        if prefilter and not np.all(np.isfinite(scores[idx])):
+            raise ValidationError(
+                f"rewards overflow the value-to-go at k={k}; keep their sum below 1.8e308"
+            )
+        for x in range(d):
+            state_scores = scores[idx, x]
+            if np.all(np.isinf(state_scores)):
+                raise InfeasibleError(
+                    f"every contributor score is +inf at k={k}, "
+                    f"state={target.space.label(x)!r}"
+                )
+            choice = simplex_argmin(state_scores)
+            selected[idx, x] = choice.index
+            weights[idx, x] = choice.weights.weights
+            agent_rows[idx, x] = contributors.kernel(choice.index, k).matrix[x]
+        value_to_go = -scores[idx].min(axis=1)
+    agent = Behavior(
+        target.initial,
+        tuple(TransitionKernel(target.space, agent_rows[idx]) for idx in range(n)),
+    )
+    return SynthesizedPolicy(
+        target.space, contributors.ids, scores, selected, weights, agent, r_hat, r_bar, report
+    )
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except (InfeasibleError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(arr):
+    """Bit pattern of an array: equal only when dtype, shape and every bit (-0.0 too) agree."""
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def assert_matches_reference(target, contributors, rewards, prefilter, oracle=True):
+    got = _outcome(synthesize, target, contributors, rewards, prefilter=prefilter)
+    want = _outcome(_reference_synthesize, target, contributors, rewards, prefilter)
+    assert isinstance(got, tuple) == isinstance(want, tuple), (got, want)
+    if isinstance(want, tuple):
+        assert got == want  # same error type and text
+        return
+    assert got.space == want.space
+    assert got.contributor_ids == want.contributor_ids
+    for name in ("scores", "selected", "weights", "r_hat", "r_bar"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+        assert not getattr(got, name).flags.writeable, name
+    assert [_bits(kernel.matrix) for kernel in got.agent.kernels] == [
+        _bits(kernel.matrix) for kernel in want.agent.kernels
+    ]
+    assert got.agent == want.agent
+    assert repr(got.filter_report) == repr(want.filter_report)
+    assert _outcome(bound_value, got, target) == _outcome(bound_value, want, target)
+    if prefilter:
+        assert repr(_outcome(filter_contributors, target, contributors)) == repr(
+            _outcome(_reference_filter, target, contributors)
+        )
+        if oracle:
+            retained, _ = filter_contributors(target, contributors)
+            best = pure_schedule_oracle(target, retained, rewards)
+            assert bound_value(got, target) == pytest.approx(best.cost, abs=1e-9)
+
+
+def _random_rows(rng, shape, zero_share):
+    """Random pmf rows; each row keeps its largest entry, others may be zeroed."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    drop = rng.random(rows.shape) < zero_share
+    np.put_along_axis(drop, rows.argmax(axis=-1)[..., None], False, axis=-1)
+    rows = np.where(drop, 0.0, rows)
+    return rows / rows.sum(axis=-1, keepdims=True)
+
+
+def _kernels(space, stack, mode="strict"):
+    return tuple(TransitionKernel(space, matrix, mode) for matrix in stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    horizon=st.integers(1, 4),
+    size=st.integers(1, 4),
+    distinct=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    target_zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+    reward_scale=st.sampled_from([0.0, 1.0, 50.0, 1.7e308]),
+    renormalize=st.booleans(),
+    prefilter=st.booleans(),
+)
+def test_synthesize_equals_the_reference(
+    d, horizon, size, distinct, seed, target_zero_share, reward_scale, renormalize, prefilter
+):
+    # zeroed target entries exclude contributors (or leave +inf scores when
+    # unfiltered), a sparse initial pmf leaves states unreachable, repeated
+    # kernels and zero rewards make exact ties
+    assume(prefilter or reward_scale < 1e300)  # the reference overflowed wrongly there
+    space = StateSpace(tuple(f"s{i}" for i in range(d)))
+    rng = np.random.default_rng(seed)
+    target = Behavior(
+        StatePMF(space, _random_rows(rng, (d,), target_zero_share)),
+        _kernels(space, _random_rows(rng, (horizon, d, d), target_zero_share)),
+    )
+    mode = "renormalize" if renormalize else "strict"
+    stacks = [_random_rows(rng, (horizon, d, d), 0.3) for _ in range(min(distinct, size))]
+    if renormalize:  # off by up to 5%, rescaled on construction
+        stacks = [stack * rng.uniform(0.95, 1.05, (horizon, d, 1)) for stack in stacks]
+    contributors = ContributorSet(
+        space,
+        tuple(_kernels(space, stacks[i % len(stacks)], mode) for i in range(size)),
+        tuple(f"c{i}" for i in range(size)),
+    )
+    rewards = RewardSchedule(space, rng.uniform(-1.0, 1.0, (horizon, d)) * reward_scale)
+    assert_matches_reference(target, contributors, rewards, prefilter, reward_scale < 1e300)
+
+
+ONE = StateSpace(("only",))
+
+
+def test_single_state_step_and_contributor_equal_the_reference():
+    point = Behavior(StatePMF(ONE, np.array([1.0])), homogeneous(ONE, [[1.0]], 1))
+    contributors = ContributorSet(ONE, (homogeneous(ONE, [[1.0]], 1),), ("c",))
+    for reward in (0.0, -3.5, 1.7e308):
+        rewards = RewardSchedule(ONE, np.array([[reward]]))
+        for prefilter in (True, False):
+            assert_matches_reference(point, contributors, rewards, prefilter, abs(reward) < 1e3)
+
+
+def test_all_tie_scores_equal_the_reference():
+    same = [[0.7, 0.3], [0.2, 0.8]]
+    contributors = pool(3, same, same, same)
+    rewards = RewardSchedule(AB, np.zeros((3, 2)))
+    for prefilter in (True, False):
+        assert_matches_reference(uniform_target(3), contributors, rewards, prefilter)
+
+
+def test_unreachable_support_violations_equal_the_reference():
+    # state 'b' is never reached from the initial 'a'; 'leaky' breaks the
+    # target's support only there
+    target = Behavior(
+        StatePMF(AB, np.array([1.0, 0.0])),
+        homogeneous(AB, [[1.0, 0.0], [1.0, 0.0]], 2),
+    )
+    leaky = [[1.0, 0.0], [0.5, 0.5]]
+    good = [[1.0, 0.0], [1.0, 0.0]]
+    rewards = RewardSchedule(AB, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    both = pool(2, leaky, good, ids=("leaky", "good"))
+    for prefilter in (True, False):
+        assert_matches_reference(target, both, rewards, prefilter)
+    assert synthesize(target, both, rewards).filter_report.exclusions == (
+        Exclusion("leaky", 1, "b"),
+    )
+    unfiltered = synthesize(target, both, rewards, prefilter=False)
+    assert unfiltered.selection_table() == [["leaky", "good"], ["leaky", "good"]]
+    alone = pool(2, leaky, ids=("leaky",))
+    assert_matches_reference(target, alone, rewards, prefilter=False)
+    with pytest.raises(InfeasibleError, match="k=2, state='b'"):
+        synthesize(target, alone, rewards, prefilter=False)
