@@ -11,15 +11,16 @@ Conventions used throughout the package:
 * ``0 * ln(0/q) = 0`` and ``KL = +inf`` whenever the first argument puts mass
   where the second has none (``+inf`` is an in-band extended-real value, not
   an error);
-* probability vectors must sum to 1 within ``PROB_TOL``; under the default
-  "strict" mode a violation raises, under "renormalize" the vector is rescaled
-  by its sum (negative entries are rejected in both modes).
+* each row of a pmf or kernel must sum to 1 within ``PROB_TOL``; under the default
+  "strict" mode a violation raises, under "renormalize" the row is rescaled by its
+  sum, which must be positive and finite (negative entries are rejected in both
+  modes); one pass checks every row of an array and names the first bad row.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,27 +37,40 @@ Label = int | str
 _MODES = ("strict", "renormalize")
 
 
-def _as_probabilities(values: Sequence[float] | np.ndarray, mode: str, what: str) -> np.ndarray:
-    """Validate ``values`` as a probability vector and return a locked array."""
+def _as_probabilities(
+    values: Sequence[float] | np.ndarray, mode: str, what: str, row_name: Callable | None = None
+) -> np.ndarray:
+    """Validate every row (last axis) of ``values`` in one vectorised pass; return a locked copy.
+
+    Only a failure locates the first bad row, in C order, named by ``row_name(index)``.
+    """
+    where = row_name or (lambda index: "")
     if mode not in _MODES:
-        raise ValueError(f"unknown tolerance mode {mode!r}, expected one of {_MODES}")
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
+        raise ValueError(f"{where(0)}unknown tolerance mode {mode!r}, expected one of {_MODES}")
+    arr = np.array(values, dtype=float, order="C")
+    if row_name is None and arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{what} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
-    if np.any(arr < 0):
-        raise ValueError(f"{what} contains negative entries")
-    total = float(arr.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total is reported below
+        totals = arr.sum(axis=-1)  # finite only when every entry of the row is
+        if mode == "renormalize":
+            ok = (totals > 0.0) & (totals < np.inf)
+        else:
+            ok = np.abs(totals - 1.0) <= PROB_TOL
+    if not (ok.all() and arr.min() >= 0.0):
+        index = int(np.argmax(~ok | (arr < 0).any(axis=-1)))
+        row = arr.reshape(-1, arr.shape[-1])[index]
+        if not np.all(np.isfinite(row)):
+            fault = "contains non-finite entries"
+        elif np.any(row < 0):
+            fault = "contains negative entries"
+        else:
+            bound = "cannot renormalize" if mode == "renormalize" else f"outside 1 +/- {PROB_TOL}"
+            fault = f"sums to {float(totals.flat[index])!r}, {bound}"
+        raise ValueError(f"{where(index)}{what} {fault}")
     if mode == "renormalize":
-        if total <= 0:
-            raise ValueError(f"{what} sums to {total}, cannot renormalize")
-        arr = arr / total
-    elif abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"{what} sums to {total!r}, outside 1 +/- {PROB_TOL}")
-    arr = arr.copy()
+        arr = arr / totals[..., np.newaxis]
     arr.setflags(write=False)
     return arr
 
@@ -129,15 +143,9 @@ class TransitionKernel:
         d = self.space.size
         if arr.shape != (d, d):
             raise ValueError(f"kernel must be {d}x{d}, got shape {arr.shape}")
-        rows = np.empty((d, d))
-        for x in range(d):
-            try:
-                rows[x] = _as_probabilities(arr[x], mode, "kernel row")
-            except ValueError as exc:
-                raise ValueError(
-                    f"row for state {self.space.label(x)!r}: {exc}"
-                ) from None
-        rows.setflags(write=False)
+        rows = _as_probabilities(
+            arr, mode, "kernel row", lambda x: f"row for state {self.space.label(x)!r}: "
+        )
         object.__setattr__(self, "matrix", rows)
 
     def __eq__(self, other: object) -> bool:

@@ -126,17 +126,20 @@ def load_scenario(path: str | Path, mode: str = "strict") -> Scenario:
             (reported with kernel row coordinates).
     """
     path = Path(path)
+    return scenario_from_dict(_read_json(path, "scenario"), mode=mode, source=str(path))
+
+
+def _read_json(path: Path, kind: str) -> Any:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValidationError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return scenario_from_dict(doc, mode=mode, source=str(path))
 
 
 def scenario_from_dict(
@@ -240,31 +243,32 @@ def scenario_from_dict(
 
 def _numeric_array(node: Any, what: str, fail) -> np.ndarray:
     try:
-        arr = np.asarray(node, dtype=float)
+        return np.asarray(node, dtype=float)
     except (ValueError, TypeError):
         raise fail(f"{what} must be a numeric array") from None
-    return arr
 
 
 def _parse_kernels(
-    node: Any, space: StateSpace, horizon: int, mode: str, owner: str, fail
+    node: Any, space: StateSpace, horizon: int | None, mode: str, owner: str, fail
 ) -> tuple[TransitionKernel, ...]:
     arr = _numeric_array(node, f"{owner} kernels", fail)
+    if horizon is None:  # policy files: a [k] axis is required and sets the horizon
+        if arr.ndim != 3:
+            raise fail(f"{owner} kernels must be a [k][from][to] array")
+        horizon = arr.shape[0]
     if arr.ndim == 2:
         # time-homogeneous shorthand: one matrix replicated across the horizon
-        per_k = [arr] * horizon
-    elif arr.ndim == 3:
-        if arr.shape[0] != horizon:
-            raise fail(
-                f"{owner} kernels: expected {horizon} matrices, got {arr.shape[0]}"
-            )
-        per_k = list(arr)
-    else:
+        arr = np.broadcast_to(arr, (horizon, *arr.shape))
+    elif arr.ndim != 3:
         raise fail(
             f"{owner} kernels must be a [from][to] matrix or a [k][from][to] array"
         )
+    elif arr.shape[0] != horizon:
+        raise fail(
+            f"{owner} kernels: expected {horizon} matrices, got {arr.shape[0]}"
+        )
     kernels = []
-    for k, matrix in enumerate(per_k, start=1):
+    for k, matrix in enumerate(arr, start=1):
         try:
             kernels.append(TransitionKernel(space, matrix, mode))
         except ValueError as exc:
@@ -349,16 +353,7 @@ def load_policy(
         ValidationError: on parse or validation failure.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read policy file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = _read_json(path, "policy")
 
     def fail(message: str) -> ValidationError:
         return ValidationError(f"{path}: {message}")
@@ -385,16 +380,8 @@ def load_policy(
         initial = StatePMF(file_space, np.asarray(doc["initial"], dtype=float), mode)
     except (ValueError, TypeError) as exc:
         raise fail(f"initial pmf: {exc}") from None
-    arr = _numeric_array(doc["kernels"], "policy kernels", fail)
-    if arr.ndim != 3:
-        raise fail("policy kernels must be a [k][from][to] array")
-    kernels = []
-    for k, matrix in enumerate(arr, start=1):
-        try:
-            kernels.append(TransitionKernel(file_space, matrix, mode))
-        except ValueError as exc:
-            raise fail(f"policy kernel at k={k}: {exc}") from None
-    return Behavior(initial, tuple(kernels))
+    kernels = _parse_kernels(doc["kernels"], file_space, None, mode, "policy", fail)
+    return Behavior(initial, kernels)
 
 
 # ---------------------------------------------------------------------------

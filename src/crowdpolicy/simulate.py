@@ -178,7 +178,8 @@ def monte_carlo_cost(
             cost integrand is undefined there); the offending trajectory is
             named.
         ValidationError: if a sampled trajectory's rewards, summed over the
-            steps, overflow; the first such step is named.
+            steps, overflow (the first such step is named), or if the sampled
+            costs overflow their mean or standard error; the path count is named.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -196,16 +197,16 @@ def monte_carlo_cost(
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
     collected = rewards.values[np.arange(policy.horizon), paths[:, 1:]]
-    with np.errstate(over="ignore"):  # reported below, naming the step
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         running = np.cumsum(log_p - log_t - collected, axis=1)  # as _sum_in_path_order
-    z = running[:, -1]
-    if not np.all(np.isfinite(z)):  # a running sum stays non-finite once it overflows
-        k = int(np.argmax(~np.isfinite(running).all(axis=0))) + 1
-        raise ValidationError(
-            f"rewards overflow the sampled cost at k={k}; keep their sum below 1.8e308"
-        )
-    estimate = float(z.mean())
-    stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+        z = running[:, -1]
+        estimate = float(z.mean())
+        stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):  # a cost or their sum overflowed
+        steps = ~np.isfinite(running).all(axis=0)  # sums stay non-finite once they overflow
+        k = int(np.argmax(steps)) + 1
+        where = f"sampled cost at k={k}" if steps.any() else f"estimate over {count} sampled paths"
+        raise ValidationError(f"rewards overflow the {where}; keep their sum below 1.8e308")
     return MonteCarloEstimate(estimate, stderr, count)
 
 

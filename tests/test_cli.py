@@ -71,6 +71,24 @@ def test_renormalize_flag(tmp_path):
     assert main(["validate", "--renormalize", "--scenario", str(sloppy)]) == 0
 
 
+def test_renormalize_rejects_an_overflowing_row(tmp_path, capsys):
+    # finite entries whose sum overflows: once accepted as a row of zeros
+    doc = read_json(demo_scenario_path())
+    doc["contributors"][1]["kernels"][2] = [1e308, 1e308, 0, 0, 0, 0]
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    coordinates = "contributor 'southern' kernel at k=1: row for state 3: "
+    assert main(["validate", "--renormalize", "--scenario", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert coordinates + "kernel row sums to inf, cannot renormalize" in err
+    rc = main(
+        ["synthesize", "--renormalize", "--scenario", str(bad),
+         "--reward-profile", "favor-node-2", "--out", str(tmp_path / "x")]
+    )
+    assert rc == 2
+    assert "sums to inf, cannot renormalize" in capsys.readouterr().err
+
+
 def test_conflicting_tolerance_flags_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["validate", "--strict", "--renormalize", "--scenario", DEMO])

@@ -1,15 +1,17 @@
 """Unit tests for the probability primitives in crowdpolicy.model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crowdpolicy.errors import InfeasibleError
 from crowdpolicy.model import (
     PROB_TOL,
+    _MODES,
     Behavior,
     RewardSchedule,
     StatePMF,
@@ -129,6 +131,165 @@ def test_reward_schedule():
         RewardSchedule(AB, np.ones((2, 3)))
     with pytest.raises(ValueError, match="at least one step"):
         RewardSchedule(AB, np.ones((0, 2)))
+
+
+# ---------------------------------------------------------------------------
+# one-pass row validation against the per-row code it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_as_probabilities(values, mode, what):
+    """The former per-vector validator, kept as the differential reference."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown tolerance mode {mode!r}, expected one of {_MODES}")
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{what} must have at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite entries")
+    if np.any(arr < 0):
+        raise ValueError(f"{what} contains negative entries")
+    total = float(arr.sum())
+    if mode == "renormalize":
+        if total <= 0:
+            raise ValueError(f"{what} sums to {total}, cannot renormalize")
+        arr = arr / total
+    elif abs(total - 1.0) > PROB_TOL:
+        raise ValueError(f"{what} sums to {total!r}, outside 1 +/- {PROB_TOL}")
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _reference_pmf(space, values, mode):
+    """The former ``StatePMF`` validation."""
+    arr = _reference_as_probabilities(values, mode, "pmf")
+    if arr.size != space.size:
+        raise ValueError(f"pmf has {arr.size} entries for a space of size {space.size}")
+    return arr
+
+
+def _reference_kernel(space, matrix, mode):
+    """The former ``TransitionKernel`` validation: one row at a time."""
+    arr = np.asarray(matrix, dtype=float)
+    d = space.size
+    if arr.shape != (d, d):
+        raise ValueError(f"kernel must be {d}x{d}, got shape {arr.shape}")
+    rows = np.empty((d, d))
+    for x in range(d):
+        try:
+            rows[x] = _reference_as_probabilities(arr[x], mode, "kernel row")
+        except ValueError as exc:
+            raise ValueError(f"row for state {space.label(x)!r}: {exc}") from None
+    rows.setflags(write=False)
+    return rows
+
+
+def _outcome(build):
+    try:
+        out = build()
+    except Exception as exc:  # the type is part of what is compared
+        return ("raised", type(exc), str(exc))
+    return ("accepted", out.tobytes(), out.shape, out.dtype, out.flags.writeable)
+
+
+#: Faults injected at a random (row, column) position.
+_FAULTS = (
+    "nan", "+inf", "-inf", "negative", "negative zero", "subnormal", "huge",
+    "zero row", "just off", "just under", "just inside",
+)
+
+
+def _inject(row, col, fault):
+    if fault == "zero row":
+        row[:] = 0.0
+        return
+    row[col] = {
+        "nan": np.nan,
+        "+inf": np.inf,
+        "-inf": -np.inf,
+        "negative": -row[col] - 0.25,
+        "negative zero": -0.0,
+        "subnormal": 5e-324,
+        "huge": 1e308,
+        "just off": row[col] + 1.5 * PROB_TOL,
+        "just under": row[col] - 1.5 * PROB_TOL,
+        "just inside": row[col] + 0.5 * PROB_TOL,
+    }[fault]
+
+
+@st.composite
+def _validation_cases(draw):
+    d = draw(st.integers(1, 8))
+    kernel = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.dirichlet(np.ones(d), size=d if kernel else None)
+    if draw(st.booleans()):  # unnormalised rows, for the renormalize mode
+        arr = arr * rng.uniform(0.1, 10.0, size=(d, 1) if kernel else None)
+    for _ in range(draw(st.integers(0, 3))):
+        rows = arr if kernel else arr[np.newaxis]
+        row = rows[draw(st.integers(0, rows.shape[0] - 1))]
+        _inject(row, draw(st.integers(0, d - 1)), draw(st.sampled_from(_FAULTS)))
+    if draw(st.booleans()):
+        arr = np.asfortranarray(arr)  # row sums must not depend on the memory layout
+    size = d + (not kernel and draw(st.integers(0, 4)) == 0)  # now and then a pmf too short
+    labels = tuple(range(size)) if draw(st.booleans()) else tuple(f"s{i}" for i in range(size))
+    mode = draw(st.sampled_from(["strict", "renormalize", "strict", "renormalize", "loose"]))
+    return StateSpace(labels), arr, kernel, mode
+
+
+def _overflowing_rows(arr):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.atleast_2d(arr)
+        finite = np.isfinite(rows).all(axis=-1) & (rows >= 0).all(axis=-1)
+        return bool((finite & ~np.isfinite(rows.sum(axis=-1))).any())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_validation_cases())
+def test_one_pass_validation_matches_the_per_row_reference(case):
+    space, arr, kernel, mode = case
+    # the reference turned an overflowing row into zeros under renormalize;
+    # that is pinned separately by the test below
+    assume(not (mode == "renormalize" and _overflowing_rows(arr)))
+    if kernel:
+        new = _outcome(lambda: TransitionKernel(space, arr, mode).matrix)
+        with np.errstate(all="ignore"):
+            old = _outcome(lambda: _reference_kernel(space, arr, mode))
+    else:
+        new = _outcome(lambda: StatePMF(space, arr, mode).probs)
+        with np.errstate(all="ignore"):
+            old = _outcome(lambda: _reference_pmf(space, arr, mode))
+    assert new == old
+    assert new[0] == "raised" or new[-1] is False  # accepted arrays are read-only
+
+
+def test_renormalize_rejects_an_overflowing_row_sum():
+    # finite entries whose sum overflows used to renormalize to all zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            pmf([1e308, 1e308], mode="renormalize")
+        assert str(err.value) == "pmf sums to inf, cannot renormalize"
+        with pytest.raises(ValueError) as err:
+            TransitionKernel(AB, np.array([[0.5, 0.5], [1e308, 1e308]]), "renormalize")
+        assert str(err.value) == "row for state 'b': kernel row sums to inf, cannot renormalize"
+        # strict mode reports the same overflowing total as before, silently
+        with pytest.raises(ValueError, match="sums to inf, outside 1"):
+            pmf([1e308, 1e308])
+
+
+def test_first_bad_row_is_named_in_row_order():
+    space = StateSpace(("a", "b", "c"))
+    matrix = np.array([[0.5, 0.5, 0.0], [0.5, 0.6, 0.0], [np.nan, 0.5, 0.5]])
+    with pytest.raises(ValueError) as err:
+        TransitionKernel(space, matrix)
+    assert str(err.value) == "row for state 'b': kernel row sums to 1.1, outside 1 +/- 1e-09"
+    with pytest.raises(ValueError) as err:
+        TransitionKernel(space, matrix, "loose")
+    assert str(err.value).startswith("row for state 'a': unknown tolerance mode 'loose'")
 
 
 # ---------------------------------------------------------------------------

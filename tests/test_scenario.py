@@ -156,6 +156,40 @@ def test_kernel_row_error_carries_coordinates():
     assert "row for state 'b'" in text
 
 
+def test_load_scenario_names_a_late_bad_row_in_full(tmp_path):
+    doc = minimal_doc()
+    doc["horizon"] = 3
+    doc["rewards"] = {"default": [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]}
+    doc["contributors"][0]["kernels"] = [
+        [[0.9, 0.1], [0.2, 0.8]],
+        [[0.9, 0.1], [0.2, 0.8]],
+        [[0.9, 0.1], [0.7, 0.7]],  # row 'b' at k=3 sums to 1.4
+    ]
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_scenario(path)
+    assert str(err.value) == (
+        f"{path}: contributor 'only' kernel at k=3: row for state 'b': "
+        "kernel row sums to 1.4, outside 1 +/- 1e-09"
+    )
+
+
+def test_load_policy_names_a_late_bad_row_in_full(tmp_path):
+    scenario = generate_random_scenario(seed=8, d=3, horizon=3, contributors=1)
+    path = tmp_path / "p.json"
+    save_policy(scenario.target, path)
+    doc = json.loads(path.read_text())
+    doc["kernels"][1][2] = [0.5, 0.75, -0.25]  # state 2 at k=2
+    path.write_text(json.dumps(doc))
+    for mode in ("strict", "renormalize"):
+        with pytest.raises(ValidationError) as err:
+            load_policy(path, scenario.space, mode)
+        assert str(err.value) == (
+            f"{path}: policy kernel at k=2: row for state 2: kernel row contains negative entries"
+        )
+
+
 def test_kernel_count_mismatch():
     doc = minimal_doc()
     doc["target"]["kernels"] = [[[0.5, 0.5], [0.5, 0.5]]] * 3  # horizon is 2

@@ -186,6 +186,19 @@ def test_reward_overflow_is_a_validation_error_naming_the_step():
         monte_carlo_cost(point, point, rewards, count=3, seed=0)
 
 
+@pytest.mark.parametrize("reward", [1e308, -1e308])
+def test_overflowing_mean_of_finite_path_costs_is_a_validation_error(reward):
+    # each path's cost is finite; their sum, taken for the mean, is not
+    single = StateSpace(("x",))
+    point = behavior(single, [1.0], [[1.0]])
+    rewards = RewardSchedule(single, np.array([[reward]]))
+    with pytest.raises(ValidationError) as err:
+        monte_carlo_cost(point, point, rewards, count=2, seed=0)
+    assert str(err.value) == (
+        "rewards overflow the estimate over 2 sampled paths; keep their sum below 1.8e308"
+    )
+
+
 def test_monte_carlo_setup_validation():
     s2 = StateSpace(("a", "b"))
     policy = behavior(s2, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
