@@ -16,7 +16,9 @@ never embedded in a report.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -95,44 +97,32 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_text(header: list, rows: list[list]) -> str:
-    lines = [",".join(_csv_cell(c) for c in header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """CSV text, quoting cells that need it; ``str`` keeps a Python float's shortest repr."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _kernel_csv(kernel_matrix: np.ndarray, labels: tuple) -> str:
-    header = ["from", *labels]
-    rows = [
-        [labels[x], *[float(v) for v in kernel_matrix[x]]]
-        for x in range(len(labels))
-    ]
-    return _csv_text(header, rows)
+    rows = [[label, *row] for label, row in zip(labels, kernel_matrix.tolist())]
+    return _csv_text(["from", *labels], rows)
 
 
 def _selection_csv(policy: SynthesizedPolicy) -> str:
-    labels = policy.space.labels
-    header = ["k", *labels]
-    table = policy.selection_table()
-    rows = [[k + 1, *table[k]] for k in range(policy.horizon)]
-    return _csv_text(header, rows)
+    rows = [[k, *ids] for k, ids in enumerate(policy.selection_table(), start=1)]
+    return _csv_text(["k", *policy.space.labels], rows)
 
 
 def _marginals_csv(behavior: Behavior) -> str:
-    labels = behavior.space.labels
-    header = ["k", *labels]
     mu = behavior.initial.probs
-    rows = [[0, *[float(v) for v in mu]]]
-    for idx in range(behavior.horizon):
-        mu = mu @ behavior.kernels[idx].matrix
-        rows.append([idx + 1, *[float(v) for v in mu]])
-    return _csv_text(header, rows)
+    rows = [[0, *mu.tolist()]]
+    for k, matrix in enumerate(behavior.matrices, start=1):
+        mu = mu @ matrix
+        rows.append([k, *mu.tolist()])
+    return _csv_text(["k", *behavior.space.labels], rows)
 
 
 def _cost_dict(cost: CostBreakdown) -> dict:
@@ -144,19 +134,12 @@ def _cost_dict(cost: CostBreakdown) -> dict:
     }
 
 
-def _pure_behavior(scenario: Scenario, contributor: int) -> Behavior:
-    return Behavior(
-        scenario.target.initial,
-        scenario.contributors.kernels[contributor],
-    )
-
-
 def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]:
+    """Cost of each contributor's own kernels, run from the target's initial pmf."""
+    initial, pool = scenario.target.initial, scenario.contributors
     return {
-        scenario.contributors.ids[i]: evaluate_cost(
-            _pure_behavior(scenario, i), scenario.target, rewards
-        ).total
-        for i in range(scenario.contributors.size)
+        cid: evaluate_cost(Behavior(initial, pool.kernels[i]), scenario.target, rewards).total
+        for i, cid in enumerate(pool.ids)
     }
 
 

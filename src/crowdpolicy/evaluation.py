@@ -90,9 +90,8 @@ def evaluate_cost(
     per_step: list[tuple[float, float]] = []
     kl_part = 0.0
     reward_part = 0.0
-    for idx in range(policy.horizon):
-        rows = policy.kernels[idx].matrix
-        kl_k = _masked_dot(mu, kl_rows(rows, target.kernels[idx].matrix))
+    for idx, rows in enumerate(policy.matrices):
+        kl_k = _masked_dot(mu, kl_rows(rows, target.matrices[idx]))
         reward_k = float(mu @ (rows @ rewards.values[idx]))
         per_step.append((kl_k, reward_k))
         kl_part += kl_k
@@ -246,10 +245,6 @@ def pure_schedule_oracle(
                 f"refusing schedule search: {s}**{n} schedules exceed {ORACLE_LIMIT}"
             )
         costs = _step_cost_table(target, contributors, rewards)
-        matrices = [
-            [contributors.kernel(i, idx + 1).matrix for idx in range(n)]
-            for i in range(s)
-        ]
         mu0 = target.initial.probs
         best: tuple[int, ...] | None = None
         best_cost = math.inf
@@ -260,7 +255,7 @@ def pure_schedule_oracle(
                 cost += _masked_dot(mu, costs[i, idx])
                 if cost == math.inf:
                     break
-                mu = mu @ matrices[i][idx]
+                mu = mu @ contributors.matrices[i, idx]
             if cost < best_cost:
                 best_cost = cost
                 best = schedule
@@ -339,12 +334,6 @@ def simplex_grid_oracle(
         raise OracleGuardError(
             f"refusing grid search: {len(points)}**{n} assignments exceed {ORACLE_LIMIT}"
         )
-    matrices = np.stack(
-        [
-            np.stack([contributors.kernel(i, idx + 1).matrix for i in range(s)])
-            for idx in range(n)
-        ]
-    )  # shape (N, S, d, d)
     mu0 = target.initial.probs
     best_cost = math.inf
     best: tuple[np.ndarray, ...] | None = None
@@ -352,7 +341,7 @@ def simplex_grid_oracle(
         mu = mu0
         cost = 0.0
         for idx, w in enumerate(assignment):
-            mixed = np.tensordot(w, matrices[idx], axes=1)
+            mixed = np.tensordot(w, contributors.matrices[:, idx], axes=1)
             step = kl_rows(mixed, target.kernels[idx].matrix) - mixed @ rewards.values[idx]
             cost += _masked_dot(mu, step)
             if cost == math.inf:

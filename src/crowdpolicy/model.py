@@ -38,16 +38,16 @@ _MODES = ("strict", "renormalize")
 
 
 def _as_probabilities(
-    values: Sequence[float] | np.ndarray, mode: str, what: str, row_name: Callable | None = None
+    arr: np.ndarray, mode: str, what: str, row_name: Callable | None = None
 ) -> np.ndarray:
-    """Validate every row (last axis) of ``values`` in one vectorised pass; return a locked copy.
+    """Validate every row (last axis) of ``arr``, a C-ordered float array handed over, in one pass.
 
-    Only a failure locates the first bad row, in C order, named by ``row_name(index)``.
+    Returns ``arr`` locked in place (renormalise mode: a locked rescaled copy). Only a
+    failure locates the first bad row, in C order, named by ``row_name(index)``.
     """
     where = row_name or (lambda index: "")
     if mode not in _MODES:
         raise ValueError(f"{where(0)}unknown tolerance mode {mode!r}, expected one of {_MODES}")
-    arr = np.array(values, dtype=float, order="C")
     if row_name is None and arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
@@ -73,6 +73,19 @@ def _as_probabilities(
         arr = arr / totals[..., np.newaxis]
     arr.setflags(write=False)
     return arr
+
+
+def _set(obj, **fields: object):
+    """Set fields of a frozen dataclass instance as given, with no checks or copies; return it."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _kernel_views(space: StateSpace, matrices: np.ndarray) -> tuple[TransitionKernel, ...]:
+    """Lock an (N, d, d) stack of validated kernels and view each matrix as a kernel."""
+    matrices.setflags(write=False)
+    return tuple(_set(object.__new__(TransitionKernel), space=space, matrix=m) for m in matrices)
 
 
 @dataclass(frozen=True)
@@ -114,7 +127,7 @@ class StatePMF:
     mode: InitVar[str] = "strict"
 
     def __post_init__(self, mode: str) -> None:
-        arr = _as_probabilities(self.probs, mode, "pmf")
+        arr = _as_probabilities(np.array(self.probs, dtype=float, order="C"), mode, "pmf")
         if arr.size != self.space.size:
             raise ValueError(
                 f"pmf has {arr.size} entries for a space of size {self.space.size}"
@@ -139,7 +152,7 @@ class TransitionKernel:
     mode: InitVar[str] = "strict"
 
     def __post_init__(self, mode: str) -> None:
-        arr = np.asarray(self.matrix, dtype=float)
+        arr = np.array(self.matrix, dtype=float, order="C")
         d = self.space.size
         if arr.shape != (d, d):
             raise ValueError(f"kernel must be {d}x{d}, got shape {arr.shape}")
@@ -166,11 +179,14 @@ class Behavior:
     """A finite-horizon Markov behavior: initial pmf plus one kernel per step.
 
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for
-    k = 1..N, so ``horizon`` equals ``len(kernels)``.
+    k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
+    once, as the read-only ``(N, d, d)`` array ``matrices``; each of
+    ``kernels`` is a view of one of its matrices.
     """
 
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...]
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         kernels = tuple(self.kernels)
@@ -179,12 +195,20 @@ class Behavior:
         for k, kernel in enumerate(kernels, start=1):
             if kernel.space != self.initial.space:
                 raise ValueError(f"kernel at k={k} uses a different state space")
-        object.__setattr__(self, "kernels", kernels)
+        self._hold(np.array([kernel.matrix for kernel in kernels]))
+
+    @classmethod
+    def _of(cls, initial: StatePMF, matrices: np.ndarray) -> "Behavior":
+        """A behavior that takes over ``matrices``, an (N, d, d) stack of validated kernels."""
+        return _set(object.__new__(cls), initial=initial)._hold(matrices)
+
+    def _hold(self, matrices: np.ndarray) -> "Behavior":
+        return _set(self, kernels=_kernel_views(self.space, matrices), matrices=matrices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Behavior):
             return NotImplemented
-        return self.initial == other.initial and self.kernels == other.kernels
+        return self.initial == other.initial and np.array_equal(self.matrices, other.matrices)
 
     @property
     def space(self) -> StateSpace:

@@ -17,6 +17,7 @@ counter-based generator; the draw order is part of the determinism contract.
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -24,7 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .model import Behavior, Label, RewardSchedule, StatePMF, StateSpace, TransitionKernel
+from .model import Behavior, RewardSchedule, StatePMF, StateSpace, _as_probabilities
 from .synthesis import ContributorSet
 
 SCENARIO_VERSION = 1
@@ -164,16 +165,7 @@ def scenario_from_dict(
     if not isinstance(name, str) or not name:
         raise fail("name must be a non-empty string")
 
-    states = doc.get("states")
-    if not isinstance(states, list) or not states:
-        raise fail("states must be a non-empty list of labels")
-    for lab in states:
-        if not isinstance(lab, (int, str)) or isinstance(lab, bool):
-            raise fail(f"state label {lab!r} must be an integer or a string")
-    try:
-        space = StateSpace(tuple(states))
-    except ValueError as exc:
-        raise fail(str(exc)) from None
+    space = _parse_states(doc.get("states"), fail)
 
     horizon = doc.get("horizon")
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
@@ -186,16 +178,15 @@ def scenario_from_dict(
         initial = StatePMF(space, np.asarray(target_node["initial"], dtype=float), mode)
     except (ValueError, TypeError) as exc:
         raise fail(f"target initial pmf: {exc}") from None
-    target_kernels = _parse_kernels(
-        target_node["kernels"], space, horizon, mode, "target", fail
+    target = Behavior._of(
+        initial, _parse_kernels(target_node["kernels"], space, horizon, mode, "target", fail)
     )
-    target = Behavior(initial, target_kernels)
 
     contributors_node = doc.get("contributors")
     if not isinstance(contributors_node, list) or not contributors_node:
         raise fail("contributors must be a non-empty list")
     ids: list[str] = []
-    all_kernels: list[tuple[TransitionKernel, ...]] = []
+    pool = _mapped_empty((len(contributors_node), horizon, space.size, space.size))
     for pos, entry in enumerate(contributors_node):
         if not isinstance(entry, dict) or set(entry) != {"id", "kernels"}:
             raise fail(
@@ -205,11 +196,11 @@ def scenario_from_dict(
         if not isinstance(cid, str) or not cid:
             raise fail(f"contributor #{pos + 1}: id must be a non-empty string")
         ids.append(cid)
-        all_kernels.append(
-            _parse_kernels(entry["kernels"], space, horizon, mode, f"contributor {cid!r}", fail)
+        pool[pos] = _parse_kernels(
+            entry["kernels"], space, horizon, mode, f"contributor {cid!r}", fail
         )
     try:
-        contributors = ContributorSet(space, tuple(all_kernels), tuple(ids))
+        contributors = ContributorSet._of(space, pool, tuple(ids))
     except ValueError as exc:
         raise fail(str(exc)) from None
 
@@ -241,39 +232,68 @@ def scenario_from_dict(
         raise fail(str(exc)) from None
 
 
-def _numeric_array(node: Any, what: str, fail) -> np.ndarray:
+def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array for a pool, in a private anonymous memory map of its own.
+
+    Freed, it goes straight back to the OS. A freed pool-sized ``malloc`` block
+    would raise glibc's mmap threshold and keep the next dropped pool resident.
+    """
+    private = mmap.mmap(-1, 8 * int(np.prod(shape)), access=mmap.ACCESS_COPY)
+    return np.frombuffer(private, dtype=float).reshape(shape)
+
+
+def _parse_states(node: Any, fail) -> StateSpace:
+    if not isinstance(node, list) or not node:
+        raise fail("states must be a non-empty list of labels")
+    for lab in node:
+        if not isinstance(lab, (int, str)) or isinstance(lab, bool):
+            raise fail(f"state label {lab!r} must be an integer or a string")
     try:
-        return np.asarray(node, dtype=float)
+        return StateSpace(tuple(node))
+    except ValueError as exc:
+        raise fail(str(exc)) from None
+
+
+def _numeric_array(node: Any, what: str, fail) -> np.ndarray:
+    """A new C-ordered float array of ``node``; a caller's array is copied, never kept."""
+    try:
+        return np.array(node, dtype=float, order="C")
     except (ValueError, TypeError):
         raise fail(f"{what} must be a numeric array") from None
 
 
 def _parse_kernels(
     node: Any, space: StateSpace, horizon: int | None, mode: str, owner: str, fail
-) -> tuple[TransitionKernel, ...]:
+) -> np.ndarray:
+    """One validated (N, d, d) kernel stack; the shorthand matrix is validated once."""
     arr = _numeric_array(node, f"{owner} kernels", fail)
     if horizon is None:  # policy files: a [k] axis is required and sets the horizon
         if arr.ndim != 3:
             raise fail(f"{owner} kernels must be a [k][from][to] array")
         horizon = arr.shape[0]
-    if arr.ndim == 2:
-        # time-homogeneous shorthand: one matrix replicated across the horizon
-        arr = np.broadcast_to(arr, (horizon, *arr.shape))
-    elif arr.ndim != 3:
+    if arr.ndim not in (2, 3):
         raise fail(
             f"{owner} kernels must be a [from][to] matrix or a [k][from][to] array"
         )
-    elif arr.shape[0] != horizon:
+    if arr.ndim == 3 and arr.shape[0] != horizon:
         raise fail(
             f"{owner} kernels: expected {horizon} matrices, got {arr.shape[0]}"
         )
-    kernels = []
-    for k, matrix in enumerate(arr, start=1):
-        try:
-            kernels.append(TransitionKernel(space, matrix, mode))
-        except ValueError as exc:
-            raise fail(f"{owner} kernel at k={k}: {exc}") from None
-    return tuple(kernels)
+    d = space.size
+    if arr.shape[-2:] != (d, d):
+        raise fail(f"{owner} kernel at k=1: kernel must be {d}x{d}, got shape {arr.shape[-2:]}")
+
+    def row_name(index: int) -> str:
+        k, x = divmod(index, d)
+        return f"{owner} kernel at k={k + 1}: row for state {space.label(x)!r}: "
+
+    try:
+        arr = _as_probabilities(arr, mode, "kernel row", row_name)
+    except ValueError as exc:
+        raise fail(str(exc)) from None
+    if arr.ndim == 2:  # time-homogeneous shorthand: one matrix replicated across the horizon
+        arr = np.repeat(arr[np.newaxis], horizon, axis=0)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +310,11 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
         "horizon": scenario.horizon,
         "target": {
             "initial": scenario.target.initial.probs.tolist(),
-            "kernels": [k.matrix.tolist() for k in scenario.target.kernels],
+            "kernels": scenario.target.matrices.tolist(),
         },
         "contributors": [
-            {
-                "id": scenario.contributors.ids[i],
-                "kernels": [k.matrix.tolist() for k in scenario.contributors.kernels[i]],
-            }
-            for i in range(scenario.contributors.size)
+            {"id": cid, "kernels": matrices.tolist()}
+            for cid, matrices in zip(scenario.contributors.ids, scenario.contributors.matrices)
         ],
         "rewards": {
             profile: schedule.values.tolist()
@@ -332,7 +349,7 @@ def save_policy(policy: Behavior, path: str | Path) -> None:
         "policy_version": POLICY_VERSION,
         "states": list(policy.space.labels),
         "initial": policy.initial.probs.tolist(),
-        "kernels": [k.matrix.tolist() for k in policy.kernels],
+        "kernels": policy.matrices.tolist(),
     }
     Path(path).write_text(
         json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8"
@@ -367,21 +384,16 @@ def load_policy(
         raise fail(
             f"policy_version must be {POLICY_VERSION}, got {doc['policy_version']!r}"
         )
-    states = doc["states"]
-    if not isinstance(states, list) or not states:
-        raise fail("states must be a non-empty list of labels")
-    try:
-        file_space = StateSpace(tuple(states))
-    except ValueError as exc:
-        raise fail(str(exc)) from None
+    file_space = _parse_states(doc["states"], fail)
     if space is not None and file_space != space:
         raise fail("policy states do not match the scenario's states")
     try:
         initial = StatePMF(file_space, np.asarray(doc["initial"], dtype=float), mode)
     except (ValueError, TypeError) as exc:
         raise fail(f"initial pmf: {exc}") from None
-    kernels = _parse_kernels(doc["kernels"], file_space, None, mode, "policy", fail)
-    return Behavior(initial, kernels)
+    return Behavior._of(
+        initial, _parse_kernels(doc["kernels"], file_space, None, mode, "policy", fail)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +439,21 @@ def generate_random_scenario(
 
     space = StateSpace(tuple(range(d)))
     initial = StatePMF(space, positive_pmf())
-    target_kernels = tuple(
-        TransitionKernel(space, np.stack([positive_pmf() for _ in range(d)]))
-        for _ in range(horizon)
-    )
-    target = Behavior(initial, target_kernels)
-
-    pools: list[tuple[TransitionKernel, ...]] = []
-    for _ in range(contributors):
-        per_k = []
-        for _ in range(horizon):
-            rows = np.empty((d, d))
-            for x in range(d):
-                row = positive_pmf()
-                if sparsity > 0.0:
-                    drop = rng.random(d) < sparsity
-                    if drop.all():
-                        drop[int(np.argmax(row))] = False
-                    row = np.where(drop, 0.0, row)
-                    row = row / row.sum()
-                rows[x] = row
-            per_k.append(TransitionKernel(space, rows))
-        pools.append(tuple(per_k))
-    ids = tuple(f"c{i + 1}" for i in range(contributors))
-    pool = ContributorSet(space, tuple(pools), ids)
+    target = np.empty((horizon, d, d))
+    for row in target.reshape(-1, d):  # step then row order
+        row[:] = positive_pmf()
+    pool = _mapped_empty((contributors, horizon, d, d))
+    for row in pool.reshape(-1, d):  # contributor, step, row order
+        row[:] = positive_pmf()
+        if sparsity > 0.0:
+            drop = rng.random(d) < sparsity
+            if drop.all():
+                drop[int(np.argmax(row))] = False
+            row[drop] = 0.0
+            row /= row.sum()
+    # every row is a positive pmf or a renormalised part of one, so it is valid as drawn
+    target = Behavior._of(initial, target)
+    pool = ContributorSet._of(space, pool, tuple(f"c{i + 1}" for i in range(contributors)))
 
     rewards = RewardSchedule(space, rng.uniform(lo, hi, size=(horizon, d)))
     metadata = {

@@ -6,7 +6,7 @@ uses, so identical seeds reproduce identical batches on any platform. Batches
 are sampled with one uniform draw per trajectory per step via inverse CDF.
 
 Log-probabilities come from one gathered (count, N + 1) table of log factors
-(`log_pmf` runs once per behavior, on its stacked kernels), summed step by
+(`log_pmf` runs once per behavior, on its kernel array), summed step by
 step in path order, so each total equals the scalar chain-rule sum.
 """
 
@@ -72,7 +72,7 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
 
 def _path_log_terms(behavior: Behavior, paths: np.ndarray) -> np.ndarray:
     """Log factors of each path, (count, N + 1): initial, then one per step (-inf: impossible)."""
-    log_kernels = log_pmf(np.stack([kernel.matrix for kernel in behavior.kernels]))
+    log_kernels = log_pmf(behavior.matrices)
     steps = np.arange(behavior.horizon)
     initial = log_pmf(behavior.initial.probs)[paths[:, :1]]
     return np.hstack([initial, log_kernels[steps, paths[:, :-1], paths[:, 1:]]])
@@ -131,7 +131,7 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     returns the lexicographically smallest in state-index order.
     """
     d, n = policy.space.size, policy.horizon
-    log_kernels = log_pmf(np.stack([kernel.matrix for kernel in policy.kernels]))
+    log_kernels = log_pmf(policy.matrices)
     to_go = np.zeros(d)
     best = [to_go]
     for idx in range(n - 1, -1, -1):

@@ -32,6 +32,8 @@ from .model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    _kernel_views,
+    _set,
     kl_rows,
 )
 
@@ -41,12 +43,15 @@ class ContributorSet:
     """A pool of contributor kernels sharing one state space and horizon.
 
     Contributors supply transition kernels only; the initial pmf always comes
-    from the target behavior.
+    from the target behavior. The kernels are stored once, as the read-only
+    ``(S, N, d, d)`` array ``matrices``; ``kernels[i][k-1]`` is a view of
+    ``matrices[i, k-1]``.
     """
 
     space: StateSpace
     kernels: tuple[tuple[TransitionKernel, ...], ...]
     ids: tuple[str, ...]
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         kernels = tuple(tuple(per_k) for per_k in self.kernels)
@@ -61,13 +66,22 @@ class ContributorSet:
             for kernel in per_k:
                 if kernel.space != self.space:
                     raise ValueError(f"contributor {i} uses a different state space")
-        ids = tuple(self.ids)
-        if len(ids) != len(kernels):
+        self._hold(np.array([[kernel.matrix for kernel in per_k] for per_k in kernels]), self.ids)
+
+    @classmethod
+    def _of(cls, space: StateSpace, matrices: np.ndarray, ids: tuple[str, ...]) -> "ContributorSet":
+        """A pool that takes over ``matrices``, an (S, N, d, d) stack of validated kernels."""
+        return _set(object.__new__(cls), space=space)._hold(matrices, ids)
+
+    def _hold(self, matrices: np.ndarray, ids: tuple[str, ...]) -> "ContributorSet":
+        ids = tuple(ids)
+        if len(ids) != len(matrices):
             raise ValueError("one id per contributor required")
         if len(set(ids)) != len(ids):
             raise ValueError("contributor ids must be unique")
-        object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "ids", ids)
+        matrices.setflags(write=False)
+        views = tuple(_kernel_views(self.space, per_k) for per_k in matrices)
+        return _set(self, kernels=views, ids=ids, matrices=matrices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContributorSet):
@@ -75,7 +89,7 @@ class ContributorSet:
         return (
             self.space == other.space
             and self.ids == other.ids
-            and self.kernels == other.kernels
+            and np.array_equal(self.matrices, other.matrices)
         )
 
     @property
@@ -134,14 +148,10 @@ def filter_contributors(
 def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
     """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), one step at a time."""
     kl = np.empty((contributors.size, target.horizon, target.space.size))
-    for idx, target_kernel in enumerate(target.kernels):
-        rows = _step_rows(contributors, idx)
-        kl[:, idx] = kl_rows(rows, np.broadcast_to(target_kernel.matrix, rows.shape))
+    for idx, target_rows in enumerate(target.matrices):
+        rows = contributors.matrices[:, idx]
+        kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
     return kl
-
-
-def _step_rows(contributors: ContributorSet, idx: int) -> np.ndarray:
-    return np.stack([per_k[idx].matrix for per_k in contributors.kernels])
 
 
 def _filter(contributors: ContributorSet, kl: np.ndarray) -> tuple[list[int], FilterReport]:
@@ -251,11 +261,13 @@ def synthesize(
 
     kl = _kl_table(target, contributors)
     report: FilterReport | None = None
+    ids, keep = contributors.ids, slice(None)  # keep: retained contributors, read step by step
     if prefilter:
         retained, report = _filter(contributors, kl)
-        contributors, kl = contributors.subset(retained), kl[retained]
+        if len(retained) < contributors.size:
+            ids, keep, kl = report.retained_ids, retained, kl[retained]
 
-    n, d, s = target.horizon, target.space.size, contributors.size
+    n, d, s = target.horizon, target.space.size, len(ids)
     scores = np.empty((n, d, s))
     selected = np.empty((n, d), dtype=int)
     r_hat = np.empty((n, d))
@@ -266,7 +278,7 @@ def synthesize(
     for idx in range(n - 1, -1, -1):
         r_hat[idx] = value_to_go
         r_bar[idx] = rewards.values[idx] + value_to_go
-        rows = _step_rows(contributors, idx)
+        rows = contributors.matrices[keep, idx]  # (s, d, d)
         expected = rows @ r_bar[idx]
         if not np.all(np.isfinite(expected)):  # KL is finite or +inf, so only rewards overflow
             raise ValidationError(
@@ -284,15 +296,12 @@ def synthesize(
         value_to_go = -scores[idx].min(axis=1)
 
     weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
-    agent = Behavior(
-        target.initial,
-        tuple(TransitionKernel(target.space, agent_rows[idx]) for idx in range(n)),
-    )
+    agent = Behavior._of(target.initial, agent_rows)  # rows copied from validated kernels
     for arr in (scores, selected, weights, r_hat, r_bar):
         arr.setflags(write=False)
     return SynthesizedPolicy(
         space=target.space,
-        contributor_ids=contributors.ids,
+        contributor_ids=ids,
         scores=scores,
         selected=selected,
         weights=weights,
@@ -319,8 +328,7 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
         raise ValueError("policy and target horizons differ")
     mu = target.initial.probs
     total = 0.0
-    for idx in range(policy.horizon):
-        kernel = policy.agent.kernels[idx].matrix
+    for idx, kernel in enumerate(policy.agent.matrices):
         sel = np.take_along_axis(
             policy.scores[idx], policy.selected[idx][:, None], axis=1
         )[:, 0]

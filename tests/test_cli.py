@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report contents, byte determinism."""
 
+import csv
 import hashlib
 import json
 import shutil
@@ -156,6 +157,26 @@ def test_synthesize_runs_are_byte_identical(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_csv_outputs_quote_ids_and_labels_that_need_it(tmp_path):
+    doc = read_json(demo_scenario_path())
+    odd_id = 'express, "fast"'
+    doc["contributors"][0]["id"] = odd_id
+    doc["states"] = [f'node {label}, "n{label}"\nend' for label in doc["states"]]
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["synthesize", "--scenario", str(path), "--reward-profile", "favor-node-2",
+                 "--out", str(out)]) == 0
+    for name in ("selection.csv", "marginals.csv", "agent_kernel_k1.csv"):
+        with open(out / name, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(doc["states"]) + 1}, name
+        assert rows[0][1:] == doc["states"], name
+    with open(out / "selection.csv", newline="", encoding="utf-8") as handle:
+        selection = list(csv.reader(handle))
+    assert selection[1][1] == odd_id
+
+
 def test_synthesize_infeasible_exits_3(tmp_path, capsys):
     doc = read_json(demo_scenario_path())
     for entry in doc["contributors"]:
@@ -270,6 +291,21 @@ def test_evaluate_rejects_policy_from_other_space(tmp_path, capsys):
                "--reward-profile", "favor-node-2"])
     assert rc == 2
     assert "do not match" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_policy_with_list_state_labels(tmp_path, capsys):
+    syn = tmp_path / "syn"
+    main(["synthesize", "--scenario", DEMO, "--reward-profile", "favor-node-2",
+          "--out", str(syn)])
+    doc = read_json(syn / "policy.json")
+    doc["states"] = [[label] for label in doc["states"]]
+    bad = tmp_path / "listed.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["evaluate", "--scenario", DEMO, "--policy", str(bad),
+               "--reward-profile", "favor-node-2"])
+    assert rc == 2
+    assert f"{bad}: state label [1] must be an integer or a string" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

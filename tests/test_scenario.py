@@ -1,11 +1,17 @@
 """Scenario and policy file round trips, validation diagnostics, generation."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdpolicy.errors import ValidationError
+from crowdpolicy.model import Behavior, StatePMF, StateSpace, TransitionKernel
+from crowdpolicy.synthesis import ContributorSet, synthesize
 from crowdpolicy.scenario import (
     POLICY_VERSION,
     SCENARIO_VERSION,
@@ -311,3 +317,312 @@ def test_generator_argument_validation():
         generate_random_scenario(
             seed=1, d=2, horizon=1, contributors=1, reward_range=(2.0, -2.0)
         )
+
+
+def test_duplicate_contributor_ids_are_named_in_full(tmp_path):
+    doc = minimal_doc()
+    doc["contributors"].append(dict(doc["contributors"][0]))
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == "scenario: contributor ids must be unique"
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_scenario(path)
+    assert str(err.value) == f"{path}: contributor ids must be unique"
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ([[1], [2], [3]], "state label [1] must be an integer or a string"),
+        ([1.5, True, 3], "state label 1.5 must be an integer or a string"),
+        ([1, True, 3], "state label True must be an integer or a string"),
+        ([], "states must be a non-empty list of labels"),
+        ([1, 1, 2], "state labels must be unique"),
+    ],
+)
+def test_policy_state_labels_are_checked_like_scenario_labels(tmp_path, states, message):
+    scenario = generate_random_scenario(seed=8, d=3, horizon=2, contributors=1)
+    path = tmp_path / "p.json"
+    save_policy(scenario.target, path)
+    doc = json.loads(path.read_text())
+    doc["states"] = states
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as err:
+        load_policy(path)
+    assert str(err.value) == f"{path}: {message}"
+    scenario_doc = minimal_doc()
+    scenario_doc["states"] = states
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(scenario_doc)
+    assert str(err.value) == f"scenario: {message}"
+
+
+# ---------------------------------------------------------------------------
+# one kernel array per behavior and per pool, against the per-kernel code it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_parse_kernels(node, space, horizon, mode, owner, fail):
+    """The former kernel parser: one validated ``TransitionKernel`` per step."""
+    try:
+        arr = np.asarray(node, dtype=float)
+    except (ValueError, TypeError):
+        raise fail(f"{owner} kernels must be a numeric array") from None
+    if horizon is None:
+        if arr.ndim != 3:
+            raise fail(f"{owner} kernels must be a [k][from][to] array")
+        horizon = arr.shape[0]
+    if arr.ndim == 2:
+        arr = np.broadcast_to(arr, (horizon, *arr.shape))
+    elif arr.ndim != 3:
+        raise fail(f"{owner} kernels must be a [from][to] matrix or a [k][from][to] array")
+    elif arr.shape[0] != horizon:
+        raise fail(f"{owner} kernels: expected {horizon} matrices, got {arr.shape[0]}")
+    kernels = []
+    for k, matrix in enumerate(arr, start=1):
+        try:
+            kernels.append(TransitionKernel(space, matrix, mode))
+        except ValueError as exc:
+            raise fail(f"{owner} kernel at k={k}: {exc}") from None
+    return tuple(kernels)
+
+
+def _reference_kernel_bytes(doc, mode, source, policy):
+    """Kernel bytes the former loader kept for ``doc``, whose other fields are valid."""
+
+    def fail(message):
+        return ValidationError(f"{source}: {message}")
+
+    space = StateSpace(tuple(doc["states"]))
+    if policy:
+        parsed = [_reference_parse_kernels(doc["kernels"], space, None, mode, "policy", fail)]
+    else:
+        horizon = doc["horizon"]
+        parsed = [_reference_parse_kernels(doc["target"]["kernels"], space, horizon, mode,
+                                           "target", fail)]
+        parsed += [
+            _reference_parse_kernels(entry["kernels"], space, horizon, mode,
+                                     f"contributor {entry['id']!r}", fail)
+            for entry in doc["contributors"]
+        ]
+    return b"".join(kernel.matrix.tobytes() for kernels in parsed for kernel in kernels)
+
+
+def _assert_one_locked_store(behavior_or_pool):
+    """Every kernel handed out is a read-only view of the one read-only ``matrices``."""
+    matrices = behavior_or_pool.matrices
+    assert not matrices.flags.writeable
+    if isinstance(behavior_or_pool, ContributorSet):
+        flat = [kernel for per_k in behavior_or_pool.kernels for kernel in per_k]
+    else:
+        flat = list(behavior_or_pool.kernels)
+    assert len(flat) * matrices.shape[-1] ** 2 == matrices.size
+    for kernel, matrix in zip(flat, matrices.reshape(-1, *matrices.shape[-2:])):
+        assert np.shares_memory(kernel.matrix, matrices)
+        assert not kernel.matrix.flags.writeable
+        assert np.array_equal(kernel.matrix, matrix)
+
+
+#: Entry faults injected at a random (owner, k, state, column).
+_VALUE_FAULTS = ("nan", "+inf", "-inf", "negative", "just off")
+
+#: Shape faults, at most one per document, injected after the entry faults.
+_SHAPE_FAULTS = ("ragged row", "wide rows", "missing step", "flat")
+
+
+def _inject_kernel_fault(kernels, k, x, col, fault):
+    """Return ``kernels`` (nested lists, [k][from][to] or [from][to]) with ``fault`` at (k, x, col)."""
+    full = isinstance(kernels[0][0], list)
+    matrix = kernels[k] if full else kernels
+    if fault == "ragged row":
+        matrix[x].append(0.0)
+    elif fault == "wide rows":
+        for row in matrix:
+            row.append(0.0)
+    elif fault == "missing step":
+        return kernels[:-1] if full else kernels[0]
+    elif fault == "flat":
+        return [value for row in matrix for value in row]
+    else:
+        matrix[x][col] = {
+            "nan": float("nan"), "+inf": float("inf"), "-inf": float("-inf"),
+            "negative": -matrix[x][col] - 0.25, "just off": matrix[x][col] + 1.5e-9,
+        }[fault]
+    return kernels
+
+
+@st.composite
+def _kernel_documents(draw):
+    """A scenario or policy document whose kernels are full or shorthand, faulty or not."""
+    d, horizon, size = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    policy = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unnormalised = draw(st.booleans())  # for the renormalize mode
+
+    def kernels():
+        shape = (d, d) if not policy and draw(st.booleans()) else (horizon, d, d)
+        arr = rng.dirichlet(np.ones(d), size=shape[:-1])
+        if unnormalised:
+            arr = arr * rng.uniform(0.1, 10.0, size=(*shape[:-1], 1))
+        return arr.tolist()
+
+    states = list(range(d)) if draw(st.booleans()) else [f"s{i}" for i in range(d)]
+    initial = rng.dirichlet(np.ones(d)).tolist()
+    owners = [kernels() for _ in range(1 if policy else size + 1)]
+    faults = [draw(st.sampled_from(_VALUE_FAULTS)) for _ in range(draw(st.integers(0, 3)))]
+    faults += [draw(st.sampled_from(_SHAPE_FAULTS))] * draw(st.integers(0, 1))
+    for fault in faults:
+        owner = draw(st.integers(0, len(owners) - 1))
+        full = isinstance(owners[owner][0][0], list)
+        owners[owner] = _inject_kernel_fault(
+            owners[owner], draw(st.integers(0, horizon - 1)) if full else 0,
+            draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), fault,
+        )
+    mode = draw(st.sampled_from(["strict", "renormalize"]))
+    if policy:
+        doc = {"policy_version": POLICY_VERSION, "states": states, "initial": initial,
+               "kernels": owners[0]}
+    else:
+        doc = {
+            "scenario_version": SCENARIO_VERSION, "name": "net", "states": states,
+            "horizon": horizon, "target": {"initial": initial, "kernels": owners[0]},
+            "contributors": [{"id": f"c{i}", "kernels": kernels}
+                             for i, kernels in enumerate(owners[1:], start=1)],
+            "rewards": {"default": np.zeros((horizon, d)).tolist()},
+        }
+    return doc, mode, policy
+
+
+def _kernel_outcome(build):
+    try:
+        return ("accepted", build())
+    except Exception as exc:  # the type is part of what is compared
+        return ("raised", type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_documents())
+def test_kernel_stacks_match_the_per_kernel_reference(case):
+    doc, mode, policy = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        source = str(path)
+        if policy:
+            loaded = _kernel_outcome(lambda: load_policy(path, mode=mode))
+            new = loaded if loaded[0] == "raised" else ("accepted", loaded[1].matrices.tobytes())
+        else:
+            loaded = _kernel_outcome(lambda: load_scenario(path, mode))
+            new = loaded if loaded[0] == "raised" else (
+                "accepted",
+                loaded[1].target.matrices.tobytes() + loaded[1].contributors.matrices.tobytes(),
+            )
+        with np.errstate(all="ignore"):
+            old = _kernel_outcome(lambda: _reference_kernel_bytes(doc, mode, source, policy))
+    assert new == old
+    if loaded[0] == "accepted":
+        for store in (loaded[1],) if policy else (loaded[1].target, loaded[1].contributors):
+            _assert_one_locked_store(store)
+
+
+def _reference_generate(seed, d, horizon, contributors, sparsity):
+    """The former generator's draws: one ``TransitionKernel`` per (contributor, step)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def positive_pmf():
+        v = rng.dirichlet(np.ones(d)) + 1e-6
+        return v / v.sum()
+
+    space = StateSpace(tuple(range(d)))
+    initial = StatePMF(space, positive_pmf())
+    target = [TransitionKernel(space, np.stack([positive_pmf() for _ in range(d)]))
+              for _ in range(horizon)]
+    pool = []
+    for _ in range(contributors):
+        for _ in range(horizon):
+            rows = np.empty((d, d))
+            for x in range(d):
+                row = positive_pmf()
+                if sparsity > 0.0:
+                    drop = rng.random(d) < sparsity
+                    if drop.all():
+                        drop[int(np.argmax(row))] = False
+                    row = np.where(drop, 0.0, row)
+                    row = row / row.sum()
+                rows[x] = row
+            pool.append(TransitionKernel(space, rows))
+    rewards = rng.uniform(-1.0, 1.0, size=(horizon, d))
+    return (initial.probs.tobytes(), b"".join(k.matrix.tobytes() for k in target),
+            b"".join(k.matrix.tobytes() for k in pool), rewards.tobytes())
+
+
+@pytest.mark.parametrize("sparsity", [0.0, 0.3, 0.6, 0.9])
+def test_generator_bytes_match_the_per_kernel_reference(sparsity):
+    sizes = np.random.default_rng(int(sparsity * 10))
+    for seed in range(25):
+        d, horizon, size = (int(v) for v in sizes.integers((1, 1, 1), (17, 6, 7)))
+        scenario = generate_random_scenario(seed, d, horizon, size, sparsity=sparsity)
+        assert (
+            scenario.target.initial.probs.tobytes(),
+            scenario.target.matrices.tobytes(),
+            scenario.contributors.matrices.tobytes(),
+            scenario.rewards["default"].values.tobytes(),
+        ) == _reference_generate(seed, d, horizon, size, sparsity)
+        assert scenario.target.matrices.shape == (horizon, d, d)
+        assert scenario.contributors.matrices.shape == (size, horizon, d, d)
+        _assert_one_locked_store(scenario.target)
+        _assert_one_locked_store(scenario.contributors)
+
+
+def test_every_kernel_is_a_view_of_one_locked_array(tmp_path):
+    scenario = generate_random_scenario(seed=3, d=4, horizon=3, contributors=3, sparsity=0.3)
+    save_scenario(scenario, tmp_path / "s.json")
+    loaded = load_scenario(tmp_path / "s.json")
+    agent = synthesize(loaded.target, loaded.contributors, loaded.reward_profile()).agent
+    save_policy(agent, tmp_path / "p.json")
+    behaviors = [loaded.target, agent, load_policy(tmp_path / "p.json"),
+                 Behavior(loaded.target.initial, loaded.contributors.kernels[1])]
+    pools = [loaded.contributors, loaded.contributors.subset([2, 0]),
+             ContributorSet(loaded.space, loaded.contributors.kernels, ("x", "y", "z"))]
+    for store in behaviors + pools:
+        _assert_one_locked_store(store)
+    assert loaded.contributors.subset([2, 0]).matrices.tobytes() == (
+        loaded.contributors.matrices[[2, 0]].tobytes()
+    )
+
+
+def test_constructors_and_loader_copy_the_callers_arrays_once():
+    space = StateSpace(("a", "b"))
+    rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+    probs = np.array([1.0, 0.0])
+    kernel = TransitionKernel(space, rows)
+    pmf = StatePMF(space, probs)
+    stores = [Behavior(pmf, (kernel,)), Behavior(pmf, (kernel, kernel)),
+              ContributorSet(space, ((kernel,),), ("x",)),
+              ContributorSet(space, ((kernel,), (kernel,)), ("x", "y"))]
+    assert rows.flags.writeable and probs.flags.writeable
+    assert not np.shares_memory(kernel.matrix, rows)
+    for store in stores:
+        assert not np.shares_memory(store.matrices, rows)
+        assert not np.shares_memory(store.matrices, kernel.matrix)
+    assert not np.shares_memory(pmf.probs, probs)
+
+    full = np.array([[[0.9, 0.1], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]]])
+    shorthand = np.array([[0.5, 0.5], [0.5, 0.5]])
+    initial = np.array([1.0, 0.0])
+    rewards = np.zeros((2, 2))
+    doc = minimal_doc()
+    doc["target"] = {"initial": initial, "kernels": shorthand}
+    doc["contributors"] = [{"id": "only", "kernels": full}]
+    doc["rewards"] = {"default": rewards}
+    scenario = scenario_from_dict(doc)
+    callers = (full, shorthand, initial, rewards)
+    stored = (scenario.target.matrices, scenario.contributors.matrices,
+              scenario.target.initial.probs, scenario.rewards["default"].values)
+    for array in callers:
+        assert array.flags.writeable
+        assert not any(np.shares_memory(array, kept) for kept in stored)
+    full[0, 0] = [0.0, 1.0]
+    assert scenario.contributors.matrices[0, 0, 0].tolist() == [0.9, 0.1]
