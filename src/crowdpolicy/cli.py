@@ -6,40 +6,40 @@ Exit codes: 0 success, 2 scenario or policy validation failure, 3
 infeasibility (no admissible contributor, or an estimand undefined for the
 given inputs), 4 oracle guard refusal, 1 unexpected internal error.
 
+Every command runs the same way: `_inputs` loads the scenario and reward
+profile and starts the report, the command adds its own fields, and
+`_finish` writes ``report.json`` and ``timing.json`` under ``--out``.
+
 All file outputs are written atomically (temp file in the same directory,
 then rename). Given the same scenario and flags, report.json and every CSV
 are byte-identical across runs; wall-clock timings therefore live in a
-separate ``timing.json`` sidecar, and the ``--out`` directory itself is
-never embedded in a report.
+separate ``timing.json`` sidecar, which every command with an ``--out``
+directory writes (synthesize, evaluate, oracle, simulate, demo), and the
+``--out`` directory itself is never embedded in a report.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
-import os
 import sys
 import time
 import traceback
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .errors import InfeasibleError, OracleGuardError, ValidationError
-from .evaluation import (
-    CostBreakdown,
-    evaluate_cost,
-    pure_schedule_oracle,
-    simplex_grid_oracle,
-)
+from .evaluation import evaluate_cost, pure_schedule_oracle, simplex_grid_oracle
 from .model import Behavior, RewardSchedule
 from .scenario import (
     Scenario,
+    _atomic_write_text,
+    _csv_text,
     demo_scenario_path,
     load_policy,
     load_scenario,
@@ -51,7 +51,7 @@ from .simulate import (
     sample_trajectories,
     write_trajectories_csv,
 )
-from .synthesis import SynthesizedPolicy, bound_value, synthesize
+from .synthesis import SynthesizedPolicy, bound_value, filter_contributors, synthesize
 
 PROG = "crowdpolicy"
 
@@ -59,12 +59,6 @@ PROG = "crowdpolicy"
 # ---------------------------------------------------------------------------
 # small output helpers
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -93,19 +87,6 @@ def _write_json(path: Path, doc: Any) -> None:
     _atomic_write_text(path, _dump_json(doc))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _csv_text(header: list, rows: list[list]) -> str:
-    """CSV text, quoting cells that need it; ``str`` keeps a Python float's shortest repr."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _kernel_csv(kernel_matrix: np.ndarray, labels: tuple) -> str:
     rows = [[label, *row] for label, row in zip(labels, kernel_matrix.tolist())]
     return _csv_text(["from", *labels], rows)
@@ -125,32 +106,13 @@ def _marginals_csv(behavior: Behavior) -> str:
     return _csv_text(["k", *behavior.space.labels], rows)
 
 
-def _cost_dict(cost: CostBreakdown) -> dict:
-    return {
-        "total": cost.total,
-        "kl_part": cost.kl_part,
-        "reward_part": cost.reward_part,
-        "per_step": [[kl, rew] for kl, rew in cost.per_step],
-    }
-
-
 def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]:
     """Cost of each contributor's own kernels, run from the target's initial pmf."""
     initial, pool = scenario.target.initial, scenario.contributors
     return {
-        cid: evaluate_cost(Behavior(initial, pool.kernels[i]), scenario.target, rewards).total
-        for i, cid in enumerate(pool.ids)
+        cid: evaluate_cost(Behavior._of(initial, matrices), scenario.target, rewards).total
+        for cid, matrices in zip(pool.ids, pool.matrices)
     }
-
-
-def _resolve_profile(scenario: Scenario, name: str | None) -> tuple[str, RewardSchedule]:
-    try:
-        schedule = scenario.reward_profile(name)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-    if name is None:
-        name = next(iter(scenario.rewards))
-    return name, schedule
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -166,34 +128,66 @@ def _flags(args: argparse.Namespace) -> dict:
     return {key: getattr(args, key) for key in keep if hasattr(args, key)}
 
 
+def _inputs(args: argparse.Namespace) -> tuple[Scenario, RewardSchedule | None, dict]:
+    """Scenario (the bundled demo without --scenario), reward schedule, and report head.
+
+    The schedule is None, and the head has no ``reward_profile``, when the
+    command takes no --reward-profile; without a name, a scenario's sole
+    profile is used.
+    """
+    path = Path(args.scenario) if hasattr(args, "scenario") else demo_scenario_path()
+    scenario = load_scenario(path, args.tolerance_mode)
+    report = {
+        "command": args.command,
+        "scenario_name": scenario.name,
+        "scenario_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+        "flags": _flags(args),
+    }
+    if not hasattr(args, "reward_profile"):
+        return scenario, None, report
+    try:
+        rewards = scenario.reward_profile(args.reward_profile)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    report["reward_profile"] = args.reward_profile or next(iter(scenario.rewards))
+    return scenario, rewards, report
+
+
+def _policy(args: argparse.Namespace, scenario: Scenario) -> Behavior:
+    """The --policy file, checked against the scenario's states and horizon."""
+    policy = load_policy(args.policy, scenario.space, args.tolerance_mode)
+    if policy.horizon != scenario.horizon:
+        raise ValidationError(
+            f"policy horizon {policy.horizon} != scenario horizon {scenario.horizon}"
+        )
+    return policy
+
+
+def _finish(args: argparse.Namespace, report: dict, started: float) -> None:
+    """Write report.json and timing.json under --out when one is given."""
+    if args.out is not None:
+        out = _out_dir(args)
+        _write_json(out / "report.json", report)
+        _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
+
+
 def _synthesis_outputs(
     out: Path, scenario: Scenario, policy: SynthesizedPolicy
 ) -> dict:
-    labels = scenario.space.labels
-    names = {}
     save_policy(policy.agent, out / "policy.json")
-    names["policy"] = "policy.json"
     _atomic_write_text(out / "selection.csv", _selection_csv(policy))
-    names["selection"] = "selection.csv"
-    kernel_files = []
-    for idx in range(policy.horizon):
-        fname = f"agent_kernel_k{idx + 1}.csv"
-        _atomic_write_text(
-            out / fname, _kernel_csv(policy.agent.kernels[idx].matrix, labels)
-        )
-        kernel_files.append(fname)
-    names["kernels"] = kernel_files
+    kernels = [f"agent_kernel_k{k}.csv" for k in range(1, policy.horizon + 1)]
+    for name, matrix in zip(kernels, policy.agent.matrices):
+        _atomic_write_text(out / name, _kernel_csv(matrix, scenario.space.labels))
     _atomic_write_text(out / "marginals.csv", _marginals_csv(policy.agent))
-    names["marginals"] = "marginals.csv"
-    return names
+    return {"policy": "policy.json", "selection": "selection.csv", "kernels": kernels,
+            "marginals": "marginals.csv"}
 
 
 def _filter_dict(policy: SynthesizedPolicy) -> dict:
-    report = policy.filter_report
-    if report is None:
-        return {"retained": list(policy.contributor_ids), "excluded": []}
+    report = policy.filter_report  # the CLI always filters, so there is one
     return {
-        "retained": list(report.retained_ids),
+        "retained": report.retained_ids,
         "excluded": [
             {"id": e.contributor_id, "k": e.k, "state": e.state}
             for e in report.exclusions
@@ -207,7 +201,7 @@ def _filter_dict(policy: SynthesizedPolicy) -> dict:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, args.tolerance_mode)
+    scenario, _, _ = _inputs(args)
     print(f"scenario OK: {scenario.name}")
     print(f"  states: {scenario.space.size}  horizon: {scenario.horizon}")
     print(f"  contributors: {', '.join(scenario.contributors.ids)}")
@@ -217,29 +211,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    scenario = load_scenario(args.scenario, args.tolerance_mode)
-    profile, rewards = _resolve_profile(scenario, args.reward_profile)
+    scenario, rewards, report = _inputs(args)
     policy = synthesize(scenario.target, scenario.contributors, rewards)
     bound = bound_value(policy, scenario.target)
     exact = evaluate_cost(policy.agent, scenario.target, rewards)
     out = _out_dir(args)
-    outputs = _synthesis_outputs(out, scenario, policy)
-    report = {
-        "command": "synthesize",
-        "scenario_name": scenario.name,
-        "scenario_sha256": _sha256(Path(args.scenario)),
-        "flags": _flags(args),
-        "reward_profile": profile,
-        "filter": _filter_dict(policy),
-        "selection": policy.selection_table(),
-        "bound_value": bound,
-        "exact_cost": _cost_dict(exact),
-        "pure_contributor_costs": _pure_costs(scenario, rewards),
-        "outputs": outputs,
-    }
-    _write_json(out / "report.json", report)
-    _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
-    print(f"synthesized {scenario.name} [{profile}]")
+    report.update(
+        outputs=_synthesis_outputs(out, scenario, policy),
+        filter=_filter_dict(policy),
+        selection=policy.selection_table(),
+        bound_value=bound,
+        exact_cost=asdict(exact),
+        pure_contributor_costs=_pure_costs(scenario, rewards),
+    )
+    _finish(args, report, started)
+    print(f"synthesized {scenario.name} [{report['reward_profile']}]")
     print(f"  bound value: {bound!r}")
     print(f"  exact cost:  {exact.total!r}")
     print(f"  outputs in {out}")
@@ -247,60 +233,33 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, args.tolerance_mode)
-    policy = load_policy(args.policy, scenario.space, args.tolerance_mode)
-    if policy.horizon != scenario.horizon:
-        raise ValidationError(
-            f"policy horizon {policy.horizon} != scenario horizon {scenario.horizon}"
-        )
-    profile, rewards = _resolve_profile(scenario, args.reward_profile)
-    cost = evaluate_cost(policy, scenario.target, rewards)
-    doc = {
-        "command": "evaluate",
-        "scenario_name": scenario.name,
-        "scenario_sha256": _sha256(Path(args.scenario)),
-        "flags": _flags(args),
-        "reward_profile": profile,
-        "cost": _cost_dict(cost),
-    }
-    sys.stdout.write(_dump_json(doc))
-    if args.out is not None:
-        out = _out_dir(args)
-        _write_json(out / "report.json", doc)
+    started = time.perf_counter()
+    scenario, rewards, report = _inputs(args)
+    policy = _policy(args, scenario)
+    report["cost"] = asdict(evaluate_cost(policy, scenario.target, rewards))
+    sys.stdout.write(_dump_json(report))
+    _finish(args, report, started)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    scenario = load_scenario(args.scenario, args.tolerance_mode)
-    profile, rewards = _resolve_profile(scenario, args.reward_profile)
+    scenario, rewards, report = _inputs(args)
     policy = synthesize(scenario.target, scenario.contributors, rewards)
     bound = bound_value(policy, scenario.target)
     mode = {"per-time": "per-time", "per-time-state": "per-time-and-state"}[args.mode]
-    retained = scenario.contributors.subset(
-        [scenario.contributors.ids.index(cid) for cid in policy.contributor_ids]
-    )
+    retained, _ = filter_contributors(scenario.target, scenario.contributors)
     result = pure_schedule_oracle(scenario.target, retained, rewards, mode)
-    schedule = (
-        list(result.schedule)
-        if isinstance(result.schedule, tuple)
-        else result.schedule.tolist()
-    )
-    report = {
-        "command": "oracle",
-        "scenario_name": scenario.name,
-        "scenario_sha256": _sha256(Path(args.scenario)),
-        "flags": _flags(args),
-        "reward_profile": profile,
-        "bound_value": bound,
-        "oracle": {
+    report.update(
+        bound_value=bound,
+        oracle={
             "mode": args.mode,
             "cost": result.cost,
-            "schedule": schedule,
-            "contributor_ids": list(retained.ids),
+            "schedule": result.schedule,
+            "contributor_ids": retained.ids,
         },
-        "gap_oracle_minus_bound": result.cost - bound,
-    }
+        gap_oracle_minus_bound=result.cost - bound,
+    )
     if args.grid_resolution is not None:
         grid = simplex_grid_oracle(
             scenario.target, retained, rewards, args.grid_resolution
@@ -308,25 +267,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         report["grid"] = {
             "resolution": args.grid_resolution,
             "cost": grid.cost,
-            "weights": grid.weights.tolist(),
+            "weights": grid.weights,
         }
     sys.stdout.write(_dump_json(report))
-    if args.out is not None:
-        out = _out_dir(args)
-        _write_json(out / "report.json", report)
-        _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
+    _finish(args, report, started)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    scenario = load_scenario(args.scenario, args.tolerance_mode)
-    policy = load_policy(args.policy, scenario.space, args.tolerance_mode)
-    if policy.horizon != scenario.horizon:
-        raise ValidationError(
-            f"policy horizon {policy.horizon} != scenario horizon {scenario.horizon}"
-        )
-    profile, rewards = _resolve_profile(scenario, args.reward_profile)
+    scenario, rewards, report = _inputs(args)
+    policy = _policy(args, scenario)
     trajectories = sample_trajectories(
         policy, args.count, args.seed, target=scenario.target
     )
@@ -341,23 +292,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     exact = evaluate_cost(policy, scenario.target, rewards)
     out = _out_dir(args)
     write_trajectories_csv(trajectories, out / "trajectories.csv")
-    report = {
-        "command": "simulate",
-        "scenario_name": scenario.name,
-        "scenario_sha256": _sha256(Path(args.scenario)),
-        "flags": _flags(args),
-        "reward_profile": profile,
-        "monte_carlo": {
+    report.update(
+        monte_carlo={
             "estimate": estimate.estimate,
             "stderr": estimate.stderr,
             "count": estimate.count,
             "seed": args.seed,
         },
-        "exact_cost": _cost_dict(exact),
-        "outputs": {"trajectories": "trajectories.csv"},
-    }
-    _write_json(out / "report.json", report)
-    _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
+        exact_cost=asdict(exact),
+        outputs={"trajectories": "trajectories.csv"},
+    )
+    _finish(args, report, started)
     print(
         f"simulated {args.count} trajectories: estimate {estimate.estimate!r} "
         f"(stderr {estimate.stderr!r}), exact {exact.total!r}"
@@ -368,12 +313,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_demo(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    scenario_file = demo_scenario_path()
-    scenario = load_scenario(scenario_file, args.tolerance_mode)
+    scenario, _, report = _inputs(args)
     out = _out_dir(args)
     profiles: dict[str, Any] = {}
-    for profile in scenario.rewards:
-        rewards = scenario.rewards[profile]
+    for profile, rewards in scenario.rewards.items():
         policy = synthesize(scenario.target, scenario.contributors, rewards)
         bound = bound_value(policy, scenario.target)
         exact = evaluate_cost(policy.agent, scenario.target, rewards)
@@ -388,9 +331,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
             sub / "route.json",
             {
                 "profile": profile,
-                "most_likely": list(route.states),
+                "most_likely": route.states,
                 "most_likely_log_prob": route.log_prob_policy,
-                "sampled": list(sampled.states),
+                "sampled": sampled.states,
                 "sample_seed": args.seed,
             },
         )
@@ -398,11 +341,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
         pure_costs = _pure_costs(scenario, rewards)
         profiles[profile] = {
             "bound_value": bound,
-            "exact_cost": _cost_dict(exact),
+            "exact_cost": asdict(exact),
             "pure_contributor_costs": pure_costs,
             "selection": policy.selection_table(),
-            "most_likely_route": list(route.states),
-            "sampled_route": list(sampled.states),
+            "most_likely_route": route.states,
+            "sampled_route": sampled.states,
             "outputs": {
                 key: ([f"{profile}/{v}" for v in val] if isinstance(val, list)
                       else f"{profile}/{val}")
@@ -412,15 +355,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print(f"[{profile}] most likely route: {' -> '.join(str(s) for s in route.states)}")
         print(f"[{profile}] agent cost {exact.total!r} vs contributors "
               + ", ".join(f"{cid}: {cost!r}" for cid, cost in pure_costs.items()))
-    report = {
-        "command": "demo",
-        "scenario_name": scenario.name,
-        "scenario_sha256": _sha256(scenario_file),
-        "flags": _flags(args),
-        "profiles": profiles,
-    }
-    _write_json(out / "report.json", report)
-    _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
+    report["profiles"] = profiles
+    _finish(args, report, started)
     print(f"demo outputs in {out}")
     return 0
 

@@ -26,7 +26,7 @@ from .model import (
     kl_rows,
     log_pmf,
 )
-from .synthesis import ContributorSet
+from .synthesis import ContributorSet, _check_compatible
 
 #: An agent policy is structurally just a behavior.
 AgentPolicy = Behavior
@@ -234,10 +234,7 @@ def pure_schedule_oracle(
             over (k, state) finds the optimum without enumeration; ties go to
             the lowest contributor index.
     """
-    if contributors.space != target.space or contributors.horizon != target.horizon:
-        raise ValueError("contributors and target must share state space and horizon")
-    if rewards.space != target.space or rewards.horizon != target.horizon:
-        raise ValueError("rewards and target must share state space and horizon")
+    _check_compatible(target, contributors, rewards)
     s, n, d = contributors.size, target.horizon, target.space.size
     if mode == "per-time":
         if s**n > ORACLE_LIMIT:
@@ -318,10 +315,7 @@ def simplex_grid_oracle(
         OracleGuardError: unless S <= 3, N <= 3, d <= 4, resolution >= 1, and
             the total number of grid assignments stays within ``ORACLE_LIMIT``.
     """
-    if contributors.space != target.space or contributors.horizon != target.horizon:
-        raise ValueError("contributors and target must share state space and horizon")
-    if rewards.space != target.space or rewards.horizon != target.horizon:
-        raise ValueError("rewards and target must share state space and horizon")
+    _check_compatible(target, contributors, rewards)
     s, n, d = contributors.size, target.horizon, target.space.size
     if grid_resolution < 1:
         raise OracleGuardError("grid resolution must be a positive integer")

@@ -16,11 +16,14 @@ counter-based generator; the draw order is part of the determinism contract.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import mmap
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -301,6 +304,27 @@ def _parse_kernels(
 # ---------------------------------------------------------------------------
 
 
+def _atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary sibling, then rename it over ``path``.
+
+    The rename is atomic, so ``path`` holds either its old bytes or all of
+    the new ones, never a partial write. Line ends are written as given.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(text.encode("utf-8"))
+    os.replace(tmp, path)
+
+
+def _csv_text(header: list, rows: Iterable[list]) -> str:
+    """CSV text, quoting cells that need it; ``str`` keeps a Python float's shortest repr."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Canonical JSON document for a scenario (kernels always written per step)."""
     return {
@@ -328,12 +352,11 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     """Write a scenario as JSON; values survive a save/load round trip exactly.
 
     Python's float repr is shortest-round-trip, so every probability and
-    reward is reproduced bit for bit by `load_scenario`. I/O failures
-    propagate as OSError.
+    reward is reproduced bit for bit by `load_scenario`. The file is replaced
+    atomically; I/O failures propagate as OSError.
     """
-    path = Path(path)
     text = json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    _atomic_write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +367,14 @@ POLICY_VERSION = 1
 
 
 def save_policy(policy: Behavior, path: str | Path) -> None:
-    """Write a behavior (e.g. a synthesized agent) as a JSON policy file."""
+    """Write a behavior (e.g. a synthesized agent) as a JSON policy file, atomically."""
     doc = {
         "policy_version": POLICY_VERSION,
         "states": list(policy.space.labels),
         "initial": policy.initial.probs.tolist(),
         "kernels": policy.matrices.tolist(),
     }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    _atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def load_policy(

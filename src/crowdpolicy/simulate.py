@@ -12,7 +12,6 @@ step in path order, so each total equals the scalar chain-rule sum.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .evaluation import _check_setup
 from .model import Behavior, Label, RewardSchedule, log_pmf
+from .scenario import _atomic_write_text, _csv_text
 
 
 @dataclass(frozen=True)
@@ -219,29 +219,28 @@ def write_trajectories_csv(trajectories: Iterable[Trajectory], path: str | Path)
 
     Columns: ``trajectory`` (0-based draw index), ``x_0`` .. ``x_N`` (state
     labels), ``log_prob_policy``, ``log_prob_target`` (blank when unknown).
-    Floats use shortest round-trip formatting.
+    Floats use shortest round-trip formatting. The whole batch is checked
+    and rendered before ``path`` is touched, then written atomically, so a
+    rejected batch leaves an existing file as it was.
     """
     trajectories = list(trajectories)
     if not trajectories:
         raise ValueError("nothing to write: empty trajectory list")
     n = len(trajectories[0].states) - 1
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["trajectory", *(f"x_{k}" for k in range(n + 1)),
-             "log_prob_policy", "log_prob_target"]
-        )
-        for i, traj in enumerate(trajectories):
-            if len(traj.states) != n + 1:
-                raise ValueError("trajectories have inconsistent lengths")
-            writer.writerow(
-                [
-                    i,
-                    *(str(s) for s in traj.states),
-                    repr(traj.log_prob_policy),
-                    "" if traj.log_prob_target is None else repr(traj.log_prob_target),
-                ]
-            )
+    if any(len(traj.states) != n + 1 for traj in trajectories):
+        raise ValueError("trajectories have inconsistent lengths")
+    header = ["trajectory", *(f"x_{k}" for k in range(n + 1)),
+              "log_prob_policy", "log_prob_target"]
+    rows = (
+        [
+            i,
+            *(str(s) for s in traj.states),
+            repr(traj.log_prob_policy),
+            "" if traj.log_prob_target is None else repr(traj.log_prob_target),
+        ]
+        for i, traj in enumerate(trajectories)
+    )
+    _atomic_write_text(path, _csv_text(header, rows))
 
 
 __all__ = [

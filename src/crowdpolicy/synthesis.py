@@ -105,11 +105,11 @@ class ContributorSet:
         return self.kernels[contributor][k - 1]
 
     def subset(self, indices: list[int]) -> "ContributorSet":
-        return ContributorSet(
-            self.space,
-            tuple(self.kernels[i] for i in indices),
-            tuple(self.ids[i] for i in indices),
-        )
+        """The contributors at ``indices``, in that order, in a read-only stack of their own."""
+        if len(indices) == 0:
+            raise ValueError("contributor set must not be empty")
+        matrices = np.take(self.matrices, indices, axis=0)
+        return ContributorSet._of(self.space, matrices, tuple(self.ids[i] for i in indices))
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,17 @@ def _filter(contributors: ContributorSet, kl: np.ndarray) -> tuple[list[int], Fi
     return retained, FilterReport(tuple(contributors.ids[i] for i in retained), exclusions)
 
 
-def _check_compatible(target: Behavior, contributors: ContributorSet) -> None:
-    if contributors.space != target.space:
-        raise ValueError("contributors and target use different state spaces")
-    if contributors.horizon != target.horizon:
-        raise ValueError(
-            f"contributor horizon {contributors.horizon} != target horizon {target.horizon}"
-        )
+def _check_compatible(
+    target: Behavior, contributors: ContributorSet, rewards: RewardSchedule | None = None
+) -> None:
+    """Raise ValueError unless the pool, and the rewards when given, match the target's shape."""
+    for name, part in (("contributor", contributors), ("reward", rewards)):
+        if part is None:
+            continue
+        if part.space != target.space:
+            raise ValueError(f"{name}s and target use different state spaces")
+        if part.horizon != target.horizon:
+            raise ValueError(f"{name} horizon {part.horizon} != target horizon {target.horizon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,13 +255,7 @@ def synthesize(
         A `SynthesizedPolicy` carrying the agent behavior, the full score
         table, selections, one-hot weights, and the recursion's value terms.
     """
-    _check_compatible(target, contributors)
-    if rewards.space != target.space:
-        raise ValueError("rewards and target use different state spaces")
-    if rewards.horizon != target.horizon:
-        raise ValueError(
-            f"reward horizon {rewards.horizon} != target horizon {target.horizon}"
-        )
+    _check_compatible(target, contributors, rewards)
 
     kl = _kl_table(target, contributors)
     report: FilterReport | None = None

@@ -229,6 +229,65 @@ def test_synthesize_and_demo_outputs_are_pinned(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_other_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # recorded before the subcommands shared one input-and-report path:
+    # stdout and files of validate, evaluate, oracle, simulate and the demo's
+    # per-profile files must not move by a byte
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DEMO, "demo.json")
+    save_scenario(generate_random_scenario(seed=42, d=3, horizon=3, contributors=2), "small.json")
+    assert main(["synthesize", "--scenario", "demo.json", "--reward-profile",
+                 "favor-node-2", "--out", "syn"]) == 0
+    runs = {
+        "validate": ["validate", "--scenario", "demo.json"],
+        "evaluate": ["evaluate", "--scenario", "demo.json", "--reward-profile",
+                     "favor-node-2", "--policy", "syn/policy.json", "--out", "ev"],
+        "oracle-state": ["oracle", "--scenario", "demo.json", "--reward-profile",
+                         "favor-node-3", "--out", "or1"],
+        "oracle-grid": ["oracle", "--scenario", "small.json", "--mode", "per-time",
+                        "--grid-resolution", "3", "--out", "or2"],
+        "simulate": ["simulate", "--scenario", "demo.json", "--reward-profile",
+                     "favor-node-2", "--policy", "syn/policy.json", "--count", "50",
+                     "--seed", "3", "--out", "sim"],
+        "demo": ["demo", "--seed", "0", "--out", "demo"],
+    }
+    stdout = {}
+    capsys.readouterr()
+    for name, argv in runs.items():
+        assert main(argv) == 0, name
+        stdout[name] = capsys.readouterr().out
+    pinned_stdout = {
+        "validate": "804ffefc0a4594230ee14410d0a509b7bcf6425b786eac8014d688c671082026",
+        "evaluate": "9d35c8ba52fddb6dc6ea9b39e6a48601cb5d74d4cafddfc47279c4e2c935985f",
+        "oracle-state": "1f3d2887213f49632e6eb18c55a960061c7515b8113d55bec185a0ab22ea7ab8",
+        "oracle-grid": "193eb588129fd7964b4fff1dbdbc149f9c2a580a42861734b76e7cde44f0fabe",
+        "simulate": "cbf6d711412e0fcc19fc2f3d97716abd938c472d126626fe1f5a639b5240d41e",
+        "demo": "5014467f8e7050f86b192029d5a84242d2fc20d7db4809e4a8a8d2b2bd2932a8",
+    }
+    for name, digest in pinned_stdout.items():
+        assert hashlib.sha256(stdout[name].encode()).hexdigest() == digest, name
+    pinned = {
+        "ev/report.json": "9d35c8ba52fddb6dc6ea9b39e6a48601cb5d74d4cafddfc47279c4e2c935985f",
+        "or1/report.json": "1f3d2887213f49632e6eb18c55a960061c7515b8113d55bec185a0ab22ea7ab8",
+        "or2/report.json": "193eb588129fd7964b4fff1dbdbc149f9c2a580a42861734b76e7cde44f0fabe",
+        "sim/report.json": "60886c9908863b276a4c2839b91c293546ff03618071562c12856d8e18fd5a32",
+        "demo/favor-node-2/route.json":
+            "a0b38f74fbea6ce8ba1abf49250bbca059269529186b0d28147d9865a26a04b5",
+        "demo/favor-node-2/marginals.csv":
+            "0b27c9fabd52b7f1659fb937620861ee2c71b9a170eeff20f992c6268d24dfae",
+        "demo/favor-node-2/agent_kernel_k1.csv":
+            "0fc70b17946d4a2fb1e93cccf572ba2678f6e24e3e22c3ddf70009b131cc5b68",
+        "demo/favor-node-3/route.json":
+            "49a89f8e0666cc6d7628875f8fda9073f8a64a00f43803274748037363ecb196",
+        "demo/favor-node-3/marginals.csv":
+            "a5abf4f261c1db7d134eb6924c9ba4eb343d7ccbd812f08c1facd50c0ed8caba",
+        "demo/favor-node-3/agent_kernel_k1.csv":
+            "e8600ef4f8e49dde2e629cee6dee757c93475517f35fff88f28969952ae7ea72",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_unknown_reward_profile_exits_2(tmp_path, capsys):
     rc = main(
         ["synthesize", "--scenario", DEMO, "--reward-profile", "nope",

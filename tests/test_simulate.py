@@ -364,3 +364,18 @@ def test_trajectory_csv_rejects_bad_input(tmp_path):
     other = sample_trajectories(two_steps, 1, seed=0)
     with pytest.raises(ValueError, match="inconsistent lengths"):
         write_trajectories_csv(one + other, tmp_path / "x.csv")
+
+
+def test_rejected_trajectory_batch_leaves_the_previous_file_untouched(tmp_path):
+    # the batch is checked before the file is opened, and written by rename
+    space = StateSpace(("a", "b"))
+    policy = behavior(space, [1.0, 0.0], [[0.0, 1.0], [0.0, 1.0]])
+    two_steps = behavior(space, [1.0, 0.0], [[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]])
+    path = tmp_path / "t.csv"
+    write_trajectories_csv(sample_trajectories(policy, 3, seed=1), path)
+    before = path.read_bytes()
+    mixed = sample_trajectories(policy, 1, seed=0) + sample_trajectories(two_steps, 1, seed=0)
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        write_trajectories_csv(mixed, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]

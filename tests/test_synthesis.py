@@ -268,6 +268,8 @@ def test_contributor_set_validation():
         ContributorSet(AB, ((kernel,),), ("x", "y"))
     full = ContributorSet(AB, ((kernel,), (kernel,)), ("x", "y"))
     assert full.subset([1]).ids == ("y",)
+    with pytest.raises(ValueError, match="must not be empty"):
+        full.subset([])
 
 
 def test_dimension_mismatches_raise():
@@ -280,6 +282,44 @@ def test_dimension_mismatches_raise():
     other_rewards = RewardSchedule(other_space, np.zeros((2, 3)))
     with pytest.raises(ValueError, match="state space"):
         synthesize(target, pool(2, [[0.5, 0.5], [0.5, 0.5]]), other_rewards)
+
+
+def _grid_oracle(target, contributors, rewards):
+    return simplex_grid_oracle(target, contributors, rewards, grid_resolution=1)
+
+
+_MISMATCHES = {
+    "pool horizon": "contributor horizon 1 != target horizon 2",
+    "pool space": "contributors and target use different state spaces",
+    "reward horizon": "reward horizon 1 != target horizon 2",
+    "reward space": "rewards and target use different state spaces",
+}
+
+
+@pytest.mark.parametrize(
+    "entry, mismatch",
+    [(entry, mismatch)
+     for entry in (synthesize, filter_contributors, pure_schedule_oracle, _grid_oracle)
+     for mismatch in _MISMATCHES
+     if entry is not filter_contributors or mismatch.startswith("pool")],
+)
+def test_entry_points_share_one_compatibility_check(entry, mismatch):
+    target = uniform_target(2)
+    contributors = pool(2, [[0.5, 0.5], [0.5, 0.5]])
+    rewards = RewardSchedule(AB, np.zeros((2, 2)))
+    other = StateSpace(("a", "c"))
+    if mismatch == "pool horizon":
+        contributors = pool(1, [[0.5, 0.5], [0.5, 0.5]])
+    elif mismatch == "pool space":
+        kernel = TransitionKernel(other, np.full((2, 2), 0.5))
+        contributors = ContributorSet(other, ((kernel, kernel),), ("x",))
+    elif mismatch == "reward horizon":
+        rewards = RewardSchedule(AB, np.zeros((1, 2)))
+    else:
+        rewards = RewardSchedule(other, np.zeros((2, 2)))
+    args = (target, contributors) if entry is filter_contributors else (target, contributors, rewards)
+    with pytest.raises(ValueError, match=_MISMATCHES[mismatch]):
+        entry(*args)
 
 
 def test_bound_value_mismatch_checks():
