@@ -86,12 +86,13 @@ def evaluate_cost(
             overflow; the first such step is named.
     """
     _check_setup(policy, target, rewards)
+    kl = kl_rows(policy.matrices, target.matrices)
     mu = policy.initial.probs
     per_step: list[tuple[float, float]] = []
     kl_part = 0.0
     reward_part = 0.0
     for idx, rows in enumerate(policy.matrices):
-        kl_k = _masked_dot(mu, kl_rows(rows, target.matrices[idx]))
+        kl_k = _masked_dot(mu, kl[idx])
         reward_k = float(mu @ (rows @ rewards.values[idx]))
         per_step.append((kl_k, reward_k))
         kl_part += kl_k
@@ -126,8 +127,8 @@ def trajectory_enumeration_cost(
         raise OracleGuardError(
             f"refusing enumeration: {d}**{n} trajectories exceed {ORACLE_LIMIT}"
         )
-    pol_logs = [log_pmf(kernel.matrix) for kernel in policy.kernels]
-    tgt_logs = [log_pmf(kernel.matrix) for kernel in target.kernels]
+    pol_logs = log_pmf(policy.matrices)
+    tgt_logs = log_pmf(target.matrices)
     kl_steps = np.zeros(n)
     reward_steps = np.zeros(n)
 
@@ -137,13 +138,13 @@ def trajectory_enumeration_cost(
                 kl_steps[k] += prob * ratios[k]
                 reward_steps[k] += prob * rews[k]
             return
-        row = policy.kernels[idx].matrix[prev]
+        row = policy.matrices[idx, prev]
         for nxt in range(d):
             if row[nxt] == 0.0:
                 continue
             # a target-zero factor makes this step's divergence +inf but the
             # trajectory still happens and still collects reward
-            ratios.append(pol_logs[idx][prev, nxt] - tgt_logs[idx][prev, nxt])
+            ratios.append(pol_logs[idx, prev, nxt] - tgt_logs[idx, prev, nxt])
             rews.append(rewards.values[idx, nxt])
             visit(idx + 1, nxt, prob * row[nxt], ratios, rews)
             ratios.pop()
@@ -197,8 +198,8 @@ def _step_cost_table(
     costs = np.empty((s, n, d))
     for i in range(s):
         for idx in range(n):
-            rows = contributors.kernel(i, idx + 1).matrix
-            costs[i, idx] = kl_rows(rows, target.kernels[idx].matrix) - rows @ rewards.values[idx]
+            rows = contributors.matrices[i, idx]
+            costs[i, idx] = kl_rows(rows, target.matrices[idx]) - rows @ rewards.values[idx]
     return costs
 
 
@@ -266,7 +267,7 @@ def pure_schedule_oracle(
         for idx in range(n - 1, -1, -1):
             cand = np.empty((s, d))
             for i in range(s):
-                rows = contributors.kernel(i, idx + 1).matrix
+                rows = contributors.matrices[i, idx]
                 carried = np.array([_masked_dot(rows[x], to_go) for x in range(d)])
                 cand[i] = costs[i, idx] + carried
             schedule[idx] = np.argmin(cand, axis=0)  # first minimizer wins ties
@@ -336,7 +337,7 @@ def simplex_grid_oracle(
         cost = 0.0
         for idx, w in enumerate(assignment):
             mixed = np.tensordot(w, contributors.matrices[:, idx], axes=1)
-            step = kl_rows(mixed, target.kernels[idx].matrix) - mixed @ rewards.values[idx]
+            step = kl_rows(mixed, target.matrices[idx]) - mixed @ rewards.values[idx]
             cost += _masked_dot(mu, step)
             if cost == math.inf:
                 break

@@ -311,16 +311,13 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
     support = p > 0
-    safe_q = np.where(q > 0, q, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
-        try:
-            ratio = np.where(support, p / safe_q, 1.0)
-            logs = np.log(ratio)
-        except FloatingPointError:  # p / q overflows where q is a positive subnormal
-            with np.errstate(over="ignore"):
-                ratio = np.where(support, p / safe_q, 1.0)
-            logs = np.where(np.isinf(ratio), np.log(p) - np.log(safe_q), np.log(ratio))
-        terms = np.where(support, p * logs, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = p / q
+        terms[~(support & (q > 0))] = 1.0  # log 1 = 0: no term where p is 0, none yet where q is
+        overflowed = np.isinf(terms)  # p / q overflows where q is a positive subnormal
+        np.log(terms, out=terms)
+        terms[overflowed] = np.log(p[overflowed]) - np.log(q[overflowed])
+        terms *= p
     out = np.maximum(terms.sum(axis=-1), 0.0)  # clamp -1e-17 noise from near-equal rows
     violated = (support & (q == 0.0)).any(axis=-1)
     return np.where(violated, np.inf, out)

@@ -42,30 +42,29 @@ class Trajectory:
 
 
 def _guarded_cumulative(rows: np.ndarray) -> np.ndarray:
-    """Row-wise CDF with the tail pinned to 1 at each row's last positive entry.
+    """CDF along the last axis, with the tail pinned to 1 at each row's last positive entry.
 
     Pinning keeps inverse-CDF lookups from ever landing on a zero-probability
     state when floating-point row sums fall a hair short of 1.
     """
-    rows = np.atleast_2d(rows)
-    cums = np.cumsum(rows, axis=1)
-    last_positive = rows.shape[1] - 1 - np.argmax((rows > 0)[:, ::-1], axis=1)
-    tail = np.arange(rows.shape[1]) >= last_positive[:, None]
-    return np.where(tail, 1.0, cums)
+    cums = np.cumsum(rows, axis=-1)
+    last_positive = rows.shape[-1] - 1 - np.argmax((rows > 0)[..., ::-1], axis=-1)
+    cums[np.arange(rows.shape[-1]) >= last_positive[..., None]] = 1.0
+    return cums
 
 
 def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``count`` i.i.d. index paths of shape (count, N+1)."""
     d, n = policy.space.size, policy.horizon
     paths = np.empty((count, n + 1), dtype=np.int64)
-    cum0 = _guarded_cumulative(policy.initial.probs)[0]
+    cum0 = _guarded_cumulative(policy.initial.probs)
+    cums = _guarded_cumulative(policy.matrices)
     paths[:, 0] = np.minimum(
         np.searchsorted(cum0, rng.random(count), side="right"), d - 1
     )
     for idx in range(n):
-        cums = _guarded_cumulative(policy.kernels[idx].matrix)
         u = rng.random(count)
-        picked = (u[:, None] >= cums[paths[:, idx]]).sum(axis=1)
+        picked = (u[:, None] >= cums[idx, paths[:, idx]]).sum(axis=1)
         paths[:, idx + 1] = np.minimum(picked, d - 1)
     return paths
 
@@ -132,12 +131,9 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     """
     d, n = policy.space.size, policy.horizon
     log_kernels = log_pmf(policy.matrices)
-    to_go = np.zeros(d)
-    best = [to_go]
+    best = np.zeros((n + 1, d))  # best[k, x]: optimal log-prob of steps k+1..N from state x
     for idx in range(n - 1, -1, -1):
-        to_go = (log_kernels[idx] + to_go[None, :]).max(axis=1)
-        best.append(to_go)
-    best.reverse()  # best[k][x]: optimal log-prob of steps k+1..N from state x
+        best[idx] = (log_kernels[idx] + best[idx + 1]).max(axis=1)
 
     path = np.empty(n + 1, dtype=np.int64)
     start_scores = log_pmf(policy.initial.probs) + best[0]

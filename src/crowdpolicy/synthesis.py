@@ -324,13 +324,11 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
         raise ValueError("policy and target use different state spaces")
     if policy.horizon != target.horizon:
         raise ValueError("policy and target horizons differ")
+    sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
     mu = target.initial.probs
     total = 0.0
     for idx, kernel in enumerate(policy.agent.matrices):
-        sel = np.take_along_axis(
-            policy.scores[idx], policy.selected[idx][:, None], axis=1
-        )[:, 0]
-        one_step = sel + kernel @ policy.r_hat[idx]
+        one_step = sel[idx] + kernel @ policy.r_hat[idx]
         total += float(mu @ one_step)
         if not np.isfinite(total):  # the steps' costs, summed forward, overflowed
             raise ValidationError(

@@ -371,6 +371,61 @@ def test_kl_rows_finite_against_subnormal_reference_mass():
     assert stacked[2] == math.inf
 
 
+def _reference_kl_rows(p, q):
+    """Reference: the two-path `kl_rows` that re-ran the whole ratio when one entry overflowed."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    support = p > 0
+    safe_q = np.where(q > 0, q, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        try:
+            ratio = np.where(support, p / safe_q, 1.0)
+            logs = np.log(ratio)
+        except FloatingPointError:
+            with np.errstate(over="ignore"):
+                ratio = np.where(support, p / safe_q, 1.0)
+            logs = np.where(np.isinf(ratio), np.log(p) - np.log(safe_q), np.log(ratio))
+        terms = np.where(support, p * logs, 0.0)
+    out = np.maximum(terms.sum(axis=-1), 0.0)
+    violated = (support & (q == 0.0)).any(axis=-1)
+    return np.where(violated, np.inf, out)
+
+
+#: Entries that hit `kl_rows`' edges: zero mass, and subnormal or tiny mass
+#: whose ratio to an ordinary entry is subnormal or overflows.
+KL_EDGE_ENTRIES = (0.0, 5e-324, 1e-310, 1e-300, 1e-17)
+
+
+@st.composite
+def kl_row_stacks(draw):
+    """(p, q) of shape (d,), (k, d) or (S, d, d): Dirichlet rows with edge entries set in."""
+    d = draw(st.integers(1, 9))
+    lead = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(d,), (lead, d), (lead, d, d)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(shape):
+        arr = rng.dirichlet(np.ones(d), size=shape[:-1])
+        edges = st.tuples(st.integers(0, arr.size - 1), st.sampled_from(KL_EDGE_ENTRIES))
+        for at, value in draw(st.lists(edges, max_size=arr.size)):
+            arr.flat[at] = value
+        return arr
+
+    p = rows(shape)
+    if len(shape) > 1 and draw(st.booleans()):  # one target block for every leading index
+        return p, np.broadcast_to(rows(shape[1:]), shape)  # read-only, as `_kl_table` passes it
+    return p, rows(shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kl_row_stacks())
+def test_kl_rows_equals_the_two_path_reference(pair):
+    p, q = pair
+    got = kl_rows(p, q)
+    assert got.shape == p.shape[:-1]
+    assert got.tobytes() == _reference_kl_rows(p, q).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),

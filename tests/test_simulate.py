@@ -90,6 +90,17 @@ def test_zero_probability_states_are_never_sampled():
     assert all(t.states[1] != 2 for t in batch)
 
 
+def test_target_must_share_the_policy_space_and_horizon():
+    space = StateSpace(("s", "t"))
+    policy = behavior(space, [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
+    other_space = behavior(StateSpace(("s", "u")), [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
+    longer = behavior(space, [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
+    for target in (other_space, longer):
+        with pytest.raises(ValueError) as err:
+            sample_trajectories(policy, 5, seed=0, target=target)
+        assert str(err.value) == "target must share the policy's state space and horizon"
+
+
 def test_count_validation():
     scenario = generate_random_scenario(seed=3, d=2, horizon=1, contributors=1)
     with pytest.raises(ValueError, match="count"):
@@ -314,6 +325,91 @@ def test_sampling_and_monte_carlo_equal_the_reference(
     target = _random_behavior(space, horizon, rng, target_zero_share)
     rewards = RewardSchedule(space, rng.normal(size=(horizon, d)))
     assert_matches_reference(policy, target, rewards, count, seed)
+
+
+def _reference_guarded_cumulative(rows):
+    """Reference: the CDF `_sample_paths` built per kernel, one (d, d) matrix at a time."""
+    rows = np.atleast_2d(rows)
+    cums = np.cumsum(rows, axis=1)
+    last_positive = rows.shape[1] - 1 - np.argmax((rows > 0)[:, ::-1], axis=1)
+    tail = np.arange(rows.shape[1]) >= last_positive[:, None]
+    return np.where(tail, 1.0, cums)
+
+
+def _reference_sample_paths(policy, count, rng):
+    """Reference: the sampler that built each step's CDF inside its loop."""
+    d, n = policy.space.size, policy.horizon
+    paths = np.empty((count, n + 1), dtype=np.int64)
+    cum0 = _reference_guarded_cumulative(policy.initial.probs)[0]
+    paths[:, 0] = np.minimum(
+        np.searchsorted(cum0, rng.random(count), side="right"), d - 1
+    )
+    for idx in range(n):
+        cums = _reference_guarded_cumulative(policy.kernels[idx].matrix)
+        u = rng.random(count)
+        picked = (u[:, None] >= cums[paths[:, idx]]).sum(axis=1)
+        paths[:, idx + 1] = np.minimum(picked, d - 1)
+    return paths
+
+
+class _ScriptedUniforms:
+    """Stands in for a Generator: ``random(count)`` deals out the given uniforms in turn, cycling."""
+
+    def __init__(self, values):
+        self.values, self.dealt = np.asarray(values, dtype=float), 0
+
+    def random(self, count):
+        picked = self.values[(self.dealt + np.arange(count)) % self.values.size]
+        self.dealt += count
+        return picked
+
+
+def _uniform_source(seed, scripted):
+    if scripted is None:
+        return np.random.Generator(np.random.Philox(seed))
+    return _ScriptedUniforms(scripted)
+
+
+#: The largest uniform a Generator can return, just below 1.
+LAST_UNIFORM = 1.0 - 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    horizon=st.integers(1, 5),
+    count=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.4, 0.8]),
+    ulps_short=st.integers(0, 4),
+    scripted=st.none()
+    | st.lists(
+        st.sampled_from([0.0, 0.5, LAST_UNIFORM]) | st.floats(0.0, 1.0, exclude_max=True),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_sampled_paths_equal_the_per_step_reference(
+    d, horizon, count, seed, zero_share, ulps_short, scripted
+):
+    # rows scaled a few ulps below a sum of 1 leave CDFs short of 1; scripted
+    # uniforms up to LAST_UNIFORM land in that gap, where only the pinned tail
+    # keeps the draw off the zero-probability states after a row's last
+    # positive entry
+    space = StateSpace(tuple(range(d)))
+    rng = np.random.default_rng(seed)
+    short = 1.0 - ulps_short * np.finfo(float).eps
+    kernels = _random_rows(rng, (horizon, d, d), zero_share) * short
+    policy = Behavior(
+        StatePMF(space, _random_rows(rng, (d,), zero_share) * short),
+        tuple(TransitionKernel(space, kernel) for kernel in kernels),
+    )
+    got = _sample_paths(policy, count, _uniform_source(seed, scripted))
+    want = _reference_sample_paths(policy, count, _uniform_source(seed, scripted))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert (policy.initial.probs[got[:, 0]] > 0).all()
+    assert (policy.matrices[np.arange(horizon), got[:, :-1], got[:, 1:]] > 0).all()
 
 
 def test_reference_edge_cases():
