@@ -9,6 +9,8 @@ given inputs), 4 oracle guard refusal, 1 unexpected internal error.
 Every command runs the same way: `_inputs` loads the scenario and reward
 profile and starts the report, the command adds its own fields, and
 `_finish` writes ``report.json`` and ``timing.json`` under ``--out``.
+`synthesize` and `demo` solve each reward profile through `_solve`, which
+computes every number before it writes the profile's policy and CSV files.
 
 All file outputs are written atomically (temp file in the same directory,
 then rename). Given the same scenario and flags, report.json and every CSV
@@ -87,25 +89,6 @@ def _write_json(path: Path, doc: Any) -> None:
     _atomic_write_text(path, _dump_json(doc))
 
 
-def _kernel_csv(kernel_matrix: np.ndarray, labels: tuple) -> str:
-    rows = [[label, *row] for label, row in zip(labels, kernel_matrix.tolist())]
-    return _csv_text(["from", *labels], rows)
-
-
-def _selection_csv(policy: SynthesizedPolicy) -> str:
-    rows = [[k, *ids] for k, ids in enumerate(policy.selection_table(), start=1)]
-    return _csv_text(["k", *policy.space.labels], rows)
-
-
-def _marginals_csv(behavior: Behavior) -> str:
-    mu = behavior.initial.probs
-    rows = [[0, *mu.tolist()]]
-    for k, matrix in enumerate(behavior.matrices, start=1):
-        mu = mu @ matrix
-        rows.append([k, *mu.tolist()])
-    return _csv_text(["k", *behavior.space.labels], rows)
-
-
 def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]:
     """Cost of each contributor's own kernels, run from the target's initial pmf."""
     initial, pool = scenario.target.initial, scenario.contributors
@@ -171,28 +154,39 @@ def _finish(args: argparse.Namespace, report: dict, started: float) -> None:
         _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
 
 
-def _synthesis_outputs(
-    out: Path, scenario: Scenario, policy: SynthesizedPolicy
-) -> dict:
-    save_policy(policy.agent, out / "policy.json")
-    _atomic_write_text(out / "selection.csv", _selection_csv(policy))
-    kernels = [f"agent_kernel_k{k}.csv" for k in range(1, policy.horizon + 1)]
-    for name, matrix in zip(kernels, policy.agent.matrices):
-        _atomic_write_text(out / name, _kernel_csv(matrix, scenario.space.labels))
-    _atomic_write_text(out / "marginals.csv", _marginals_csv(policy.agent))
-    return {"policy": "policy.json", "selection": "selection.csv", "kernels": kernels,
-            "marginals": "marginals.csv"}
+def _solve(
+    scenario: Scenario, rewards: RewardSchedule, out: Path, prefix: str = ""
+) -> tuple[SynthesizedPolicy, dict]:
+    """Synthesize and cost one reward profile, then write its files under ``out / prefix``.
 
-
-def _filter_dict(policy: SynthesizedPolicy) -> dict:
-    report = policy.filter_report  # the CLI always filters, so there is one
-    return {
-        "retained": report.retained_ids,
-        "excluded": [
-            {"id": e.contributor_id, "k": e.k, "state": e.state}
-            for e in report.exclusions
-        ],
+    Nothing is written until every number is computed. Returns the policy and
+    its report block, whose output names carry ``prefix``.
+    """
+    policy = synthesize(scenario.target, scenario.contributors, rewards)
+    labels, selection = scenario.space.labels, policy.selection_table()
+    kernels = [f"{prefix}agent_kernel_k{k}.csv" for k in range(1, policy.horizon + 1)]
+    outputs = {"policy": f"{prefix}policy.json", "selection": f"{prefix}selection.csv",
+               "kernels": kernels, "marginals": f"{prefix}marginals.csv"}
+    block = {
+        "bound_value": bound_value(policy, scenario.target),
+        "exact_cost": asdict(evaluate_cost(policy.agent, scenario.target, rewards)),
+        "pure_contributor_costs": _pure_costs(scenario, rewards),
+        "selection": selection,
+        "outputs": outputs,
     }
+    (out / prefix).mkdir(parents=True, exist_ok=True)
+    save_policy(policy.agent, out / outputs["policy"])
+    steps = [[k, *ids] for k, ids in enumerate(selection, start=1)]
+    _atomic_write_text(out / outputs["selection"], _csv_text(["k", *labels], steps))
+    for name, matrix in zip(kernels, policy.agent.matrices):
+        rows = [[label, *row] for label, row in zip(labels, matrix.tolist())]
+        _atomic_write_text(out / name, _csv_text(["from", *labels], rows))
+    marginals = [policy.agent.initial.probs]  # the agent's state pmf at k = 0..N
+    for matrix in policy.agent.matrices:
+        marginals.append(marginals[-1] @ matrix)
+    rows = [[k, *mu.tolist()] for k, mu in enumerate(marginals)]
+    _atomic_write_text(out / outputs["marginals"], _csv_text(["k", *labels], rows))
+    return policy, block
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +206,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     scenario, rewards, report = _inputs(args)
-    policy = synthesize(scenario.target, scenario.contributors, rewards)
-    bound = bound_value(policy, scenario.target)
-    exact = evaluate_cost(policy.agent, scenario.target, rewards)
-    out = _out_dir(args)
-    report.update(
-        outputs=_synthesis_outputs(out, scenario, policy),
-        filter=_filter_dict(policy),
-        selection=policy.selection_table(),
-        bound_value=bound,
-        exact_cost=asdict(exact),
-        pure_contributor_costs=_pure_costs(scenario, rewards),
-    )
+    out = Path(args.out)
+    policy, block = _solve(scenario, rewards, out)
+    filtered = policy.filter_report  # the CLI always filters, so there is one
+    excluded = [{"id": e.contributor_id, "k": e.k, "state": e.state} for e in filtered.exclusions]
+    report.update(block, filter={"retained": filtered.retained_ids, "excluded": excluded})
     _finish(args, report, started)
     print(f"synthesized {scenario.name} [{report['reward_profile']}]")
-    print(f"  bound value: {bound!r}")
-    print(f"  exact cost:  {exact.total!r}")
+    print(f"  bound value: {block['bound_value']!r}")
+    print(f"  exact cost:  {block['exact_cost']['total']!r}")
     print(f"  outputs in {out}")
     return 0
 
@@ -314,21 +301,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     scenario, _, report = _inputs(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     profiles: dict[str, Any] = {}
     for profile, rewards in scenario.rewards.items():
-        policy = synthesize(scenario.target, scenario.contributors, rewards)
-        bound = bound_value(policy, scenario.target)
-        exact = evaluate_cost(policy.agent, scenario.target, rewards)
+        policy, block = _solve(scenario, rewards, out, f"{profile}/")
         route = most_likely_trajectory(policy.agent)
         sampled = sample_trajectories(
             policy.agent, 1, args.seed, target=scenario.target
         )[0]
-        sub = out / profile
-        sub.mkdir(parents=True, exist_ok=True)
-        outputs = _synthesis_outputs(sub, scenario, policy)
         _write_json(
-            sub / "route.json",
+            out / profile / "route.json",
             {
                 "profile": profile,
                 "most_likely": route.states,
@@ -337,24 +319,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
                 "sample_seed": args.seed,
             },
         )
-        outputs["route"] = "route.json"
-        pure_costs = _pure_costs(scenario, rewards)
-        profiles[profile] = {
-            "bound_value": bound,
-            "exact_cost": asdict(exact),
-            "pure_contributor_costs": pure_costs,
-            "selection": policy.selection_table(),
-            "most_likely_route": route.states,
-            "sampled_route": sampled.states,
-            "outputs": {
-                key: ([f"{profile}/{v}" for v in val] if isinstance(val, list)
-                      else f"{profile}/{val}")
-                for key, val in outputs.items()
-            },
-        }
+        block["outputs"]["route"] = f"{profile}/route.json"
+        block.update(most_likely_route=route.states, sampled_route=sampled.states)
+        profiles[profile] = block
         print(f"[{profile}] most likely route: {' -> '.join(str(s) for s in route.states)}")
-        print(f"[{profile}] agent cost {exact.total!r} vs contributors "
-              + ", ".join(f"{cid}: {cost!r}" for cid, cost in pure_costs.items()))
+        costs = ", ".join(f"{c}: {v!r}" for c, v in block["pure_contributor_costs"].items())
+        print(f"[{profile}] agent cost {block['exact_cost']['total']!r} vs contributors {costs}")
     report["profiles"] = profiles
     _finish(args, report, started)
     print(f"demo outputs in {out}")

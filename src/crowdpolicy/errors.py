@@ -20,3 +20,8 @@ class InfeasibleError(CrowdPolicyError):
 
 class OracleGuardError(CrowdPolicyError):
     """An exhaustive oracle refused an instance that is too large."""
+
+
+def _reward_overflow(where: str) -> ValidationError:
+    """The error for finite rewards whose running sum leaves the finite floats at ``where``."""
+    return ValidationError(f"rewards overflow the {where}; keep their sum below 1.8e308")

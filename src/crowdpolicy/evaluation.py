@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import OracleGuardError, ValidationError
+from .errors import OracleGuardError, _reward_overflow
 from .model import (
     Behavior,
     RewardSchedule,
@@ -98,10 +98,7 @@ def evaluate_cost(
         kl_part += kl_k
         reward_part += reward_k
         if not math.isfinite(reward_part):  # the steps' rewards, summed forward, overflowed
-            raise ValidationError(
-                f"rewards overflow the expected reward at k={idx + 1}; "
-                "keep their sum below 1.8e308"
-            )
+            raise _reward_overflow(f"expected reward at k={idx + 1}")
         mu = mu @ rows
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, tuple(per_step))
 
@@ -120,6 +117,8 @@ def trajectory_enumeration_cost(
 
     Raises:
         OracleGuardError: when d**N exceeds ``ORACLE_LIMIT``.
+        ValidationError: if the expected rewards, summed over the steps,
+            overflow; the first such step is named.
     """
     _check_setup(policy, target, rewards)
     d, n = policy.space.size, policy.horizon
@@ -155,11 +154,13 @@ def trajectory_enumeration_cost(
         if p0 > 0:
             visit(0, x0, float(p0), [], [])
 
-    per_step = tuple(
-        (float(kl_steps[k]), float(reward_steps[k])) for k in range(n)
-    )
+    with np.errstate(over="ignore"):  # overflow is reported below
+        running = np.cumsum(reward_steps)  # summed forward, as evaluate_cost does
+    if not np.isfinite(running[-1]):
+        raise _reward_overflow(f"expected reward at k={int(np.argmax(~np.isfinite(running))) + 1}")
+    per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
     kl_part = float(kl_steps.sum())
-    reward_part = float(reward_steps.sum())
+    reward_part = float(running[-1])
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, per_step)
 
 
@@ -203,6 +204,33 @@ def _step_cost_table(
     return costs
 
 
+def _cheapest(target: Behavior, choices: Sequence, step: Callable) -> tuple[tuple, float]:
+    """Cheapest assignment of one choice per step, each costed exactly and forward.
+
+    ``step(idx, choice)`` returns the choice's kernel and per-state cost at step
+    ``idx + 1``. Ties, and a search where every cost is ``+inf``, go to the
+    earliest assignment. Raises ``ValidationError`` naming the first step at
+    which finite costs, summed forward, overflow.
+    """
+    best: tuple = ()
+    best_cost = math.inf
+    for assignment in itertools.product(choices, repeat=target.horizon):
+        mu = target.initial.probs
+        cost = 0.0
+        for idx, choice in enumerate(assignment):
+            kernel, step_cost = step(idx, choice)
+            cost_k = _masked_dot(mu, step_cost)
+            cost += cost_k
+            if not math.isfinite(cost):
+                if cost_k == math.inf:  # a reachable row the target cannot produce
+                    break
+                raise _reward_overflow(f"schedule cost at k={idx + 1}")
+            mu = mu @ kernel
+        if not best or cost < best_cost:  # the first assignment, then each strict minimum
+            best, best_cost = assignment, cost
+    return best, best_cost
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
     """Best pure contributor schedule found and its exact cost.
@@ -243,33 +271,21 @@ def pure_schedule_oracle(
                 f"refusing schedule search: {s}**{n} schedules exceed {ORACLE_LIMIT}"
             )
         costs = _step_cost_table(target, contributors, rewards)
-        mu0 = target.initial.probs
-        best: tuple[int, ...] | None = None
-        best_cost = math.inf
-        for schedule in itertools.product(range(s), repeat=n):
-            mu = mu0
-            cost = 0.0
-            for idx, i in enumerate(schedule):
-                cost += _masked_dot(mu, costs[i, idx])
-                if cost == math.inf:
-                    break
-                mu = mu @ contributors.matrices[i, idx]
-            if cost < best_cost:
-                best_cost = cost
-                best = schedule
-        if best is None:  # every schedule infinite
-            best = tuple(0 for _ in range(n))
+        best, best_cost = _cheapest(
+            target, range(s), lambda idx, i: (contributors.matrices[i, idx], costs[i, idx])
+        )
         return ScheduleResult("per-time", best, best_cost)
     if mode == "per-time-and-state":
         costs = _step_cost_table(target, contributors, rewards)
         to_go = np.zeros(d)
         schedule = np.empty((n, d), dtype=int)
         for idx in range(n - 1, -1, -1):
-            cand = np.empty((s, d))
-            for i in range(s):
-                rows = contributors.matrices[i, idx]
-                carried = np.array([_masked_dot(rows[x], to_go) for x in range(d)])
-                cand[i] = costs[i, idx] + carried
+            pool = contributors.matrices[:, idx]  # (s, d, d)
+            carried = np.array([[_masked_dot(row, to_go) for row in rows] for rows in pool])
+            with np.errstate(over="ignore"):  # overflow is reported below
+                cand = costs[:, idx] + carried
+            if np.isinf(cand[np.isfinite(costs[:, idx]) & np.isfinite(carried)]).any():
+                raise _reward_overflow(f"schedule cost at k={idx + 1}")
             schedule[idx] = np.argmin(cand, axis=0)  # first minimizer wins ties
             to_go = cand.min(axis=0)
         value = _masked_dot(target.initial.probs, to_go)
@@ -329,23 +345,12 @@ def simplex_grid_oracle(
         raise OracleGuardError(
             f"refusing grid search: {len(points)}**{n} assignments exceed {ORACLE_LIMIT}"
         )
-    mu0 = target.initial.probs
-    best_cost = math.inf
-    best: tuple[np.ndarray, ...] | None = None
-    for assignment in itertools.product(points, repeat=n):
-        mu = mu0
-        cost = 0.0
-        for idx, w in enumerate(assignment):
-            mixed = np.tensordot(w, contributors.matrices[:, idx], axes=1)
-            step = kl_rows(mixed, target.matrices[idx]) - mixed @ rewards.values[idx]
-            cost += _masked_dot(mu, step)
-            if cost == math.inf:
-                break
-            mu = mu @ mixed
-        if cost < best_cost:
-            best_cost = cost
-            best = assignment
-    assert best is not None
+
+    def step(idx: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mixed = np.tensordot(w, contributors.matrices[:, idx], axes=1)
+        return mixed, kl_rows(mixed, target.matrices[idx]) - mixed @ rewards.values[idx]
+
+    best, best_cost = _cheapest(target, points, step)
     weights = np.stack(best)
     weights.setflags(write=False)
     return GridSearchResult(weights, best_cost)

@@ -16,6 +16,7 @@ counter-based generator; the draw order is part of the determinism contract.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -308,12 +309,18 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to a temporary sibling, then rename it over ``path``.
 
     The rename is atomic, so ``path`` holds either its old bytes or all of
-    the new ones, never a partial write. Line ends are written as given.
+    the new ones, never a partial write; a failure removes the temporary
+    file and re-raises. Line ends are written as given.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(text.encode("utf-8"))
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(text.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the temporary file may never have been made
+            tmp.unlink()
+        raise
 
 
 def _csv_text(header: list, rows: Iterable[list]) -> str:

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _reward_overflow
 from .evaluation import _check_setup
 from .model import Behavior, Label, RewardSchedule, log_pmf
 from .scenario import _atomic_write_text, _csv_text
@@ -202,7 +202,7 @@ def monte_carlo_cost(
         steps = ~np.isfinite(running).all(axis=0)  # sums stay non-finite once they overflow
         k = int(np.argmax(steps)) + 1
         where = f"sampled cost at k={k}" if steps.any() else f"estimate over {count} sampled paths"
-        raise ValidationError(f"rewards overflow the {where}; keep their sum below 1.8e308")
+        raise _reward_overflow(where)
     return MonteCarloEstimate(estimate, stderr, count)
 
 

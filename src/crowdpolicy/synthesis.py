@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, _reward_overflow
 from .model import (
     Behavior,
     RewardSchedule,
@@ -279,9 +279,7 @@ def synthesize(
         rows = contributors.matrices[keep, idx]  # (s, d, d)
         expected = rows @ r_bar[idx]
         if not np.all(np.isfinite(expected)):  # KL is finite or +inf, so only rewards overflow
-            raise ValidationError(
-                f"rewards overflow the value-to-go at k={idx + 1}; keep their sum below 1.8e308"
-            )
+            raise _reward_overflow(f"value-to-go at k={idx + 1}")
         scores[idx] = (kl[:, idx] - expected).T
         dead = np.isinf(scores[idx]).all(axis=1)
         if dead.any():
@@ -331,9 +329,7 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
         one_step = sel[idx] + kernel @ policy.r_hat[idx]
         total += float(mu @ one_step)
         if not np.isfinite(total):  # the steps' costs, summed forward, overflowed
-            raise ValidationError(
-                f"rewards overflow the bound value at k={idx + 1}; keep their sum below 1.8e308"
-            )
+            raise _reward_overflow(f"bound value at k={idx + 1}")
         mu = mu @ kernel
     return total
 

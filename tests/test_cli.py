@@ -204,6 +204,24 @@ def test_synthesize_reward_overflow_exits_2(tmp_path, capsys):
     assert "value-to-go at k=" in capsys.readouterr().err
 
 
+def test_synthesize_writes_nothing_when_a_contributor_cost_fails(tmp_path, capsys):
+    # the agent avoids state b; the contributor that seeks it collects
+    # -1e308 twice, so only its own cost overflows
+    doc = {
+        "scenario_version": 1, "name": "tiny", "states": ["a", "b"], "horizon": 2,
+        "target": {"initial": [1.0, 0.0], "kernels": [[0.5, 0.5], [0.5, 0.5]]},
+        "contributors": [{"id": "avoid", "kernels": [[1.0, 0.0], [1.0, 0.0]]},
+                         {"id": "seek", "kernels": [[0.0, 1.0], [0.0, 1.0]]}],
+        "rewards": {"default": [[0.0, -1e308], [0.0, -1e308]]},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "expected reward at k=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synthesize_and_demo_outputs_are_pinned(tmp_path, monkeypatch):
     # recorded before the per-(k, state) selection loop gave way to one KL
     # table and an array argmin: reports, policies and selections must not

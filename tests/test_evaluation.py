@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from crowdpolicy.model import (
     WeightVector,
 )
 from crowdpolicy.scenario import generate_random_scenario
-from crowdpolicy.synthesis import bound_value, synthesize
+from crowdpolicy.synthesis import ContributorSet, bound_value, synthesize
 
 LN2 = math.log(2.0)
 
@@ -118,13 +119,53 @@ def test_unreachable_violation_costs_nothing():
     assert slow.total == 0.0
 
 
-def test_reward_overflow_is_a_validation_error_naming_the_step():
-    # every reward is finite, but their forward sum passes 1.8e308 at k=2
+# route -> (the cost it returns, what its overflow error names)
+OVERFLOW_ROUTES = {
+    "evaluate_cost": (lambda t, pool, r: evaluate_cost(t, t, r).total, "expected reward"),
+    "enumeration": (
+        lambda t, pool, r: trajectory_enumeration_cost(t, t, r).total, "expected reward"
+    ),
+    "bound_value": (
+        lambda t, pool, r: bound_value(synthesize(t, pool, r), t), "(value-to-go|bound value)"
+    ),
+    "per-time": (
+        lambda t, pool, r: pure_schedule_oracle(t, pool, r, mode="per-time").cost,
+        "schedule cost",
+    ),
+    "per-time-and-state": (
+        lambda t, pool, r: pure_schedule_oracle(t, pool, r, mode="per-time-and-state").cost,
+        "schedule cost",
+    ),
+    "grid": (lambda t, pool, r: simplex_grid_oracle(t, pool, r, 1).cost, "schedule cost"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(OVERFLOW_ROUTES))
+@pytest.mark.parametrize(
+    "values, backward_value",
+    [
+        ([[1e308], [1e308], [-1e308]], -1e308),
+        ([[-1e308], [-1e308], [1e308]], 1e308),
+        ([[1e308]] * 3, None),
+        ([[-1e308]] * 3, None),
+    ],
+    ids=["up-up-down", "down-down-up", "up-up-up", "down-down-down"],
+)
+def test_reward_overflow_is_a_validation_error_naming_the_step(route, values, backward_value):
+    # every reward is finite, but their forward sum passes 1.8e308 at k=2; the
+    # DP's backward sums stay finite on the first two profiles
     single = StateSpace(("x",))
     point = chain(single, [[1.0]], [[1.0]], [[1.0]])
-    rewards = RewardSchedule(single, np.array([[1e308], [1e308], [-1e308]]))
-    with pytest.raises(ValidationError, match="expected reward at k=2"):
-        evaluate_cost(point, point, rewards)
+    pool = ContributorSet(single, (point.kernels,), ("only",))
+    rewards = RewardSchedule(single, np.array(values))
+    cost, where = OVERFLOW_ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if route == "per-time-and-state" and backward_value is not None:
+            assert cost(point, pool, rewards) == backward_value
+        else:
+            with pytest.raises(ValidationError, match=f"{where} at k=2; keep their sum below"):
+                cost(point, pool, rewards)
 
 
 def test_evaluators_reject_mismatched_setups():
@@ -319,6 +360,22 @@ def test_grid_resolution_one_reduces_to_per_time():
         )
         assert grid.cost == pytest.approx(pt.cost, abs=1e-12), f"seed={seed}"
         assert all(WeightVector(w).is_vertex for w in grid.weights)
+
+
+def test_oracles_pick_the_first_assignment_when_every_cost_is_infinite():
+    # an unfiltered pool whose every row puts mass where the target has none
+    space = StateSpace((0, 1))
+    target = chain(space, [[1.0, 0.0], [1.0, 0.0]])
+    rows = ([[0.0, 1.0], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]])
+    pool = ContributorSet(
+        space, tuple((TransitionKernel(space, np.array(r)),) for r in rows), ("a", "b")
+    )
+    rewards = RewardSchedule(space, np.zeros((1, 2)))
+    pt = pure_schedule_oracle(target, pool, rewards, mode="per-time")
+    grid = simplex_grid_oracle(target, pool, rewards, 1)
+    assert pt.cost == math.inf and pt.schedule == (0,)
+    assert grid.cost == math.inf
+    assert grid.weights.tolist() == [[0.0, 1.0]]
 
 
 def test_grid_guards():

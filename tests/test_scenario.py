@@ -105,6 +105,25 @@ def test_policy_round_trip(tmp_path):
     assert loaded == behavior
 
 
+def test_failed_save_leaves_no_temporary_file(tmp_path, monkeypatch):
+    behavior = generate_random_scenario(seed=8, d=3, horizon=2, contributors=1).target
+    taken = tmp_path / "taken.json"
+    taken.mkdir()  # the rename over a directory fails
+    with pytest.raises(IsADirectoryError):
+        save_policy(behavior, taken)
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"old bytes\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("crowdpolicy.scenario.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_policy(behavior, kept)
+    assert kept.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "taken.json"]
+
+
 # ---------------------------------------------------------------------------
 # validation diagnostics
 # ---------------------------------------------------------------------------
