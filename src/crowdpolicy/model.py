@@ -205,6 +205,10 @@ class Behavior:
     def _hold(self, matrices: np.ndarray) -> "Behavior":
         return _set(self, kernels=_kernel_views(self.space, matrices), matrices=matrices)
 
+    def __reduce__(self):
+        """Pickle and copy the pmf and the stack: the copy's kernels are read-only views again."""
+        return type(self)._of, (self.initial, self.matrices)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Behavior):
             return NotImplemented

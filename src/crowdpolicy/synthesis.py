@@ -14,13 +14,16 @@ is selected outright (one array argmin per step; ties go to the lowest
 index). The negated selected score is then carried one step back as a
 value-to-go bonus added to the raw reward, and the procedure repeats. The
 result is a per-(step, state) switch between contributors; the agent's row
-is the selected contributor's row verbatim. The KL part of the scores is
-tabulated once per call, and that one table feeds both the filter and the
-recursion.
+is the selected contributor's row verbatim. The KL part of the scores does
+not depend on the rewards, so it is tabulated once per (target, pool): the
+pool holds the read-only table of the last target it was scored against, and
+that one table feeds both the filter and the recursion of every later call
+with the same target object.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +49,19 @@ class ContributorSet:
     from the target behavior. The kernels are stored once, as the read-only
     ``(S, N, d, d)`` array ``matrices``; ``kernels[i][k-1]`` is a view of
     ``matrices[i, k-1]``.
+
+    The pool also holds one entry for `synthesize` and `filter_contributors`:
+    the last target it was scored against, by weak reference and matched by
+    identity, with that target's read-only ``(S, N, d)`` KL table. Both sides
+    are frozen over read-only arrays, so the entry never goes stale; it holds
+    no target alive, and a pickled or copied pool starts without it.
     """
 
     space: StateSpace
     kernels: tuple[tuple[TransitionKernel, ...], ...]
     ids: tuple[str, ...]
     matrices: np.ndarray = field(init=False, repr=False)
+    _held = None  # (weakref to a target, its KL table); set by `_kl_table` alone
 
     def __post_init__(self) -> None:
         kernels = tuple(tuple(per_k) for per_k in self.kernels)
@@ -82,6 +92,10 @@ class ContributorSet:
         matrices.setflags(write=False)
         views = tuple(_kernel_views(self.space, per_k) for per_k in matrices)
         return _set(self, kernels=views, ids=ids, matrices=matrices)
+
+    def __reduce__(self):
+        """Pickle and copy the stack alone: the copy is read-only, viewed, and holds no table."""
+        return type(self)._of, (self.space, self.matrices, self.ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContributorSet):
@@ -146,11 +160,20 @@ def filter_contributors(
 
 
 def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
-    """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), one step at a time."""
+    """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), read-only.
+
+    Returns the table the pool holds when ``target`` is the very object it was
+    built for; otherwise builds it one step at a time and holds it instead.
+    """
+    held = contributors._held
+    if held is not None and held[0]() is target:
+        return held[1]
     kl = np.empty((contributors.size, target.horizon, target.space.size))
     for idx, target_rows in enumerate(target.matrices):
         rows = contributors.matrices[:, idx]
         kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
+    kl.setflags(write=False)
+    _set(contributors, _held=(weakref.ref(target), kl))  # one assignment: safe across threads
     return kl
 
 

@@ -6,7 +6,11 @@ reward-to-go, the winner is the lowest-scoring contributor, and the negated
 winning score is carried back one step as a bonus on arrival states.
 """
 
+import copy
 import math
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from crowdpolicy.synthesis import (
     Exclusion,
     FilterReport,
     SynthesizedPolicy,
+    _kl_table,
     bound_value,
     filter_contributors,
     synthesize,
@@ -549,3 +554,233 @@ def test_unreachable_support_violations_equal_the_reference():
     assert_matches_reference(target, alone, rewards, prefilter=False)
     with pytest.raises(InfeasibleError, match="k=2, state='b'"):
         synthesize(target, alone, rewards, prefilter=False)
+
+
+# ---------------------------------------------------------------------------
+# the KL table a pool holds for the last target it was scored against
+# ---------------------------------------------------------------------------
+
+
+def _cold(contributors):
+    """A distinct pool with the same kernels and nothing held, through the public constructor."""
+    return ContributorSet(contributors.space, contributors.kernels, contributors.ids)
+
+
+def assert_bit_identical(got, want):
+    assert isinstance(got, tuple) == isinstance(want, tuple), (got, want)
+    if isinstance(want, tuple):
+        assert got == want  # same error type and text
+        return
+    assert got.contributor_ids == want.contributor_ids
+    for name in ("scores", "selected", "weights", "r_hat", "r_bar"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert _bits(got.agent.matrices) == _bits(want.agent.matrices)
+    assert _bits(got.agent.initial.probs) == _bits(want.agent.initial.probs)
+    assert repr(got.filter_report) == repr(want.filter_report)
+
+
+def assert_warm_equals_cold(target, contributors, rewards, prefilter=True):
+    """`synthesize` on ``contributors`` (warm or not) equals it on a cold copy, bit for bit."""
+    got = _outcome(synthesize, target, contributors, rewards, prefilter=prefilter)
+    want = _outcome(synthesize, target, _cold(contributors), rewards, prefilter=prefilter)
+    assert_bit_identical(got, want)
+    return got
+
+
+def _sparse_scenario(seed, d, horizon, size, zero_share):
+    """A target with zeroed entries and a pool alternating random and admissible contributors.
+
+    Even-indexed contributors are random rows, which a sparse target may
+    exclude; odd-indexed ones reweight the target's rows on its support, so
+    they are always admissible.
+    """
+    space = StateSpace(tuple(f"s{i}" for i in range(d)))
+    rng = np.random.default_rng(seed)
+    target = Behavior(
+        StatePMF(space, _random_rows(rng, (d,), zero_share)),
+        _kernels(space, _random_rows(rng, (horizon, d, d), zero_share)),
+    )
+    stacks = []
+    for i in range(size):
+        if i % 2 == 0:
+            stacks.append(_random_rows(rng, (horizon, d, d), 0.3))
+        else:
+            rows = target.matrices * rng.uniform(0.5, 1.5, target.matrices.shape)
+            stacks.append(rows / rows.sum(axis=-1, keepdims=True))
+    contributors = ContributorSet(
+        space,
+        tuple(_kernels(space, stack) for stack in stacks),
+        tuple(f"c{i}" for i in range(size)),
+    )
+    return target, contributors, rng
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    horizon=st.integers(1, 4),
+    size=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+    schedules=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 50.0]), st.booleans()), min_size=1, max_size=5
+    ),
+)
+def test_a_warm_pool_equals_a_cold_copy(d, horizon, size, seed, zero_share, schedules):
+    target, contributors, rng = _sparse_scenario(seed, d, horizon, size, zero_share)
+    for scale, prefilter in schedules:
+        rewards = RewardSchedule(target.space, rng.uniform(-1.0, 1.0, (horizon, d)) * scale)
+        assert_warm_equals_cold(target, contributors, rewards, prefilter)
+        assert repr(_outcome(filter_contributors, target, contributors)) == repr(
+            _outcome(filter_contributors, target, _cold(contributors))
+        )
+
+
+def _three_state(seed, size=3, zero_share=0.3):
+    target, contributors, rng = _sparse_scenario(seed, 3, 3, size, zero_share)
+    return target, contributors, RewardSchedule(target.space, rng.uniform(-1.0, 1.0, (3, 3)))
+
+
+def test_a_second_target_gets_its_own_table():
+    first, contributors, rewards = _three_state(1, zero_share=0.0)
+    second, _, _ = _three_state(2, zero_share=0.0)
+    assert first != second
+    for target in (first, second, first, second):
+        assert_warm_equals_cold(target, contributors, rewards)
+    assert _kl_table(first, contributors) is not _kl_table(second, contributors)
+
+
+def test_an_equal_but_distinct_target_rebuilds_the_table():
+    target, contributors, rewards = _three_state(3)
+    twin = Behavior(target.initial, target.kernels)
+    assert twin == target and twin is not target
+    held = _kl_table(target, contributors)
+    assert _kl_table(target, contributors) is held
+    rebuilt = _kl_table(twin, contributors)
+    assert rebuilt is not held
+    assert _bits(rebuilt) == _bits(held)
+    assert_warm_equals_cold(twin, contributors, rewards)
+
+
+def test_a_second_pool_with_the_same_target_gets_its_own_table():
+    target, first, rewards = _three_state(4, zero_share=0.0)
+    _, second, _ = _three_state(5, zero_share=0.0)
+    assert first != second
+    for contributors in (first, second, first, second):
+        assert_warm_equals_cold(target, contributors, rewards)
+    held = _kl_table(target, first)
+    assert _kl_table(target, second) is not held
+    assert _kl_table(target, first) is held
+
+
+def test_a_subset_of_a_warm_pool_starts_cold():
+    target, contributors, rewards = _three_state(6, size=4, zero_share=0.0)
+    assert_warm_equals_cold(target, contributors, rewards)
+    part = contributors.subset([2, 0])
+    assert part._held is None
+    assert_warm_equals_cold(target, part, rewards)
+    assert_warm_equals_cold(target, part, rewards)
+    assert _kl_table(target, part) is not _kl_table(target, contributors)
+
+
+def test_prefilter_alternating_on_one_pool_equals_cold_calls():
+    target = Behavior(
+        StatePMF(AB, np.array([1.0, 0.0])),
+        homogeneous(AB, [[1.0, 0.0], [0.5, 0.5]], 2),
+    )
+    contributors = pool(2, [[0.9, 0.1], [0.5, 0.5]], [[1.0, 0.0], [0.2, 0.8]], ids=("leaky", "ok"))
+    rewards = RewardSchedule(AB, np.array([[0.0, 5.0], [1.0, 0.0]]))
+    results = [
+        assert_warm_equals_cold(target, contributors, rewards, prefilter)
+        for prefilter in (True, False, True, False)
+    ]
+    assert results[0].contributor_ids == ("ok",)
+    assert results[0].filter_report.exclusions == (Exclusion("leaky", 1, "a"),)
+    assert results[1].contributor_ids == ("leaky", "ok")
+    assert results[1].filter_report is None
+
+
+def test_a_pool_with_excluded_contributors_reports_them_on_every_call():
+    target, contributors, rewards = _three_state(7, size=4, zero_share=0.5)
+    cold_pool, report = filter_contributors(target, _cold(contributors))
+    assert report.exclusions  # the seed leaves some contributor out
+    for _ in range(2):
+        policy = assert_warm_equals_cold(target, contributors, rewards)
+        assert policy.filter_report == report
+        assert filter_contributors(target, contributors) == (cold_pool, report)
+
+
+def test_an_infeasible_pool_raises_on_every_call():
+    target = Behavior(
+        StatePMF(AB, np.array([1.0, 0.0])),
+        homogeneous(AB, [[0.0, 1.0], [1.0, 0.0]], 2),
+    )
+    contributors = pool(2, [[1.0, 0.0], [0.0, 1.0]])
+    rewards = RewardSchedule(AB, np.zeros((2, 2)))
+    for _ in range(2):
+        with pytest.raises(InfeasibleError, match="no admissible contributor"):
+            synthesize(target, contributors, rewards)
+        with pytest.raises(InfeasibleError, match="no admissible contributor"):
+            filter_contributors(target, contributors)
+        with pytest.raises(InfeasibleError, match="every contributor score is \\+inf at k=2"):
+            synthesize(target, contributors, rewards, prefilter=False)
+
+
+def test_filter_after_synthesize_equals_a_cold_call():
+    target, contributors, rewards = _three_state(8, size=4, zero_share=0.5)
+    synthesize(target, contributors, rewards)
+    got = _outcome(filter_contributors, target, contributors)
+    want = _outcome(filter_contributors, target, _cold(contributors))
+    assert repr(got) == repr(want)
+    assert got == want
+
+
+def test_the_held_table_is_read_only():
+    target, contributors, rewards = _three_state(9)
+    synthesize(target, contributors, rewards)
+    table = _kl_table(target, contributors)
+    assert contributors._held[1] is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0] = 0.0
+
+
+def test_threads_sharing_one_pool_get_cold_answers():
+    # more threads than cores and a short switch interval, so the entry is
+    # replaced while other threads read it; a table paired with the wrong
+    # target would change some thread's answer
+    targets = [_three_state(seed, zero_share=0.0)[0] for seed in (10, 11, 12)]
+    _, contributors, rewards = _three_state(13, zero_share=0.0)
+    want = [synthesize(target, _cold(contributors), rewards) for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as threads:
+            # runs of eight calls with one target: one thread builds its
+            # table while the others may find it held
+            futures = [
+                threads.submit(synthesize, targets[i // 8 % 3], contributors, rewards)
+                for i in range(480)
+            ]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 480
+    for i, policy in enumerate(got):
+        assert_bit_identical(policy, want[i // 8 % 3])
+
+
+@pytest.mark.parametrize("duplicate", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy])
+def test_a_warm_pool_pickles_and_deep_copies_cold(duplicate):
+    target, contributors, rewards = _three_state(13, size=4, zero_share=0.5)
+    warm = synthesize(target, contributors, rewards)
+    assert contributors._held is not None
+    twin = duplicate(contributors)
+    assert twin._held is None
+    assert twin == contributors and twin is not contributors
+    assert not twin.matrices.flags.writeable
+    assert all(kernel.matrix.base is twin.matrices for per_k in twin.kernels for kernel in per_k)
+    assert_bit_identical(synthesize(target, twin, rewards), warm)
+    copied_target = duplicate(target)
+    assert copied_target == target and not copied_target.matrices.flags.writeable
+    assert_bit_identical(synthesize(copied_target, twin, rewards), warm)
