@@ -23,6 +23,7 @@ from .model import (
     RewardSchedule,
     StatePMF,
     WeightVector,
+    _FrozenValue,
     kl_rows,
     log_pmf,
 )
@@ -194,13 +195,18 @@ def logsum_bound_check(
 def _step_cost_table(
     target: Behavior, contributors: ContributorSet, rewards: RewardSchedule
 ) -> np.ndarray:
-    """costs[i, k-1, x] = KL(contributor row || target row) - expected reward."""
-    s, n, d = contributors.size, target.horizon, target.space.size
-    costs = np.empty((s, n, d))
-    for i in range(s):
-        for idx in range(n):
-            rows = contributors.matrices[i, idx]
-            costs[i, idx] = kl_rows(rows, target.matrices[idx]) - rows @ rewards.values[idx]
+    """costs[i, k-1, x] = KL(contributor row || target row) - expected reward.
+
+    Computed here from the kernels, never read from the pool's held KL table,
+    so the oracles stay independent of the synthesizer. One ``(S, d, d)``
+    step at a time: a whole-pool ``kl_rows`` call would hold temporaries the
+    size of the pool.
+    """
+    costs = np.empty(contributors.matrices.shape[:-1])
+    for idx, (target_rows, step_rewards) in enumerate(zip(target.matrices, rewards.values)):
+        rows = contributors.matrices[:, idx]
+        kl = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
+        costs[:, idx] = kl - rows @ step_rewards
     return costs
 
 
@@ -231,8 +237,8 @@ def _cheapest(target: Behavior, choices: Sequence, step: Callable) -> tuple[tupl
     return best, best_cost
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+@dataclass(frozen=True, eq=False)
+class ScheduleResult(_FrozenValue):
     """Best pure contributor schedule found and its exact cost.
 
     ``schedule`` is a tuple of contributor indices per step in per-time mode,
@@ -294,8 +300,8 @@ def pure_schedule_oracle(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+@dataclass(frozen=True, eq=False)
+class GridSearchResult(_FrozenValue):
     """Best per-step mixture weights found on the simplex grid and their cost."""
 
     weights: np.ndarray  # shape (N, S)

@@ -19,7 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,6 +88,37 @@ def _kernel_views(space: StateSpace, matrices: np.ndarray) -> tuple[TransitionKe
     return tuple(_set(object.__new__(TransitionKernel), space=space, matrix=m) for m in matrices)
 
 
+class _FrozenValue:
+    """Base of the package's frozen dataclasses that hold arrays; each is declared ``eq=False``.
+
+    Two values are equal when they are of the same type and every field with
+    ``compare=True`` is equal, arrays by ``np.array_equal``; the values are
+    unhashable. A pickle or copy restored through ``__setstate__`` has every
+    array read-only again.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            if not f.compare:
+                continue
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+                same = np.array_equal(mine, theirs)
+            else:
+                same = mine == theirs
+            if not same:
+                return False
+        return True
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """Ordered collection of unique state labels; internal indices are 0-based."""
@@ -119,7 +150,7 @@ class StateSpace:
 
 
 @dataclass(frozen=True, eq=False)
-class StatePMF:
+class StatePMF(_FrozenValue):
     """Probability mass function over a state space."""
 
     space: StateSpace
@@ -134,17 +165,12 @@ class StatePMF:
             )
         object.__setattr__(self, "probs", arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StatePMF):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.probs, other.probs)
-
     def prob(self, label: Label) -> float:
         return float(self.probs[self.space.index(label)])
 
 
 @dataclass(frozen=True, eq=False)
-class TransitionKernel:
+class TransitionKernel(_FrozenValue):
     """Row-stochastic matrix: row x is the pmf of the next state given state x."""
 
     space: StateSpace
@@ -161,11 +187,6 @@ class TransitionKernel:
         )
         object.__setattr__(self, "matrix", rows)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransitionKernel):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.matrix, other.matrix)
-
     def row(self, x: int) -> np.ndarray:
         """Transition pmf out of internal state index ``x`` as a raw array."""
         return self.matrix[x]
@@ -175,7 +196,7 @@ class TransitionKernel:
 
 
 @dataclass(frozen=True, eq=False)
-class Behavior:
+class Behavior(_FrozenValue):
     """A finite-horizon Markov behavior: initial pmf plus one kernel per step.
 
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for
@@ -185,7 +206,7 @@ class Behavior:
     """
 
     initial: StatePMF
-    kernels: tuple[TransitionKernel, ...]
+    kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`
     matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -209,11 +230,6 @@ class Behavior:
         """Pickle and copy the pmf and the stack: the copy's kernels are read-only views again."""
         return type(self)._of, (self.initial, self.matrices)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Behavior):
-            return NotImplemented
-        return self.initial == other.initial and np.array_equal(self.matrices, other.matrices)
-
     @property
     def space(self) -> StateSpace:
         return self.initial.space
@@ -224,7 +240,7 @@ class Behavior:
 
 
 @dataclass(frozen=True, eq=False)
-class RewardSchedule:
+class RewardSchedule(_FrozenValue):
     """Per-step reward vectors; ``values[k-1][x]`` is the reward for arriving in x at step k."""
 
     space: StateSpace
@@ -244,11 +260,6 @@ class RewardSchedule:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RewardSchedule):
-            return NotImplemented
-        return self.space == other.space and np.array_equal(self.values, other.values)
-
     @property
     def horizon(self) -> int:
         return int(self.values.shape[0])
@@ -259,7 +270,7 @@ class RewardSchedule:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(_FrozenValue):
     """Point on the probability simplex used to weight contributors."""
 
     weights: np.ndarray
@@ -277,11 +288,6 @@ class WeightVector:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        return np.array_equal(self.weights, other.weights)
 
     @property
     def is_vertex(self) -> bool:

@@ -29,7 +29,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .errors import ValidationError
-from .model import Behavior, RewardSchedule, StatePMF, StateSpace, _as_probabilities
+from .model import Behavior, RewardSchedule, StatePMF, StateSpace, _as_probabilities, _FrozenValue
 from .synthesis import ContributorSet
 
 SCENARIO_VERSION = 1
@@ -47,7 +47,7 @@ _TOP_LEVEL_KEYS = {
 
 
 @dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(_FrozenValue):
     """A named problem instance: target, contributors, and reward profiles."""
 
     name: str
@@ -73,18 +73,6 @@ class Scenario:
                 raise ValueError(
                     f"reward profile {profile!r} does not match scenario dimensions"
                 )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.space == other.space
-            and self.target == other.target
-            and self.contributors == other.contributors
-            and self.rewards == other.rewards
-            and self.metadata == other.metadata
-        )
 
     @property
     def horizon(self) -> int:
@@ -175,6 +163,26 @@ def scenario_from_dict(
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         raise fail("horizon must be an integer >= 1")
 
+    # the profiles spell out every step, so checking them first bounds the horizon by
+    # the file's size before a shorthand kernel is repeated or a pool is allocated
+    rewards_node = doc.get("rewards")
+    if not isinstance(rewards_node, dict) or not rewards_node:
+        raise fail("rewards must be an object with at least one named profile")
+    rewards: dict[str, RewardSchedule] = {}
+    for profile, values in rewards_node.items():
+        if not profile:
+            raise fail("reward profile names must be non-empty")
+        arr = _numeric_array(values, f"reward profile {profile!r}", fail)
+        if arr.ndim != 2 or arr.shape != (horizon, space.size):
+            raise fail(
+                f"reward profile {profile!r} must be a {horizon}x{space.size} array, "
+                f"got shape {arr.shape}"
+            )
+        try:
+            rewards[profile] = RewardSchedule(space, arr)
+        except ValueError as exc:
+            raise fail(f"reward profile {profile!r}: {exc}") from None
+
     target_node = doc.get("target")
     if not isinstance(target_node, dict) or set(target_node) != {"initial", "kernels"}:
         raise fail("target must be an object with keys 'initial' and 'kernels'")
@@ -207,24 +215,6 @@ def scenario_from_dict(
         contributors = ContributorSet._of(space, pool, tuple(ids))
     except ValueError as exc:
         raise fail(str(exc)) from None
-
-    rewards_node = doc.get("rewards")
-    if not isinstance(rewards_node, dict) or not rewards_node:
-        raise fail("rewards must be an object with at least one named profile")
-    rewards: dict[str, RewardSchedule] = {}
-    for profile, values in rewards_node.items():
-        if not profile:
-            raise fail("reward profile names must be non-empty")
-        arr = _numeric_array(values, f"reward profile {profile!r}", fail)
-        if arr.ndim != 2 or arr.shape != (horizon, space.size):
-            raise fail(
-                f"reward profile {profile!r} must be a {horizon}x{space.size} array, "
-                f"got shape {arr.shape}"
-            )
-        try:
-            rewards[profile] = RewardSchedule(space, arr)
-        except ValueError as exc:
-            raise fail(f"reward profile {profile!r}: {exc}") from None
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -35,6 +35,7 @@ from .model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    _FrozenValue,
     _kernel_views,
     _set,
     kl_rows,
@@ -42,7 +43,7 @@ from .model import (
 
 
 @dataclass(frozen=True, eq=False)
-class ContributorSet:
+class ContributorSet(_FrozenValue):
     """A pool of contributor kernels sharing one state space and horizon.
 
     Contributors supply transition kernels only; the initial pmf always comes
@@ -58,7 +59,7 @@ class ContributorSet:
     """
 
     space: StateSpace
-    kernels: tuple[tuple[TransitionKernel, ...], ...]
+    kernels: tuple[tuple[TransitionKernel, ...], ...] = field(compare=False)  # views of `matrices`
     ids: tuple[str, ...]
     matrices: np.ndarray = field(init=False, repr=False)
     _held = None  # (weakref to a target, its KL table); set by `_kl_table` alone
@@ -96,15 +97,6 @@ class ContributorSet:
     def __reduce__(self):
         """Pickle and copy the stack alone: the copy is read-only, viewed, and holds no table."""
         return type(self)._of, (self.space, self.matrices, self.ids)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ContributorSet):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.ids == other.ids
-            and np.array_equal(self.matrices, other.matrices)
-        )
 
     @property
     def size(self) -> int:
@@ -208,7 +200,7 @@ def _check_compatible(
 
 
 @dataclass(frozen=True, eq=False)
-class SynthesizedPolicy:
+class SynthesizedPolicy(_FrozenValue):
     """Output of `synthesize`.
 
     Arrays are indexed ``[k-1, state, contributor]`` (or without the trailing

@@ -54,6 +54,19 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_horizon_longer_than_its_rewards(tmp_path, capsys):
+    doc = {
+        "scenario_version": 1, "name": "huge", "states": ["a", "b"], "horizon": 10**15,
+        "target": {"initial": [1.0, 0.0], "kernels": [[0.5, 0.5], [0.5, 0.5]]},
+        "contributors": [{"id": "c", "kernels": [[0.9, 0.1], [0.2, 0.8]]}],
+        "rewards": {"r": [[0.0, 1.0]]},
+    }
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", "--scenario", str(bad)]) == 2
+    assert "reward profile 'r' must be a 1000000000000000x2 array" in capsys.readouterr().err
+
+
 def test_validate_bad_probabilities(tmp_path, capsys):
     doc = read_json(demo_scenario_path())
     doc["target"]["initial"] = [0.5, 0, 0, 0, 0, 0]

@@ -10,6 +10,7 @@ import pytest
 from crowdpolicy.errors import OracleGuardError, ValidationError
 from crowdpolicy.evaluation import (
     ORACLE_LIMIT,
+    _step_cost_table,
     evaluate_cost,
     logsum_bound_check,
     pure_schedule_oracle,
@@ -23,6 +24,7 @@ from crowdpolicy.model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    kl_rows,
 )
 from crowdpolicy.scenario import generate_random_scenario
 from crowdpolicy.synthesis import ContributorSet, bound_value, synthesize
@@ -280,6 +282,51 @@ def test_per_time_oracle_matches_inline_enumeration():
             best_schedule = schedule
     assert result.cost == pytest.approx(best_cost, abs=1e-12)
     assert tuple(result.schedule) == best_schedule
+
+
+def _reference_step_cost_table(target, contributors, rewards):
+    """The per-(contributor, step) loop the array routine replaced, kept as its reference."""
+    s, n, d = contributors.size, target.horizon, target.space.size
+    costs = np.empty((s, n, d))
+    for i in range(s):
+        for idx in range(n):
+            rows = contributors.matrices[i, idx]
+            costs[i, idx] = kl_rows(rows, target.matrices[idx]) - rows @ rewards.values[idx]
+    return costs
+
+
+@pytest.mark.parametrize(
+    "d, horizon, size", [(1, 1, 1), (1, 3, 2), (2, 1, 1), (3, 2, 4), (5, 4, 3), (16, 5, 6)]
+)
+@pytest.mark.parametrize("sparsity", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("target_is_a_contributor", [False, True])
+def test_step_cost_table_equals_the_loop_byte_for_byte(
+    d, horizon, size, sparsity, target_is_a_contributor
+):
+    scenario = generate_random_scenario(
+        seed=100 * d + 10 * horizon + size, d=d, horizon=horizon, contributors=size,
+        sparsity=sparsity,
+    )
+    # a sparse contributor as the target has zeros where the others have mass: +inf KL
+    target = pure_behavior(scenario, 0) if target_is_a_contributor else scenario.target
+    args = (target, scenario.contributors, scenario.reward_profile())
+    got, want = _step_cost_table(*args), _reference_step_cost_table(*args)
+    assert got.shape == want.shape == (size, horizon, d)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_step_cost_table_is_infinite_where_the_target_has_no_mass():
+    space = StateSpace(("a", "b"))
+    target = chain(space, [[1.0, 0.0], [0.5, 0.5]])
+    rows = ([[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
+    pool = ContributorSet(
+        space, tuple((TransitionKernel(space, np.array(r)),) for r in rows), ("x", "y")
+    )
+    args = (target, pool, RewardSchedule(space, np.array([[1.0, -2.0]])))
+    got = _step_cost_table(*args)
+    assert got.tobytes() == _reference_step_cost_table(*args).tobytes()
+    assert got[0, 0, 0] == math.inf and np.isfinite(got[0, 0, 1])
+    assert got[1].tolist() == [[-1.0, 2.0 + LN2]]
 
 
 def test_dp_oracle_never_loses_to_per_time():

@@ -233,6 +233,15 @@ def test_reward_shape_and_finiteness():
         scenario_from_dict(doc)
 
 
+def test_rewards_bound_the_horizon_before_a_shorthand_kernel_is_repeated():
+    # the shorthand kernels would fill 28.4 PiB at this horizon; the profile cannot be that long
+    doc = minimal_doc()
+    doc["horizon"] = 10**15
+    doc["rewards"] = {"r": [[0.0, 1.0]]}
+    with pytest.raises(ValidationError, match=r"reward profile 'r' must be a 1000000000000000x2 "):
+        scenario_from_dict(doc)
+
+
 def test_renormalize_mode_rescues_sloppy_rows(tmp_path):
     doc = minimal_doc()
     doc["target"]["kernels"] = [[0.49, 0.49], [0.5, 0.48]]  # sums 0.98

@@ -1,7 +1,12 @@
 """Rules that hold for the package source as a whole."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
+
+from crowdpolicy.model import _FrozenValue
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "crowdpolicy"
 
@@ -17,3 +22,29 @@ def test_package_source_has_no_assert_statements():
     ]
     assert sorted(SOURCE.glob("*.py")), f"no source files under {SOURCE}"
     assert found == []
+
+
+def test_every_dataclass_holding_an_array_is_a_frozen_value_with_no_eq_of_its_own():
+    # one base decides equality and the locking of restored copies; a class
+    # with its own __eq__, hand-written or generated by @dataclass, would
+    # decide again
+    modules = [
+        importlib.import_module(f"crowdpolicy.{info.name}")
+        for info in pkgutil.iter_modules([str(SOURCE)])
+    ]
+    holders = [
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and dataclasses.is_dataclass(cls)
+        and any("np.ndarray" in str(t) for t in vars(cls).get("__annotations__", {}).values())
+    ]
+    assert len(holders) >= 9, holders
+    offenders = [
+        cls.__qualname__
+        for cls in holders
+        if not issubclass(cls, _FrozenValue) or "__eq__" in vars(cls)
+    ]
+    assert offenders == []
