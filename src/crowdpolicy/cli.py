@@ -89,13 +89,15 @@ def _write_json(path: Path, doc: Any) -> None:
     _atomic_write_text(path, _dump_json(doc))
 
 
-def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]:
-    """Cost of each contributor's own kernels, run from the target's initial pmf."""
-    initial, pool = scenario.target.initial, scenario.contributors
-    return {
-        cid: evaluate_cost(Behavior._of(initial, matrices), scenario.target, rewards).total
-        for cid, matrices in zip(pool.ids, pool.matrices)
-    }
+def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float | dict]:
+    """Cost of each contributor's own kernels from the target's initial pmf, or an error record."""
+    target, pool, costs = scenario.target, scenario.contributors, {}
+    for cid, own in zip(pool.ids, pool.matrices):
+        try:
+            costs[cid] = evaluate_cost(Behavior._of(target.initial, own), target, rewards).total
+        except ValidationError as exc:  # its own rewards overflow; the other outputs still hold
+            costs[cid] = {"error": str(exc)}
+    return costs
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

@@ -65,6 +65,7 @@ def _check_setup(policy: Behavior, target: Behavior, rewards: RewardSchedule) ->
         raise ValueError("policy, target, and rewards must share one horizon")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite expected reward is reported below
 def evaluate_cost(
     policy: AgentPolicy, target: Behavior, rewards: RewardSchedule
 ) -> CostBreakdown:
@@ -104,6 +105,7 @@ def evaluate_cost(
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, tuple(per_step))
 
 
+@np.errstate(over="ignore")  # an overflowed expected reward is reported below
 def trajectory_enumeration_cost(
     policy: AgentPolicy, target: Behavior, rewards: RewardSchedule
 ) -> CostBreakdown:
@@ -155,8 +157,7 @@ def trajectory_enumeration_cost(
         if p0 > 0:
             visit(0, x0, float(p0), [], [])
 
-    with np.errstate(over="ignore"):  # overflow is reported below
-        running = np.cumsum(reward_steps)  # summed forward, as evaluate_cost does
+    running = np.cumsum(reward_steps)  # summed forward, as evaluate_cost does
     if not np.isfinite(running[-1]):
         raise _reward_overflow(f"expected reward at k={int(np.argmax(~np.isfinite(running))) + 1}")
     per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
@@ -192,6 +193,17 @@ def logsum_bound_check(
     return lhs, rhs
 
 
+def _step_costs(
+    rows: np.ndarray, target_rows: np.ndarray, step_rewards: np.ndarray, idx: int
+) -> np.ndarray:
+    """KL(row || target row) - expected reward per row at step ``idx + 1``; overflow raises."""
+    with np.errstate(over="ignore"):  # overflow is reported below
+        reward = rows @ step_rewards
+    if not np.isfinite(reward).all():
+        raise _reward_overflow(f"schedule cost at k={idx + 1}")
+    return kl_rows(rows, np.broadcast_to(target_rows, rows.shape)) - reward
+
+
 def _step_cost_table(
     target: Behavior, contributors: ContributorSet, rewards: RewardSchedule
 ) -> np.ndarray:
@@ -202,12 +214,8 @@ def _step_cost_table(
     step at a time: a whole-pool ``kl_rows`` call would hold temporaries the
     size of the pool.
     """
-    costs = np.empty(contributors.matrices.shape[:-1])
-    for idx, (target_rows, step_rewards) in enumerate(zip(target.matrices, rewards.values)):
-        rows = contributors.matrices[:, idx]
-        kl = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
-        costs[:, idx] = kl - rows @ step_rewards
-    return costs
+    steps = zip(contributors.matrices.swapaxes(0, 1), target.matrices, rewards.values)
+    return np.stack([_step_costs(*step, idx) for idx, step in enumerate(steps)], axis=1)
 
 
 def _cheapest(target: Behavior, choices: Sequence, step: Callable) -> tuple[tuple, float]:
@@ -271,33 +279,33 @@ def pure_schedule_oracle(
     """
     _check_compatible(target, contributors, rewards)
     s, n, d = contributors.size, target.horizon, target.space.size
+    if mode not in ("per-time", "per-time-and-state"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "per-time" and s**n > ORACLE_LIMIT:
+        raise OracleGuardError(
+            f"refusing schedule search: {s}**{n} schedules exceed {ORACLE_LIMIT}"
+        )
+    costs = _step_cost_table(target, contributors, rewards)
     if mode == "per-time":
-        if s**n > ORACLE_LIMIT:
-            raise OracleGuardError(
-                f"refusing schedule search: {s}**{n} schedules exceed {ORACLE_LIMIT}"
-            )
-        costs = _step_cost_table(target, contributors, rewards)
         best, best_cost = _cheapest(
             target, range(s), lambda idx, i: (contributors.matrices[i, idx], costs[i, idx])
         )
         return ScheduleResult("per-time", best, best_cost)
-    if mode == "per-time-and-state":
-        costs = _step_cost_table(target, contributors, rewards)
-        to_go = np.zeros(d)
-        schedule = np.empty((n, d), dtype=int)
-        for idx in range(n - 1, -1, -1):
-            pool = contributors.matrices[:, idx]  # (s, d, d)
-            carried = np.array([[_masked_dot(row, to_go) for row in rows] for rows in pool])
-            with np.errstate(over="ignore"):  # overflow is reported below
-                cand = costs[:, idx] + carried
-            if np.isinf(cand[np.isfinite(costs[:, idx]) & np.isfinite(carried)]).any():
-                raise _reward_overflow(f"schedule cost at k={idx + 1}")
-            schedule[idx] = np.argmin(cand, axis=0)  # first minimizer wins ties
-            to_go = cand.min(axis=0)
-        value = _masked_dot(target.initial.probs, to_go)
-        schedule.setflags(write=False)
-        return ScheduleResult("per-time-and-state", schedule, value)
-    raise ValueError(f"unknown mode {mode!r}")
+    to_go = np.zeros(d)
+    schedule = np.empty((n, d), dtype=int)
+    for idx in range(n - 1, -1, -1):
+        pool = contributors.matrices[:, idx]  # (s, d, d)
+        dead = np.isinf(to_go)  # states from which no schedule is feasible
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises; inf - inf is reset
+            cand = costs[:, idx] + np.vecdot(pool, np.where(dead, 0.0, to_go))
+        if np.isinf(cand[np.isfinite(costs[:, idx])]).any():
+            raise _reward_overflow(f"schedule cost at k={idx + 1}")
+        cand[np.isinf(costs[:, idx]) | (pool > 0) @ dead] = np.inf  # infeasible rows, dead ends
+        schedule[idx] = np.argmin(cand, axis=0)  # first minimizer wins ties
+        to_go = cand.min(axis=0)
+    value = _masked_dot(target.initial.probs, to_go)
+    schedule.setflags(write=False)
+    return ScheduleResult("per-time-and-state", schedule, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +362,7 @@ def simplex_grid_oracle(
 
     def step(idx: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mixed = np.tensordot(w, contributors.matrices[:, idx], axes=1)
-        return mixed, kl_rows(mixed, target.matrices[idx]) - mixed @ rewards.values[idx]
+        return mixed, _step_costs(mixed, target.matrices[idx], rewards.values[idx], idx)
 
     best, best_cost = _cheapest(target, points, step)
     weights = np.stack(best)

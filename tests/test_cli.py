@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -217,9 +218,10 @@ def test_synthesize_reward_overflow_exits_2(tmp_path, capsys):
     assert "value-to-go at k=" in capsys.readouterr().err
 
 
-def test_synthesize_writes_nothing_when_a_contributor_cost_fails(tmp_path, capsys):
+def test_synthesize_reports_a_failing_contributor_cost_as_an_error_record(tmp_path):
     # the agent avoids state b; the contributor that seeks it collects
-    # -1e308 twice, so only its own cost overflows
+    # -1e308 twice, so only its own cost overflows: that entry becomes an
+    # error record and every output is still written
     doc = {
         "scenario_version": 1, "name": "tiny", "states": ["a", "b"], "horizon": 2,
         "target": {"initial": [1.0, 0.0], "kernels": [[0.5, 0.5], [0.5, 0.5]]},
@@ -230,9 +232,13 @@ def test_synthesize_writes_nothing_when_a_contributor_cost_fails(tmp_path, capsy
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 2
-    assert "expected reward at k=2" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
+    costs = json.loads((out / "report.json").read_text())["pure_contributor_costs"]
+    assert costs["seek"] == {
+        "error": "rewards overflow the expected reward at k=2; keep their sum below 1.8e308"
+    }
+    assert isinstance(costs["avoid"], float) and math.isfinite(costs["avoid"])
+    assert (out / "policy.json").exists()
 
 
 def test_synthesize_and_demo_outputs_are_pinned(tmp_path, monkeypatch):

@@ -142,24 +142,38 @@ OVERFLOW_ROUTES = {
 }
 
 
+MAX = np.finfo(float).max
+EXCESS_1 = [1.0 + 5e-10]  # inside PROB_TOL, so strict mode keeps it as given
+EXCESS_2 = [0.5 + 4e-10, 0.5]
+
+
 @pytest.mark.parametrize("route", sorted(OVERFLOW_ROUTES))
 @pytest.mark.parametrize(
-    "values, backward_value",
+    "row, values, backward_value",
     [
-        ([[1e308], [1e308], [-1e308]], -1e308),
-        ([[-1e308], [-1e308], [1e308]], 1e308),
-        ([[1e308]] * 3, None),
-        ([[-1e308]] * 3, None),
+        ([1.0], [[1e308], [1e308], [-1e308]], -1e308),
+        ([1.0], [[-1e308], [-1e308], [1e308]], 1e308),
+        ([1.0], [[1e308]] * 3, None),
+        ([1.0], [[-1e308]] * 3, None),
+        (EXCESS_1, [[0.0], [MAX]], None),
+        (EXCESS_1, [[0.0], [-MAX]], None),
+        (EXCESS_2, [[0.0, 0.0], [MAX, MAX]], None),
+        (EXCESS_2, [[0.0, 0.0], [-MAX, -MAX]], None),
     ],
-    ids=["up-up-down", "down-down-up", "up-up-up", "down-down-down"],
+    ids=["up-up-down", "down-down-up", "up-up-up", "down-down-down",
+         "one-step-up", "one-step-down", "one-step-up-d2", "one-step-down-d2"],
 )
-def test_reward_overflow_is_a_validation_error_naming_the_step(route, values, backward_value):
+def test_reward_overflow_is_a_validation_error_naming_the_step(
+    route, row, values, backward_value
+):
     # every reward is finite, but their forward sum passes 1.8e308 at k=2; the
-    # DP's backward sums stay finite on the first two profiles
-    single = StateSpace(("x",))
-    point = chain(single, [[1.0]], [[1.0]], [[1.0]])
-    pool = ContributorSet(single, (point.kernels,), ("only",))
-    rewards = RewardSchedule(single, np.array(values))
+    # DP's backward sums stay finite on the first two profiles. In the
+    # one-step profiles a row summing to a hair above 1 overflows the
+    # expected reward of k=2 alone
+    space = StateSpace(tuple(range(len(row))))
+    point = chain(space, *[[row] * len(row)] * len(values))
+    pool = ContributorSet(space, (point.kernels,), ("only",))
+    rewards = RewardSchedule(space, np.array(values))
     cost, where = OVERFLOW_ROUTES[route]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -167,6 +181,25 @@ def test_reward_overflow_is_a_validation_error_naming_the_step(route, values, ba
             assert cost(point, pool, rewards) == backward_value
         else:
             with pytest.raises(ValidationError, match=f"{where} at k=2; keep their sum below"):
+                cost(point, pool, rewards)
+
+
+@pytest.mark.parametrize("route", sorted(OVERFLOW_ROUTES))
+def test_an_unreachable_row_whose_expected_reward_overflows(route):
+    # state b is never reached, but its row sums to a hair above 1, so its
+    # expected reward overflows: the enumeration walks reachable paths alone
+    # and costs the chain, every other route names the step
+    space = StateSpace(("a", "b"))
+    point = chain(space, [[1.0, 0.0], EXCESS_2])
+    pool = ContributorSet(space, (point.kernels,), ("only",))
+    rewards = RewardSchedule(space, np.array([[MAX, MAX]]))
+    cost, where = OVERFLOW_ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if route == "enumeration":
+            assert cost(point, pool, rewards) == -MAX
+        else:
+            with pytest.raises(ValidationError, match=f"{where} at k=1; keep their sum below"):
                 cost(point, pool, rewards)
 
 
@@ -327,6 +360,109 @@ def test_step_cost_table_is_infinite_where_the_target_has_no_mass():
     assert got.tobytes() == _reference_step_cost_table(*args).tobytes()
     assert got[0, 0, 0] == math.inf and np.isfinite(got[0, 0, 1])
     assert got[1].tolist() == [[-1.0, 2.0 + LN2]]
+
+
+def _reference_masked_dot(mu, values):
+    """Expectation with 0 * inf = 0, over the support of ``mu`` alone."""
+    active = mu > 0
+    return math.inf if np.isinf(values[active]).any() else float(mu[active] @ values[active])
+
+
+def _reference_state_dp(target, contributors, rewards):
+    """The per-(contributor, state) loop the DP's row-wise product replaced.
+
+    Returns the schedule and the value-to-go from each state at k = 0.
+    """
+    costs = _step_cost_table(target, contributors, rewards)
+    n, d = target.horizon, target.space.size
+    to_go = np.zeros(d)
+    schedule = np.empty((n, d), dtype=int)
+    for idx in range(n - 1, -1, -1):
+        pool = contributors.matrices[:, idx]
+        carried = np.array([[_reference_masked_dot(row, to_go) for row in rows] for rows in pool])
+        cand = costs[:, idx] + carried
+        schedule[idx] = np.argmin(cand, axis=0)
+        to_go = cand.min(axis=0)
+    return schedule, to_go
+
+
+def _random_unfiltered_instance(rng, d, horizon, size, sparsity):
+    """A sparse target and an unfiltered pool built from it.
+
+    Each contributor reweights the target's rows, keeping their support, but
+    swaps some of them for dense rows, which put mass where the target has
+    none. Every contributor swaps the row of one trap state per step, so
+    some states can be served at a step and some cannot. A duplicated
+    contributor makes exact ties.
+    """
+    space = StateSpace(tuple(range(d)))
+
+    def normalized(rows):
+        return rows / rows.sum(axis=-1, keepdims=True)
+
+    mask = rng.random((horizon, d, d)) >= sparsity
+    mask[:, np.arange(d), rng.integers(0, d, d)] = True  # every row keeps one entry
+    target_rows = normalized(rng.random((horizon, d, d)) * mask)
+    traps = rng.integers(0, d, horizon)
+    pool = []
+    for _ in range(size):
+        rows = normalized(target_rows * rng.uniform(0.5, 1.5, target_rows.shape))
+        swapped = rng.random((horizon, d)) < 0.3
+        swapped[np.arange(horizon), traps] = True
+        rows[swapped] = normalized(rng.uniform(0.1, 1.0, (int(swapped.sum()), d)))
+        pool.append(tuple(TransitionKernel(space, m) for m in rows))
+    if rng.random() < 0.5:
+        pool.append(pool[int(rng.integers(0, size))])
+    target = Behavior(
+        StatePMF(space, np.eye(d)[0]), tuple(TransitionKernel(space, m) for m in target_rows)
+    )
+    contributors = ContributorSet(space, tuple(pool), tuple(f"c{i}" for i in range(len(pool))))
+    rewards = RewardSchedule(space, rng.uniform(-2.0, 2.0, (horizon, d)))
+    return target, contributors, rewards
+
+
+@pytest.mark.parametrize("d", [*range(1, 21), 64])
+def test_state_dp_matches_its_loop_form(d):
+    # the oracle costs each state as a point-mass start, so its value-to-go
+    # at k = 0 is compared state by state: same schedules, same +inf states,
+    # finite values within 1e-12 relative (BLAS may sum a long row in another
+    # order than its compacted support)
+    rng = np.random.Generator(np.random.Philox(4000 + d))
+    dead_seen = 0
+    for trial in range(10):
+        horizon, size = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        sparsity = [0.0, 0.3, 0.6, 0.9][trial % 4]  # no zeros at 0.0: every state is served
+        target, pool, rewards = _random_unfiltered_instance(rng, d, horizon, size, sparsity)
+        schedule, to_go = _reference_state_dp(target, pool, rewards)
+        values = []
+        for x in range(d):
+            start = Behavior(StatePMF(target.space, np.eye(d)[x]), target.kernels)
+            result = pure_schedule_oracle(start, pool, rewards)
+            assert np.array_equal(result.schedule, schedule), (trial, x)
+            values.append(result.cost)
+        values = np.array(values)
+        assert np.array_equal(np.isposinf(values), np.isposinf(to_go)), trial
+        finite = np.isfinite(to_go)
+        np.testing.assert_allclose(values[finite], to_go[finite], rtol=1e-12, atol=0)
+        dead_seen += int(np.isinf(to_go).any() and finite.any())
+    if d > 1:
+        assert dead_seen > 0, "no instance mixes served and unservable states"
+
+
+def test_an_infeasible_row_stays_infeasible_when_its_carry_overflows():
+    # contributor a's first row has mass where the target has none, and a
+    # hair above 1 in total, so its carry overflows to -inf against a finite
+    # value-to-go of -MAX: inf + -inf must not turn into a nan that wins the argmin
+    space = StateSpace(("a", "b"))
+    target = chain(space, [[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    excess = chain(space, [EXCESS_2, [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]])
+    pool = ContributorSet(space, (excess.kernels, target.kernels), ("a", "t"))
+    rewards = RewardSchedule(space, np.array([[0.0, 0.0], [MAX, MAX]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = pure_schedule_oracle(target, pool, rewards)
+    assert result.cost == -MAX
+    assert result.schedule.tolist() == [[1, 0], [0, 0]]
 
 
 def test_dp_oracle_never_loses_to_per_time():
