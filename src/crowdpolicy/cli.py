@@ -85,10 +85,6 @@ def _dump_json(doc: Any) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_json(path: Path, doc: Any) -> None:
-    _atomic_write_text(path, _dump_json(doc))
-
-
 def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float | dict]:
     """Cost of each contributor's own kernels from the target's initial pmf, or an error record."""
     target, pool, costs = scenario.target, scenario.contributors, {}
@@ -152,8 +148,9 @@ def _finish(args: argparse.Namespace, report: dict, started: float) -> None:
     """Write report.json and timing.json under --out when one is given."""
     if args.out is not None:
         out = _out_dir(args)
-        _write_json(out / "report.json", report)
-        _write_json(out / "timing.json", {"seconds": time.perf_counter() - started})
+        _atomic_write_text(out / "report.json", _dump_json(report))
+        timing = {"seconds": time.perf_counter() - started}
+        _atomic_write_text(out / "timing.json", _dump_json(timing))
 
 
 def _solve(
@@ -311,15 +308,15 @@ def cmd_demo(args: argparse.Namespace) -> int:
         sampled = sample_trajectories(
             policy.agent, 1, args.seed, target=scenario.target
         )[0]
-        _write_json(
+        _atomic_write_text(
             out / profile / "route.json",
-            {
+            _dump_json({
                 "profile": profile,
                 "most_likely": route.states,
                 "most_likely_log_prob": route.log_prob_policy,
                 "sampled": sampled.states,
                 "sample_seed": args.seed,
-            },
+            }),
         )
         block["outputs"]["route"] = f"{profile}/route.json"
         block.update(most_likely_route=route.states, sampled_route=sampled.states)

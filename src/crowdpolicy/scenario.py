@@ -24,7 +24,7 @@ import mmap
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -299,16 +299,19 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` as UTF-8 to a temporary sibling, then rename it over ``path``.
 
     The rename is atomic, so ``path`` holds either its old bytes or all of
-    the new ones, never a partial write; a failure removes the temporary
-    file and re-raises. Line ends are written as given.
+    the new ones, never a partial write. Each call makes a sibling of its own,
+    so concurrent writers to one path never rename each other's files into
+    place. A failure removes the temporary file and re-raises. Line ends are
+    written as given.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp.touch(exist_ok=False)  # created exclusively, with mode 0o666 less the umask
     try:
         tmp.write_bytes(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(OSError):  # the temporary file may never have been made
+        with contextlib.suppress(OSError):
             tmp.unlink()
         raise
 
@@ -322,24 +325,70 @@ def _csv_text(header: list, rows: Iterable[list]) -> str:
     return buffer.getvalue()
 
 
+class _Text(str):
+    """JSON text that `_json_text` writes as it stands, indented to its place."""
+
+
+def _json_text(node: Any, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(node, indent=2, allow_nan=False)``, writing NumPy float arrays directly.
+
+    ``json``'s ``indent`` encoder is pure Python and visits every float. Each
+    array here is checked finite once, and its ``tolist()`` is joined by
+    ``float.__repr__``, the rule ``json`` uses. Dicts and lists take ``json``'s
+    layout; every other node goes to ``json.dumps``. ``pad`` starts the line
+    that closes ``node``.
+    """
+    inner = pad + "  "
+    if isinstance(node, np.ndarray):
+        if not np.isfinite(node).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _float_rows(node.tolist(), pad)
+    if isinstance(node, _Text):
+        return node.replace("\n", pad)
+    if isinstance(node, dict) and node:
+        # json's key rule: int, float, bool and None keys become strings, other types fail
+        items = [json.dumps({k: 0})[1:-4] + ": " + _json_text(v, inner) for k, v in node.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(node, list) and node:
+        items = [_json_text(item, inner) for item in node]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(node, indent=2, allow_nan=False).replace("\n", pad)
+
+
+def _float_rows(rows: list, pad: str) -> str:
+    """The ``indent=2`` layout of a float array's ``tolist()``."""
+    if not rows:
+        return "[]"
+    inner = pad + "  "
+    if isinstance(rows[0], list):
+        items = [_float_rows(row, inner) for row in rows]
+    else:
+        items = map(float.__repr__, rows)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Canonical JSON document for a scenario (kernels always written per step)."""
+    return _scenario_doc(scenario, np.ndarray.tolist)
+
+
+def _scenario_doc(scenario: Scenario, floats: Callable[[np.ndarray], Any]) -> dict[str, Any]:
+    """The scenario's document, with ``floats`` applied to each of its own arrays."""
     return {
         "scenario_version": SCENARIO_VERSION,
         "name": scenario.name,
         "states": list(scenario.space.labels),
         "horizon": scenario.horizon,
         "target": {
-            "initial": scenario.target.initial.probs.tolist(),
-            "kernels": scenario.target.matrices.tolist(),
+            "initial": floats(scenario.target.initial.probs),
+            "kernels": floats(scenario.target.matrices),
         },
         "contributors": [
-            {"id": cid, "kernels": matrices.tolist()}
+            {"id": cid, "kernels": floats(matrices)}
             for cid, matrices in zip(scenario.contributors.ids, scenario.contributors.matrices)
         ],
         "rewards": {
-            profile: schedule.values.tolist()
-            for profile, schedule in scenario.rewards.items()
+            profile: floats(schedule.values) for profile, schedule in scenario.rewards.items()
         },
         "metadata": scenario.metadata,
     }
@@ -352,8 +401,10 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     reward is reproduced bit for bit by `load_scenario`. The file is replaced
     atomically; I/O failures propagate as OSError.
     """
-    text = json.dumps(scenario_to_dict(scenario), indent=2, allow_nan=False)
-    _atomic_write_text(path, text + "\n")
+    doc = _scenario_doc(scenario, lambda array: array)
+    # free-form metadata goes to json.dumps whole: an array or a NaN in it fails as before
+    doc["metadata"] = _Text(json.dumps(scenario.metadata, indent=2, allow_nan=False))
+    _atomic_write_text(path, _json_text(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +419,10 @@ def save_policy(policy: Behavior, path: str | Path) -> None:
     doc = {
         "policy_version": POLICY_VERSION,
         "states": list(policy.space.labels),
-        "initial": policy.initial.probs.tolist(),
-        "kernels": policy.matrices.tolist(),
+        "initial": policy.initial.probs,
+        "kernels": policy.matrices,
     }
-    _atomic_write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+    _atomic_write_text(path, _json_text(doc) + "\n")
 
 
 def load_policy(

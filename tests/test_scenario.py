@@ -1,7 +1,12 @@
 """Scenario and policy file round trips, validation diagnostics, generation."""
 
+import hashlib
 import json
+import os
+import stat
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +20,9 @@ from crowdpolicy.synthesis import ContributorSet, synthesize
 from crowdpolicy.scenario import (
     POLICY_VERSION,
     SCENARIO_VERSION,
+    Scenario,
+    _atomic_write_text,
+    _json_text,
     generate_random_scenario,
     load_policy,
     load_scenario,
@@ -654,3 +662,223 @@ def test_constructors_and_loader_copy_the_callers_arrays_once():
         assert not any(np.shares_memory(array, kept) for kept in stored)
     full[0, 0] = [0.0, 1.0]
     assert scenario.contributors.matrices[0, 0, 0].tolist() == [0.9, 0.1]
+
+
+# ---------------------------------------------------------------------------
+# the direct JSON writer: json.dumps(indent=2) bytes, json's errors, a temporary file per write
+# ---------------------------------------------------------------------------
+
+#: sha256 of both files, recorded while they were still written by ``json.dumps`` itself
+SAVED_SHA256 = {
+    "scenario": "0064f7865b865113937ca482faa4da3c0d88b0d44321b5864651c5bee08aedec",
+    "policy": "2105c0ee5bdc39ae86416164783111f17d3226520419e78c71cf21a4b8ea5379",
+}
+
+
+def test_saved_scenario_and_policy_bytes_are_pinned(tmp_path):
+    scenario = generate_random_scenario(seed=5, d=7, horizon=4, contributors=3, sparsity=0.3)
+    save_scenario(scenario, tmp_path / "scenario")
+    agent = synthesize(scenario.target, scenario.contributors, scenario.reward_profile()).agent
+    save_policy(agent, tmp_path / "policy")
+    for name, digest in SAVED_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, 0.1, 1e16)
+_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+_texts = st.sampled_from(["é\n\"", "a\\b", "\u2028", "\x00", "😀"]) | st.text(max_size=5)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _arrays(*shape):
+    size = int(np.prod(shape))
+    return st.lists(_floats, min_size=size, max_size=size).map(
+        lambda values: np.array(values, dtype=float).reshape(shape)
+    )
+
+
+@st.composite
+def _documents(draw):
+    """A scenario-shaped document with NumPy arrays where the library puts its arrays."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return {
+        "scenario_version": SCENARIO_VERSION,
+        "name": draw(_texts),
+        "states": draw(st.lists(_texts | st.integers(), min_size=d, max_size=d)),
+        "horizon": n,
+        "target": {"initial": draw(_arrays(d)), "kernels": draw(_arrays(n, d, d))},
+        "contributors": draw(
+            st.lists(st.fixed_dictionaries({"id": _texts, "kernels": _arrays(n, d, d)}),
+                     min_size=1, max_size=2)
+        ),
+        "rewards": draw(st.dictionaries(_texts | st.integers(), _arrays(n, d), min_size=1,
+                                        max_size=2)),
+        "metadata": draw(st.dictionaries(_texts, _json_values, max_size=3)),
+    }
+
+
+def _plain(node):
+    """``node`` with every array replaced by its ``tolist()``."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {key: _plain(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_plain(item) for item in node]
+    return node
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kernels": np.array([[[1.0]]]), "initial": np.array([1.0]), "states": ["é\n\""],
+         "metadata": {}},
+        {"row": np.array(_EDGE_FLOATS), "metadata": {"a": [], "b": {}, "c": [[], {"d": []}]},
+         3: None, "x": ()},
+        np.array([]),
+        np.zeros((2, 0)),
+        {},
+        [],
+    ],
+    ids=["d1-n1", "edge-floats-nested-empties", "empty-array", "empty-rows", "empty-dict",
+         "empty-list"],
+)
+def test_json_text_writes_json_dumps_bytes_on_edge_cases(doc):
+    assert _json_text(doc) == json.dumps(_plain(doc), indent=2, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+def test_json_text_writes_json_dumps_bytes(doc):
+    assert _json_text(doc) == json.dumps(_plain(doc), indent=2, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(1, 4),
+    n=st.integers(1, 3),
+    data=st.data(),
+)
+def test_saved_files_are_json_dumps_bytes(seed, d, n, data):
+    doc = scenario_to_dict(generate_random_scenario(seed, d, n, contributors=2, sparsity=0.3))
+    labels = st.lists(_texts | st.integers(), min_size=d, max_size=d, unique=True)
+    names = _texts.filter(bool)
+    ids = data.draw(st.lists(names, min_size=2, max_size=2, unique=True))
+    doc.update(
+        name=data.draw(names),
+        states=data.draw(labels),
+        contributors=[dict(entry, id=cid) for entry, cid in zip(doc["contributors"], ids)],
+        rewards={data.draw(names): doc["rewards"]["default"]},
+        metadata=data.draw(st.dictionaries(_texts, _json_values, max_size=3)),
+    )
+    scenario = scenario_from_dict(doc)
+    policy = {
+        "policy_version": POLICY_VERSION,
+        "states": doc["states"],
+        "initial": doc["target"]["initial"],
+        "kernels": doc["target"]["kernels"],
+    }
+    with tempfile.TemporaryDirectory() as folder:
+        save_scenario(scenario, Path(folder) / "s.json")
+        save_policy(scenario.target, Path(folder) / "p.json")
+        for name, expected in (("s.json", scenario_to_dict(scenario)), ("p.json", policy)):
+            text = json.dumps(expected, indent=2, allow_nan=False) + "\n"
+            assert (Path(folder) / name).read_bytes() == text.encode("utf-8")
+
+
+def _rejected_saves():
+    """(case, save, error): each save breaks one of json's rules."""
+    base = generate_random_scenario(seed=2, d=3, horizon=2, contributors=2, sparsity=0.3)
+
+    def with_pool_entry(value):
+        pool = base.contributors.matrices.copy()
+        pool[1, 0, 2, 1] = value
+        contributors = ContributorSet._of(base.space, pool, base.contributors.ids)
+        return Scenario(base.name, base.space, base.target, contributors, base.rewards)
+
+    def with_target_entry(value):
+        kernels = base.target.matrices.copy()
+        kernels[1, 2, 0] = value
+        return Behavior._of(base.target.initial, kernels)
+
+    def with_metadata(metadata):
+        return Scenario(base.name, base.space, base.target, base.contributors, base.rewards,
+                        metadata)
+
+    cases = []
+    for label, value in (("nan", float("nan")), ("inf", float("inf"))):
+        cases.append((f"scenario-{label}-array", save_scenario, with_pool_entry(value),
+                      ValueError))
+        cases.append((f"policy-{label}-array", save_policy, with_target_entry(value),
+                      ValueError))
+    cases.append(("nan-metadata", save_scenario,
+                  with_metadata({"notes": [{"x": float("nan")}]}), ValueError))
+    cases.append(("array-metadata", save_scenario,
+                  with_metadata({"notes": {"x": np.ones(2)}}), TypeError))
+    return cases
+
+
+@pytest.mark.parametrize("case, save, value, error", _rejected_saves(),
+                         ids=[case[0] for case in _rejected_saves()])
+def test_rejected_saves_raise_jsons_errors_and_leave_the_file(tmp_path, case, save, value, error):
+    path = tmp_path / "kept.json"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(error):
+        save(value, path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+
+
+def test_a_concurrent_writers_temporary_file_is_neither_overwritten_nor_renamed(tmp_path):
+    behavior = generate_random_scenario(seed=8, d=3, horizon=2, contributors=1).target
+    path, theirs = tmp_path / "p.json", tmp_path / "p.json.tmp"  # the name every write once used
+    theirs.write_bytes(b"another writer's half-written file")
+    save_policy(behavior, path)
+    save_policy(behavior, tmp_path / "alone.json")
+    assert theirs.read_bytes() == b"another writer's half-written file"
+    assert path.read_bytes() == (tmp_path / "alone.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alone.json", "p.json", "p.json.tmp"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask  # as for any new file
+
+
+def test_concurrent_writers_never_expose_a_partial_file(tmp_path):
+    path = tmp_path / "shared.json"
+    texts = [f"{i}" * 200_000 + "\n" for i in range(4)]
+    path.write_text(texts[0])
+    failures, seen, done = [], set(), threading.Event()
+
+    def write(text):
+        try:
+            for _ in range(25):
+                _atomic_write_text(path, text)
+        except Exception as exc:  # reported below; a lost write must fail the test
+            failures.append(exc)
+
+    def read():
+        while not done.is_set():
+            seen.add(path.read_text())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=write, args=(text,)) for text in texts]
+        reader = threading.Thread(target=read)
+        for thread in (*writers, reader):
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in (*writers, reader))
+    assert failures == []
+    assert seen <= set(texts)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.json"]
