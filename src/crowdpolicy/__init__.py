@@ -5,107 +5,21 @@ step and state it scores each contributed transition kernel by KL divergence
 to the target plus forgone reward-to-go, and switches to the best one. See
 `synthesize` for the construction, `evaluate_cost` and the oracles for
 independent checks, and the ``crowdpolicy`` command line for file-based runs.
+
+The package exports the names in each module's own ``__all__``.
 """
 
-from .errors import (
-    CrowdPolicyError,
-    InfeasibleError,
-    OracleGuardError,
-    ValidationError,
-)
-from .evaluation import (
-    AgentPolicy,
-    CostBreakdown,
-    GridSearchResult,
-    ScheduleResult,
-    evaluate_cost,
-    logsum_bound_check,
-    pure_schedule_oracle,
-    simplex_grid_oracle,
-    trajectory_enumeration_cost,
-)
-from .model import (
-    Behavior,
-    RewardSchedule,
-    SimplexArgmin,
-    StatePMF,
-    StateSpace,
-    TransitionKernel,
-    WeightVector,
-    expected_value,
-    kl_divergence,
-    simplex_argmin,
-)
-from .scenario import (
-    Scenario,
-    demo_scenario_path,
-    generate_random_scenario,
-    load_policy,
-    load_scenario,
-    save_policy,
-    save_scenario,
-)
-from .simulate import (
-    MonteCarloEstimate,
-    Trajectory,
-    monte_carlo_cost,
-    most_likely_trajectory,
-    sample_trajectories,
-    write_trajectories_csv,
-)
-from .synthesis import (
-    ContributorSet,
-    FilterReport,
-    SynthesizedPolicy,
-    bound_value,
-    filter_contributors,
-    synthesize,
-)
+from . import errors, evaluation, model, scenario, simulate, synthesis
+from .errors import *
+from .evaluation import *
+from .model import *
+from .scenario import *
+from .simulate import *
+from .synthesis import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "CrowdPolicyError",
-    "ValidationError",
-    "InfeasibleError",
-    "OracleGuardError",
-    "StateSpace",
-    "StatePMF",
-    "TransitionKernel",
-    "Behavior",
-    "RewardSchedule",
-    "WeightVector",
-    "SimplexArgmin",
-    "kl_divergence",
-    "expected_value",
-    "simplex_argmin",
-    "ContributorSet",
-    "FilterReport",
-    "SynthesizedPolicy",
-    "filter_contributors",
-    "synthesize",
-    "bound_value",
-    "AgentPolicy",
-    "CostBreakdown",
-    "ScheduleResult",
-    "GridSearchResult",
-    "evaluate_cost",
-    "trajectory_enumeration_cost",
-    "logsum_bound_check",
-    "pure_schedule_oracle",
-    "simplex_grid_oracle",
-    "Scenario",
-    "demo_scenario_path",
-    "load_scenario",
-    "save_scenario",
-    "load_policy",
-    "save_policy",
-    "generate_random_scenario",
-    "Trajectory",
-    "MonteCarloEstimate",
-    "sample_trajectories",
-    "most_likely_trajectory",
-    "monte_carlo_cost",
-    "write_trajectories_csv",
+__all__ = ["__version__"] + [
+    name for module in (errors, model, synthesis, evaluation, scenario, simulate)
+    for name in module.__all__
 ]

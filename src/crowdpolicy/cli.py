@@ -6,9 +6,10 @@ Exit codes: 0 success, 2 scenario or policy validation failure, 3
 infeasibility (no admissible contributor, or an estimand undefined for the
 given inputs), 4 oracle guard refusal, 1 unexpected internal error.
 
-Every command runs the same way: `_inputs` loads the scenario and reward
-profile and starts the report, the command adds its own fields, and
-`_finish` writes ``report.json`` and ``timing.json`` under ``--out``.
+`main` runs every command the same way: it starts the clock, `_inputs` loads
+the scenario and reward profile and starts the report, the command's handler
+adds its own fields and returns the report, and `_finish` writes
+``report.json`` and ``timing.json`` under ``--out``; nothing else writes them.
 `synthesize` and `demo` solve each reward profile through `_solve`, which
 computes every number before it writes the profile's policy and CSV files.
 
@@ -145,8 +146,8 @@ def _policy(args: argparse.Namespace, scenario: Scenario) -> Behavior:
 
 
 def _finish(args: argparse.Namespace, report: dict, started: float) -> None:
-    """Write report.json and timing.json under --out when one is given."""
-    if args.out is not None:
+    """Write report.json and timing.json under --out when the command has one."""
+    if getattr(args, "out", None) is not None:
         out = _out_dir(args)
         _atomic_write_text(out / "report.json", _dump_json(report))
         timing = {"seconds": time.perf_counter() - started}
@@ -193,44 +194,43 @@ def _solve(
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    scenario, _, _ = _inputs(args)
+def cmd_validate(
+    args: argparse.Namespace, scenario: Scenario, rewards: None, report: dict
+) -> dict:
     print(f"scenario OK: {scenario.name}")
     print(f"  states: {scenario.space.size}  horizon: {scenario.horizon}")
     print(f"  contributors: {', '.join(scenario.contributors.ids)}")
     print(f"  reward profiles: {', '.join(scenario.rewards)}")
-    return 0
+    return report
 
 
-def cmd_synthesize(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    scenario, rewards, report = _inputs(args)
+def cmd_synthesize(
+    args: argparse.Namespace, scenario: Scenario, rewards: RewardSchedule, report: dict
+) -> dict:
     out = Path(args.out)
     policy, block = _solve(scenario, rewards, out)
     filtered = policy.filter_report  # the CLI always filters, so there is one
     excluded = [{"id": e.contributor_id, "k": e.k, "state": e.state} for e in filtered.exclusions]
     report.update(block, filter={"retained": filtered.retained_ids, "excluded": excluded})
-    _finish(args, report, started)
     print(f"synthesized {scenario.name} [{report['reward_profile']}]")
     print(f"  bound value: {block['bound_value']!r}")
     print(f"  exact cost:  {block['exact_cost']['total']!r}")
     print(f"  outputs in {out}")
-    return 0
+    return report
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    scenario, rewards, report = _inputs(args)
+def cmd_evaluate(
+    args: argparse.Namespace, scenario: Scenario, rewards: RewardSchedule, report: dict
+) -> dict:
     policy = _policy(args, scenario)
     report["cost"] = asdict(evaluate_cost(policy, scenario.target, rewards))
     sys.stdout.write(_dump_json(report))
-    _finish(args, report, started)
-    return 0
+    return report
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    scenario, rewards, report = _inputs(args)
+def cmd_oracle(
+    args: argparse.Namespace, scenario: Scenario, rewards: RewardSchedule, report: dict
+) -> dict:
     policy = synthesize(scenario.target, scenario.contributors, rewards)
     bound = bound_value(policy, scenario.target)
     mode = {"per-time": "per-time", "per-time-state": "per-time-and-state"}[args.mode]
@@ -256,13 +256,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "weights": grid.weights,
         }
     sys.stdout.write(_dump_json(report))
-    _finish(args, report, started)
-    return 0
+    return report
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    scenario, rewards, report = _inputs(args)
+def cmd_simulate(
+    args: argparse.Namespace, scenario: Scenario, rewards: RewardSchedule, report: dict
+) -> dict:
     policy = _policy(args, scenario)
     trajectories = sample_trajectories(
         policy, args.count, args.seed, target=scenario.target
@@ -288,22 +287,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         exact_cost=asdict(exact),
         outputs={"trajectories": "trajectories.csv"},
     )
-    _finish(args, report, started)
     print(
         f"simulated {args.count} trajectories: estimate {estimate.estimate!r} "
         f"(stderr {estimate.stderr!r}), exact {exact.total!r}"
     )
     print(f"  outputs in {out}")
-    return 0
+    return report
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    scenario, _, report = _inputs(args)
+def cmd_demo(args: argparse.Namespace, scenario: Scenario, rewards: None, report: dict) -> dict:
     out = Path(args.out)
     profiles: dict[str, Any] = {}
-    for profile, rewards in scenario.rewards.items():
-        policy, block = _solve(scenario, rewards, out, f"{profile}/")
+    for profile, schedule in scenario.rewards.items():
+        policy, block = _solve(scenario, schedule, out, f"{profile}/")
         route = most_likely_trajectory(policy.agent)
         sampled = sample_trajectories(
             policy.agent, 1, args.seed, target=scenario.target
@@ -325,9 +321,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
         costs = ", ".join(f"{c}: {v!r}" for c, v in block["pure_contributor_costs"].items())
         print(f"[{profile}] agent cost {block['exact_cost']['total']!r} vs contributors {costs}")
     report["profiles"] = profiles
-    _finish(args, report, started)
     print(f"demo outputs in {out}")
-    return 0
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +422,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        started = time.perf_counter()
+        scenario, rewards, report = _inputs(args)
+        _finish(args, args.handler(args, scenario, rewards, report), started)
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

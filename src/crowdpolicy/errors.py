@@ -25,3 +25,6 @@ class OracleGuardError(CrowdPolicyError):
 def _reward_overflow(where: str) -> ValidationError:
     """The error for finite rewards whose running sum leaves the finite floats at ``where``."""
     return ValidationError(f"rewards overflow the {where}; keep their sum below 1.8e308")
+
+
+__all__ = ["CrowdPolicyError", "ValidationError", "InfeasibleError", "OracleGuardError"]

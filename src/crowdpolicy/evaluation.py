@@ -105,7 +105,7 @@ def evaluate_cost(
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, tuple(per_step))
 
 
-@np.errstate(over="ignore")  # an overflowed expected reward is reported below
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite expected reward is reported below
 def trajectory_enumeration_cost(
     policy: AgentPolicy, target: Behavior, rewards: RewardSchedule
 ) -> CostBreakdown:
@@ -158,8 +158,11 @@ def trajectory_enumeration_cost(
             visit(0, x0, float(p0), [], [])
 
     running = np.cumsum(reward_steps)  # summed forward, as evaluate_cost does
-    if not np.isfinite(running[-1]):
-        raise _reward_overflow(f"expected reward at k={int(np.argmax(~np.isfinite(running))) + 1}")
+    # evaluate_cost also fails a step whose row rewards overflow where no path goes
+    rows = policy.matrices @ rewards.values[..., None]
+    bad = ~np.isfinite(running) | ~np.isfinite(rows).all(axis=(1, 2))
+    if bad.any():
+        raise _reward_overflow(f"expected reward at k={int(np.argmax(bad)) + 1}")
     per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
     kl_part = float(kl_steps.sum())
     reward_part = float(running[-1])

@@ -186,13 +186,7 @@ def scenario_from_dict(
     target_node = doc.get("target")
     if not isinstance(target_node, dict) or set(target_node) != {"initial", "kernels"}:
         raise fail("target must be an object with keys 'initial' and 'kernels'")
-    try:
-        initial = StatePMF(space, np.asarray(target_node["initial"], dtype=float), mode)
-    except (ValueError, TypeError) as exc:
-        raise fail(f"target initial pmf: {exc}") from None
-    target = Behavior._of(
-        initial, _parse_kernels(target_node["kernels"], space, horizon, mode, "target", fail)
-    )
+    target = _parse_behavior(target_node, space, horizon, mode, "target", fail)
 
     contributors_node = doc.get("contributors")
     if not isinstance(contributors_node, list) or not contributors_node:
@@ -254,6 +248,17 @@ def _numeric_array(node: Any, what: str, fail) -> np.ndarray:
         return np.array(node, dtype=float, order="C")
     except (ValueError, TypeError):
         raise fail(f"{what} must be a numeric array") from None
+
+
+def _parse_behavior(
+    node: dict, space: StateSpace, horizon: int | None, mode: str, owner: str, fail
+) -> Behavior:
+    """The behavior of an ``{initial, kernels}`` node: a scenario's target or a policy file."""
+    try:
+        initial = StatePMF(space, np.asarray(node["initial"], dtype=float), mode)
+    except (ValueError, TypeError) as exc:
+        raise fail(f"{owner} initial pmf: {exc}") from None
+    return Behavior._of(initial, _parse_kernels(node["kernels"], space, horizon, mode, owner, fail))
 
 
 def _parse_kernels(
@@ -325,10 +330,6 @@ def _csv_text(header: list, rows: Iterable[list]) -> str:
     return buffer.getvalue()
 
 
-class _Text(str):
-    """JSON text that `_json_text` writes as it stands, indented to its place."""
-
-
 def _json_text(node: Any, pad: str = "\n") -> str:
     """Exactly ``json.dumps(node, indent=2, allow_nan=False)``, writing NumPy float arrays directly.
 
@@ -343,8 +344,6 @@ def _json_text(node: Any, pad: str = "\n") -> str:
         if not np.isfinite(node).all():
             raise ValueError("Out of range float values are not JSON compliant")
         return _float_rows(node.tolist(), pad)
-    if isinstance(node, _Text):
-        return node.replace("\n", pad)
     if isinstance(node, dict) and node:
         # json's key rule: int, float, bool and None keys become strings, other types fail
         items = [json.dumps({k: 0})[1:-4] + ": " + _json_text(v, inner) for k, v in node.items()]
@@ -401,10 +400,9 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     reward is reproduced bit for bit by `load_scenario`. The file is replaced
     atomically; I/O failures propagate as OSError.
     """
-    doc = _scenario_doc(scenario, lambda array: array)
-    # free-form metadata goes to json.dumps whole: an array or a NaN in it fails as before
-    doc["metadata"] = _Text(json.dumps(scenario.metadata, indent=2, allow_nan=False))
-    _atomic_write_text(path, _json_text(doc) + "\n")
+    # free-form metadata goes to json.dumps first: an array or a NaN in it fails with json's error
+    json.dumps(scenario.metadata, allow_nan=False)
+    _atomic_write_text(path, _json_text(_scenario_doc(scenario, lambda array: array)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +454,7 @@ def load_policy(
     file_space = _parse_states(doc["states"], fail)
     if space is not None and file_space != space:
         raise fail("policy states do not match the scenario's states")
-    try:
-        initial = StatePMF(file_space, np.asarray(doc["initial"], dtype=float), mode)
-    except (ValueError, TypeError) as exc:
-        raise fail(f"initial pmf: {exc}") from None
-    return Behavior._of(
-        initial, _parse_kernels(doc["kernels"], file_space, None, mode, "policy", fail)
-    )
+    return _parse_behavior(doc, file_space, None, mode, "policy", fail)
 
 
 # ---------------------------------------------------------------------------

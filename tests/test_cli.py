@@ -548,6 +548,94 @@ def test_demo_command_routes_and_layout(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one run path: inputs, handler, then report.json and timing.json
+# ---------------------------------------------------------------------------
+
+
+def _run_path_inputs():
+    """In the current directory: the demo and its synthesized favor-node-2 policy."""
+    shutil.copy(DEMO, "demo.json")
+    assert main(["synthesize", "--scenario", "demo.json", "--reward-profile",
+                 "favor-node-2", "--out", "syn"]) == 0
+
+
+RUN_PATH_COMMANDS = {
+    "synthesize": ["synthesize", "--scenario", "demo.json", "--reward-profile", "favor-node-3"],
+    "simulate": ["simulate", "--scenario", "demo.json", "--reward-profile", "favor-node-2",
+                 "--policy", "syn/policy.json", "--count", "5", "--seed", "1"],
+    "demo": ["demo"],
+    "evaluate": ["evaluate", "--scenario", "demo.json", "--reward-profile", "favor-node-2",
+                 "--policy", "syn/policy.json"],
+    "oracle": ["oracle", "--scenario", "demo.json", "--reward-profile", "favor-node-2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_PATH_COMMANDS))
+def test_every_command_with_out_writes_report_and_one_timing_float(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.chdir(tmp_path)
+    _run_path_inputs()
+    assert main(RUN_PATH_COMMANDS[command] + ["--out", "run"]) == 0
+    assert read_json(tmp_path / "run" / "report.json")["command"] == command
+    timing = read_json(tmp_path / "run" / "timing.json")
+    assert list(timing) == ["seconds"]
+    assert isinstance(timing["seconds"], float) and timing["seconds"] >= 0.0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "oracle", "validate"])
+def test_a_command_without_out_writes_no_files(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    _run_path_inputs()
+    argv = RUN_PATH_COMMANDS.get(command, ["validate", "--scenario", "demo.json"])
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 0
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def _no_self_loop_at_node_6(doc):
+    for entry in doc["contributors"]:
+        entry["kernels"][5] = [0.5, 0, 0, 0, 0, 0.5]
+
+
+def _rewards(values):
+    return lambda doc: doc["rewards"].update({"favor-node-2": values})
+
+
+def _half_initial(doc):
+    doc["target"]["initial"] = [0.5, 0, 0, 0, 0, 0]
+
+
+FORWARD_OVERFLOW = [[1e308] * 6, [1e308] * 6, [-1e308] * 6, [0.0] * 6]
+
+# command, edit of the demo, exit code: a validation failure, a reward overflow, an infeasible pool
+FAILING_RUNS = {
+    "synthesize-invalid": ("synthesize", _half_initial, 2),
+    "simulate-invalid": ("simulate", _half_initial, 2),
+    "synthesize-overflow": ("synthesize", _rewards([[-1.7e308] * 6] * 4), 2),
+    "evaluate-overflow": ("evaluate", _rewards(FORWARD_OVERFLOW), 2),
+    "simulate-overflow": ("simulate", _rewards(FORWARD_OVERFLOW), 2),
+    "synthesize-infeasible": ("synthesize", _no_self_loop_at_node_6, 3),
+    "oracle-infeasible": ("oracle", _no_self_loop_at_node_6, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
+def test_a_failing_run_leaves_out_without_report_or_timing(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    _run_path_inputs()
+    command, edit, code = FAILING_RUNS[case]
+    doc = read_json(demo_scenario_path())
+    edit(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    argv = [a if a != "demo.json" else "bad.json" for a in RUN_PATH_COMMANDS[command]]
+    argv = [a if a != "favor-node-3" else "favor-node-2" for a in argv]
+    assert main(argv + ["--out", "run"]) == code
+    assert not (tmp_path / "run" / "report.json").exists()
+    assert not (tmp_path / "run" / "timing.json").exists()
+
+
+# ---------------------------------------------------------------------------
 # console entry point
 # ---------------------------------------------------------------------------
 

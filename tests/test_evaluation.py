@@ -187,8 +187,8 @@ def test_reward_overflow_is_a_validation_error_naming_the_step(
 @pytest.mark.parametrize("route", sorted(OVERFLOW_ROUTES))
 def test_an_unreachable_row_whose_expected_reward_overflows(route):
     # state b is never reached, but its row sums to a hair above 1, so its
-    # expected reward overflows: the enumeration walks reachable paths alone
-    # and costs the chain, every other route names the step
+    # expected reward overflows: every route names the step, the enumeration
+    # too, though it walks reachable paths alone
     space = StateSpace(("a", "b"))
     point = chain(space, [[1.0, 0.0], EXCESS_2])
     pool = ContributorSet(space, (point.kernels,), ("only",))
@@ -196,11 +196,24 @@ def test_an_unreachable_row_whose_expected_reward_overflows(route):
     cost, where = OVERFLOW_ROUTES[route]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if route == "enumeration":
-            assert cost(point, pool, rewards) == -MAX
-        else:
-            with pytest.raises(ValidationError, match=f"{where} at k=1; keep their sum below"):
-                cost(point, pool, rewards)
+        with pytest.raises(ValidationError, match=f"{where} at k=1; keep their sum below"):
+            cost(point, pool, rewards)
+
+
+@pytest.mark.parametrize("route", ["evaluate_cost", "enumeration"])
+def test_the_exact_routes_name_a_forward_overflow_before_a_later_unreachable_row(route):
+    # the forward sum passes 1.8e308 at k=2; the unreachable row b of k=3
+    # overflows too, but the earlier step is the one named
+    space = StateSpace(("a", "b"))
+    point = chain(space, [[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]],
+                  [[1.0, 0.0], EXCESS_2])
+    pool = ContributorSet(space, (point.kernels,), ("only",))
+    rewards = RewardSchedule(space, np.array([[1e308, 1e308], [1e308, 1e308], [MAX, MAX]]))
+    cost, where = OVERFLOW_ROUTES[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"{where} at k=2; keep their sum below"):
+            cost(point, pool, rewards)
 
 
 def test_evaluators_reject_mismatched_setups():

@@ -310,6 +310,30 @@ def test_policy_file_rejections(tmp_path):
         load_policy(path, other.space)
 
 
+@pytest.mark.parametrize(
+    "initial, message",
+    [([1.5, -0.5], "negative"), ([1.0, 0.0, 0.0], "3 entries"), (["x", 1.0], "could not convert")],
+    ids=["negative", "wrong-length", "non-numeric"],
+)
+def test_the_behavior_reader_names_its_owner_in_initial_pmf_errors(tmp_path, initial, message):
+    doc = minimal_doc()
+    doc["target"]["initial"] = initial
+    with pytest.raises(ValidationError, match=f"tiny.json: target initial pmf: .*{message}"):
+        scenario_from_dict(doc, source="tiny.json")
+    path = tmp_path / "p.json"
+    save_policy(scenario_from_dict(minimal_doc()).target, path)
+    policy = json.loads(path.read_text())
+    policy["initial"] = initial
+    path.write_text(json.dumps(policy))
+    with pytest.raises(ValidationError, match=f"p.json: policy initial pmf: .*{message}"):
+        load_policy(path)
+    policy["initial"] = [1.0, 0.0]
+    policy["kernels"] = policy["kernels"][0]  # the scenario's 2-D shorthand is not a policy
+    path.write_text(json.dumps(policy))
+    with pytest.raises(ValidationError, match=r"policy kernels must be a \[k\]\[from\]\[to\]"):
+        load_policy(path)
+
+
 # ---------------------------------------------------------------------------
 # random generation
 # ---------------------------------------------------------------------------
