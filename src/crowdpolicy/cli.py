@@ -49,7 +49,7 @@ from .scenario import (
     save_policy,
 )
 from .simulate import (
-    monte_carlo_cost,
+    _sample_and_estimate,
     most_likely_trajectory,
     sample_trajectories,
     write_trajectories_csv,
@@ -263,11 +263,8 @@ def cmd_simulate(
     args: argparse.Namespace, scenario: Scenario, rewards: RewardSchedule, report: dict
 ) -> dict:
     policy = _policy(args, scenario)
-    trajectories = sample_trajectories(
-        policy, args.count, args.seed, target=scenario.target
-    )
     try:
-        estimate = monte_carlo_cost(
+        trajectories, estimate = _sample_and_estimate(
             policy, scenario.target, rewards, args.count, args.seed
         )
     except ValidationError:

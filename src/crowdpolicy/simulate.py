@@ -3,18 +3,20 @@
 All randomness flows from NumPy's Philox4x64 counter-based generator seeded
 with the caller's integer seed, the same contract `generate_random_scenario`
 uses, so identical seeds reproduce identical batches on any platform. Batches
-are sampled with one uniform draw per trajectory per step via inverse CDF.
+are sampled with one uniform draw per trajectory per step via inverse CDF:
+each draw takes the first entry of its guarded CDF row above the uniform.
 
-Log-probabilities come from one gathered (count, N + 1) table of log factors
-(`log_pmf` runs once per behavior, on its kernel array), summed step by
-step in path order, so each total equals the scalar chain-rule sum.
+A batch is held step-major, one (N + 1, count) index array, with one flat
+index (N, count) of every path's step in a raveled (N, d, d) kernel stack.
+Each behavior's log factors are one `take` through it (`log_pmf` runs once
+per behavior, on its kernel array), summed step by step in path order, so
+each total equals the scalar chain-rule sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -54,32 +56,58 @@ def _guarded_cumulative(rows: np.ndarray) -> np.ndarray:
 
 
 def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``count`` i.i.d. index paths of shape (count, N+1)."""
-    d, n = policy.space.size, policy.horizon
-    paths = np.empty((count, n + 1), dtype=np.int64)
+    """Sample ``count`` i.i.d. index paths of shape (count, N+1).
+
+    The paths are filled step-major, one contiguous (N + 1, count) array read
+    back through its transpose. Each draw picks the first entry of its guarded
+    CDF row above the uniform: the entries ``<= u`` form a prefix, since a row
+    never decreases before its last positive entry (even where rounding takes
+    it above 1) and is pinned to 1.0 > u from there on.
+    """
+    n = policy.horizon
+    paths = np.empty((n + 1, count), dtype=np.int64)
     cum0 = _guarded_cumulative(policy.initial.probs)
     cums = _guarded_cumulative(policy.matrices)
-    paths[:, 0] = np.minimum(
-        np.searchsorted(cum0, rng.random(count), side="right"), d - 1
-    )
+    paths[0] = np.searchsorted(cum0, rng.random(count), side="right")
     for idx in range(n):
         u = rng.random(count)
-        picked = (u[:, None] >= cums[idx, paths[:, idx]]).sum(axis=1)
-        paths[:, idx + 1] = np.minimum(picked, d - 1)
-    return paths
+        paths[idx + 1] = (np.take(cums[idx], paths[idx], axis=0) > u[:, None]).argmax(axis=1)
+    return paths.T
 
 
-def _path_log_terms(behavior: Behavior, paths: np.ndarray) -> np.ndarray:
-    """Log factors of each path, (count, N + 1): initial, then one per step (-inf: impossible)."""
-    log_kernels = log_pmf(behavior.matrices)
-    steps = np.arange(behavior.horizon)
-    initial = log_pmf(behavior.initial.probs)[paths[:, :1]]
-    return np.hstack([initial, log_kernels[steps, paths[:, :-1], paths[:, 1:]]])
+def _draw(policy: Behavior, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """One seed's step-major paths, (N + 1, count), and their `_flat_steps` index."""
+    paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
+    return paths, _flat_steps(paths, policy.space.size)
+
+
+def _flat_steps(paths: np.ndarray, d: int) -> np.ndarray:
+    """(N, count): ``(k*d + x_k)*d + x_{k+1}``, path i's step k in a raveled (N, d, d) stack."""
+    steps = np.arange(paths.shape[0] - 1)[:, None]
+    return (steps * d + paths[:-1]) * d + paths[1:]
+
+
+def _path_log_terms(behavior: Behavior, paths: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Log factors of step-major paths, (N + 1, count): initial, then one per step (-inf: impossible)."""
+    terms = np.empty(paths.shape)
+    terms[0] = log_pmf(behavior.initial.probs).take(paths[0])
+    terms[1:] = log_pmf(behavior.matrices).ravel().take(flat)
+    return terms
 
 
 def _sum_in_path_order(terms: np.ndarray) -> np.ndarray:
-    """Row sums added left to right (`np.sum` adds pairwise, which moves the last bits)."""
-    return np.cumsum(terms, axis=1)[:, -1]
+    """Column sums added top to bottom (`np.sum` adds pairwise, which moves the last bits)."""
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def _trajectories(
+    policy: Behavior, paths: np.ndarray, log_policy: np.ndarray, log_target: np.ndarray | None
+) -> list[Trajectory]:
+    """`Trajectory` objects from step-major paths and their log terms."""
+    states = zip(*np.array(policy.space.labels, dtype=object)[paths].tolist())  # one tuple per path
+    log_p = _sum_in_path_order(log_policy).tolist()
+    log_t = [None] * len(log_p) if log_target is None else _sum_in_path_order(log_target).tolist()
+    return list(map(Trajectory, states, log_p, log_t))
 
 
 def sample_trajectories(
@@ -106,18 +134,9 @@ def sample_trajectories(
         target.space != policy.space or target.horizon != policy.horizon
     ):
         raise ValueError("target must share the policy's state space and horizon")
-    rng = np.random.Generator(np.random.Philox(seed))
-    paths = _sample_paths(policy, count, rng)
-    log_policy = _sum_in_path_order(_path_log_terms(policy, paths)).tolist()
-    log_target = [None] * count
-    if target is not None:
-        log_target = _sum_in_path_order(_path_log_terms(target, paths)).tolist()
-    labels = policy.space.labels
-    # a path holds at least two states, so itemgetter returns a tuple
-    return [
-        Trajectory(itemgetter(*row)(labels), lp, lt)
-        for row, lp, lt in zip(paths.tolist(), log_policy, log_target)
-    ]
+    paths, flat = _draw(policy, count, seed)
+    log_target = None if target is None else _path_log_terms(target, paths, flat)
+    return _trajectories(policy, paths, _path_log_terms(policy, paths, flat), log_target)
 
 
 def most_likely_trajectory(policy: Behavior) -> Trajectory:
@@ -142,7 +161,8 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
         step_scores = log_kernels[idx][path[idx]] + best[idx + 1]
         path[idx + 1] = int(np.argmax(step_scores))
     states = tuple(policy.space.labels[i] for i in path)
-    log_prob = _sum_in_path_order(_path_log_terms(policy, path[None, :]))[0]
+    column = path[:, None]
+    log_prob = _sum_in_path_order(_path_log_terms(policy, column, _flat_steps(column, d)))[0]
     return Trajectory(states, float(log_prob))
 
 
@@ -177,33 +197,58 @@ def monte_carlo_cost(
             steps, overflow (the first such step is named), or if the sampled
             costs overflow their mean or standard error; the path count is named.
     """
+    return _estimate(rewards, *_checked_draw(policy, target, rewards, count, seed))
+
+
+def _checked_draw(
+    policy: Behavior, target: Behavior, rewards: RewardSchedule, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`monte_carlo_cost`'s checks, then one draw: step-major paths and both log-term tables."""
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_setup(policy, target, rewards)
-    rng = np.random.Generator(np.random.Philox(seed))
-    paths = _sample_paths(policy, count, rng)
-    log_p = _path_log_terms(policy, paths)[:, 1:]
-    log_t = _path_log_terms(target, paths)[:, 1:]
+    paths, flat = _draw(policy, count, seed)
+    return paths, _path_log_terms(policy, paths, flat), _path_log_terms(target, paths, flat)
+
+
+def _estimate(
+    rewards: RewardSchedule, paths: np.ndarray, log_policy: np.ndarray, log_target: np.ndarray
+) -> MonteCarloEstimate:
+    """The Monte Carlo estimate over step-major paths, raising as `monte_carlo_cost` does."""
+    count = paths.shape[1]
+    log_p, log_t = log_policy[1:], log_target[1:]
     dead = np.isneginf(log_t)
     if dead.any():
-        idx = int(np.argmax(dead.any(axis=0)))  # earliest step, then lowest path
-        labels = tuple(policy.space.labels[i] for i in paths[np.argmax(dead[:, idx])])
+        idx = int(np.argmax(dead.any(axis=1)))  # earliest step, then lowest path
+        labels = tuple(rewards.space.labels[i] for i in paths[:, np.argmax(dead[idx])])
         raise ValueError(
             f"sampled trajectory {labels} has target probability 0 at step "
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
-    collected = rewards.values[np.arange(policy.horizon), paths[:, 1:]]
+    collected = rewards.values[np.arange(rewards.horizon)[:, None], paths[1:]]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        running = np.cumsum(log_p - log_t - collected, axis=1)  # as _sum_in_path_order
-        z = running[:, -1]
+        running = np.cumsum(log_p - log_t - collected, axis=0)  # as _sum_in_path_order
+        z = running[-1]
         estimate = float(z.mean())
         stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     if not (math.isfinite(estimate) and math.isfinite(stderr)):  # a cost or their sum overflowed
-        steps = ~np.isfinite(running).all(axis=0)  # sums stay non-finite once they overflow
+        steps = ~np.isfinite(running).all(axis=1)  # sums stay non-finite once they overflow
         k = int(np.argmax(steps)) + 1
         where = f"sampled cost at k={k}" if steps.any() else f"estimate over {count} sampled paths"
         raise _reward_overflow(where)
     return MonteCarloEstimate(estimate, stderr, count)
+
+
+def _sample_and_estimate(
+    policy: Behavior, target: Behavior, rewards: RewardSchedule, count: int, seed: int
+) -> tuple[list[Trajectory], MonteCarloEstimate]:
+    """`sample_trajectories(policy, count, seed, target)` and `monte_carlo_cost` from one draw.
+
+    Raises as `monte_carlo_cost` does, before any trajectory is built.
+    """
+    paths, log_p, log_t = _checked_draw(policy, target, rewards, count, seed)
+    estimate = _estimate(rewards, paths, log_p, log_t)
+    return _trajectories(policy, paths, log_p, log_t), estimate
 
 
 #: Column layout of `write_trajectories_csv`.

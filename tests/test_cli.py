@@ -513,6 +513,26 @@ def test_simulate_off_support_policy_exits_3(tmp_path, capsys):
     assert "target probability 0" in capsys.readouterr().err
 
 
+def test_simulate_draws_its_paths_once(tmp_path, monkeypatch):
+    import crowdpolicy.simulate as simulate
+
+    draws = []
+    sample_paths = simulate._sample_paths
+    monkeypatch.setattr(
+        simulate, "_sample_paths", lambda *args: draws.append(args) or sample_paths(*args)
+    )
+    syn = tmp_path / "syn"
+    main(["synthesize", "--scenario", DEMO, "--reward-profile", "favor-node-2",
+          "--out", str(syn)])
+    rc = main(
+        ["simulate", "--scenario", DEMO, "--reward-profile", "favor-node-2",
+         "--policy", str(syn / "policy.json"), "--count", "20", "--seed", "7",
+         "--out", str(tmp_path / "sim")]
+    )
+    assert rc == 0
+    assert len(draws) == 1
+
+
 def test_bad_seed_and_count_rejected():
     with pytest.raises(SystemExit):
         main(["simulate", "--scenario", DEMO, "--policy", "p.json",

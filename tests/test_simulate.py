@@ -21,6 +21,7 @@ from crowdpolicy.scenario import generate_random_scenario
 from crowdpolicy.simulate import (
     MonteCarloEstimate,
     Trajectory,
+    _sample_and_estimate,
     _sample_paths,
     monte_carlo_cost,
     most_likely_trajectory,
@@ -208,6 +209,62 @@ def test_overflowing_mean_of_finite_path_costs_is_a_validation_error(reward):
     assert str(err.value) == (
         "rewards overflow the estimate over 2 sampled paths; keep their sum below 1.8e308"
     )
+
+
+def test_dead_trajectories_name_the_earliest_step_before_the_lowest_path():
+    # a -> b dies at step 1 and a -> a -> b at step 2; at seed 17 paths 0-2
+    # die at step 2 and path 3 at step 1, so path 3 is named
+    space = StateSpace(("a", "b"))
+    policy = behavior(space, [1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]])
+    target = behavior(space, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    rewards = RewardSchedule(space, np.zeros((2, 2)))
+    drawn = [t.states for t in sample_trajectories(policy, 4, seed=17)]
+    assert drawn == [("a", "a", "b")] * 3 + [("a", "b", "b")]
+    with pytest.raises(ValueError) as err:
+        monte_carlo_cost(policy, target, rewards, count=4, seed=17)
+    assert str(err.value) == (
+        "sampled trajectory ('a', 'b', 'b') has target probability 0 at step 1; "
+        "the cost is undefined for this policy/target pair"
+    )
+
+
+@pytest.mark.parametrize("seed, k", [(17, 2), (1, 3)])
+def test_reward_overflow_names_the_earliest_step_over_all_paths(seed, k):
+    # each step in b adds 1e308 to a path's cost, so a path that enters b at
+    # step j overflows at k = j + 1; at seed 17 only the last path enters at
+    # step 1, at seed 1 none does
+    space = StateSpace(("a", "b"))
+    step = [[0.5, 0.5], [0.0, 1.0]]
+    policy = behavior(space, [1.0, 0.0], step, step, step)
+    rewards = RewardSchedule(space, np.tile([0.0, -1e308], (3, 1)))
+    entered = [t.states.index("b") for t in sample_trajectories(policy, 4, seed) if "b" in t.states]
+    assert min(entered) + 1 == k
+    assert seed != 17 or entered[-1] < min(entered[:-1])
+    with pytest.raises(ValidationError) as err:
+        monte_carlo_cost(policy, policy, rewards, count=4, seed=seed)
+    assert str(err.value) == (
+        f"rewards overflow the sampled cost at k={k}; keep their sum below 1.8e308"
+    )
+
+
+@pytest.mark.parametrize("target_zero_share, huge", [(0.0, False), (0.5, False), (0.0, True)])
+def test_one_draw_equals_the_two_public_calls(target_zero_share, huge):
+    # the CLI's one draw: the same trajectories, estimate and first error (a
+    # dead path, or rewards of +/-1e308 overflowing a path's cost)
+    space = StateSpace(tuple(f"s{i}" for i in range(5)))
+    rng = np.random.default_rng(3)
+    policy = _random_behavior(space, 4, rng, 0.3)
+    target = _random_behavior(space, 4, rng, target_zero_share)
+    values = rng.choice([-1e308, 1e308], size=(4, 5)) if huge else rng.normal(size=(4, 5))
+    rewards = RewardSchedule(space, values)
+    try:
+        got = _sample_and_estimate(policy, target, rewards, 300, 9)
+    except ValueError as exc:
+        got = str(exc)
+    want = _outcome(monte_carlo_cost, policy, target, rewards, 300, 9)
+    if not isinstance(want, str):
+        want = (sample_trajectories(policy, 300, 9, target), want)
+    assert got == want
 
 
 def test_monte_carlo_setup_validation():
@@ -406,6 +463,44 @@ def test_sampled_paths_equal_the_per_step_reference(
     )
     got = _sample_paths(policy, count, _uniform_source(seed, scripted))
     want = _reference_sample_paths(policy, count, _uniform_source(seed, scripted))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert (policy.initial.probs[got[:, 0]] > 0).all()
+    assert (policy.matrices[np.arange(horizon), got[:, :-1], got[:, 1:]] > 0).all()
+
+
+def _awkward_rows(rng, shape):
+    """Random pmf rows; every third row runs above 1.0 before its last positive entry,
+    and every third, starting at the second, holds 5e-324 entries (its last zero
+    included, so a denormal can be the last positive entry)."""
+    rows = _random_rows(rng, shape, 0.5).reshape(-1, shape[-1])
+    for row in rows[0::3]:
+        row[:] = 0.0
+        row[np.sort(rng.choice(row.size, 3, replace=False))] = [0.6, 0.4 + 4e-10, 1e-12]
+    for row in rows[1::3]:
+        row[np.flatnonzero(row == 0.0)[::-2]] = 5e-324
+    return rows.reshape(shape)
+
+
+@pytest.mark.parametrize("d", [16, 20, 64])
+@pytest.mark.parametrize(
+    "scripted",
+    [None, [0.0, 0.3, 0.6, np.nextafter(0.6, 0.0), 0.9999999996, 1.0 - 1e-12, LAST_UNIFORM]],
+)
+def test_sampled_paths_equal_the_per_step_reference_at_workload_scale(d, scripted):
+    # [0.6, 0.4 + 4e-10, 1e-12] sums within PROB_TOL of 1, but its CDF reads
+    # 1.0000000004 before the pinned tail: the draws stay equal only because the
+    # entries <= u still form a prefix of every row
+    space = StateSpace(tuple(range(d)))
+    rng = np.random.default_rng(d)
+    horizon, count = 4, 2000
+    policy = Behavior(
+        StatePMF(space, _awkward_rows(rng, (1, d))[0]),
+        tuple(TransitionKernel(space, kernel) for kernel in _awkward_rows(rng, (horizon, d, d))),
+    )
+    got = _sample_paths(policy, count, _uniform_source(d, scripted))
+    want = _reference_sample_paths(policy, count, _uniform_source(d, scripted))
+    assert got.shape == (count, horizon + 1)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert (policy.initial.probs[got[:, 0]] > 0).all()
