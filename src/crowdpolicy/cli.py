@@ -364,14 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="parse and validate a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    _add_tolerance_flags(p)
     p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("synthesize", help="build the switched agent policy")
     p.add_argument("--scenario", required=True)
     p.add_argument("--reward-profile", dest="reward_profile", default=None)
     p.add_argument("--out", required=True, help="output directory")
-    _add_tolerance_flags(p)
     p.set_defaults(handler=cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="cost a policy file against a scenario")
@@ -379,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True, help="policy JSON file")
     p.add_argument("--reward-profile", dest="reward_profile", default=None)
     p.add_argument("--out", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("oracle", help="compare the synthesized bound to schedule search")
@@ -393,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the mixture-weight grid oracle at this resolution",
     )
     p.add_argument("--out", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("simulate", help="sample trajectories and estimate the cost")
@@ -403,15 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_count_type, required=True)
     p.add_argument("--seed", type=_seed_type, required=True)
     p.add_argument("--out", required=True)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("demo", help="run the bundled six-node road-network demo")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed_type, default=0)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=cmd_demo)
 
+    for p in sub.choices.values():
+        _add_tolerance_flags(p)
     return parser
 
 

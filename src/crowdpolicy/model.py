@@ -132,8 +132,7 @@ class StateSpace:
             raise ValueError("state space must contain at least one state")
         if len(set(labels)) != len(labels):
             raise ValueError("state labels must be unique")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        _set(self, labels=labels, _index={lab: i for i, lab in enumerate(labels)})
 
     @property
     def size(self) -> int:
@@ -247,7 +246,7 @@ class RewardSchedule(_FrozenValue):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float, order="C")  # a copy of its own
         if arr.ndim != 2 or arr.shape[1] != self.space.size:
             raise ValueError(
                 f"rewards must have shape (N, {self.space.size}), got {arr.shape}"
@@ -256,7 +255,6 @@ class RewardSchedule(_FrozenValue):
             raise ValueError("reward schedule must cover at least one step")
         if not np.all(np.isfinite(arr)):
             raise ValueError("rewards must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -276,7 +274,7 @@ class WeightVector(_FrozenValue):
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.weights, dtype=float)
+        arr = np.array(self.weights, dtype=float, order="C")  # a copy of its own
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must be a non-empty vector")
         if not np.all(np.isfinite(arr)):
@@ -285,7 +283,6 @@ class WeightVector(_FrozenValue):
             raise ValueError("weights must be non-negative")
         if abs(float(arr.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {arr.sum()!r}, outside 1 +/- {WEIGHT_TOL}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
 
@@ -314,22 +311,24 @@ def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Accepts arrays of shape (..., d); returns shape (...). Entries where the
     first argument is zero contribute nothing; any row placing mass where the
-    second argument has none evaluates to +inf.
+    second argument has none evaluates to +inf. On rows that are not pmfs, NaN or
+    negative entries may make a row NaN, and a term whose ratio underflows to 0 counts 0.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    support = p > 0
+    missing = q == 0.0  # a row with mass there is +inf below; divide it by 1 meanwhile
+    terms = np.add(q, missing)  # the one float temporary: ratio, then log, then term
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = p / q
-        terms[~(support & (q > 0))] = 1.0  # log 1 = 0: no term where p is 0, none yet where q is
+        np.divide(p, terms, out=terms)
+        terms += terms == 0.0  # log 1 = 0: no term where p is 0
         overflowed = np.isinf(terms)  # p / q overflows where q is a positive subnormal
         np.log(terms, out=terms)
         terms[overflowed] = np.log(p[overflowed]) - np.log(q[overflowed])
         terms *= p
     out = np.maximum(terms.sum(axis=-1), 0.0)  # clamp -1e-17 noise from near-equal rows
-    violated = (support & (q == 0.0)).any(axis=-1)
+    violated = np.logical_and(missing, p > 0, out=missing).any(axis=-1)
     return np.where(violated, np.inf, out)
 
 

@@ -10,15 +10,18 @@ The construction works backward in time. At the final step each contributor
 is scored, per conditioning state, by its row's KL divergence from the target
 row minus the expected reward its row collects. Minimizing a linear score
 over simplex weights always lands on a vertex, so the best single contributor
-is selected outright (one array argmin per step; ties go to the lowest
-index). The negated selected score is then carried one step back as a
-value-to-go bonus added to the raw reward, and the procedure repeats. The
-result is a per-(step, state) switch between contributors; the agent's row
-is the selected contributor's row verbatim. The KL part of the scores does
-not depend on the rewards, so it is tabulated once per (target, pool): the
-pool holds the read-only table of the last target it was scored against, and
-that one table feeds both the filter and the recursion of every later call
-with the same target object.
+is selected outright (ties go to the lowest index). The negated best score is
+carried one step back as a value-to-go bonus added to the raw reward, and the
+procedure repeats. The backward pass does only that: per step, one product of
+the pool's rows with reward plus bonus and one subtraction from the KL table,
+into buffers that hold every step. After it, one pass over the buffers checks
+for overflow and for states every contributor scores +inf, naming the first
+step the backward pass met; one argmin selects, and one gather from the pool
+copies each selected row verbatim into the agent's switched kernels. The KL
+part of the scores does not depend on the rewards, so it is tabulated once per
+(target, pool): the pool holds the read-only table of the last target it was
+scored against, and that one table feeds both the filter and the recursion of
+every later call with the same target object.
 """
 
 from __future__ import annotations
@@ -281,31 +284,34 @@ def synthesize(
             ids, keep, kl = report.retained_ids, retained, kl[retained]
 
     n, d, s = target.horizon, target.space.size, len(ids)
-    scores = np.empty((n, d, s))
-    selected = np.empty((n, d), dtype=int)
     r_hat = np.empty((n, d))
     r_bar = np.empty((n, d))
-    agent_rows = np.empty((n, d, d))
+    expected = np.empty((n, s, d))  # rows @ r_bar per step, contributor-major like `kl`
+    work = np.empty((n, s, d))  # kl - expected: the scores, contributor-major
 
     value_to_go = np.zeros(d)  # r_hat at the step being processed; zero at k = N
     for idx in range(n - 1, -1, -1):
         r_hat[idx] = value_to_go
         r_bar[idx] = rewards.values[idx] + value_to_go
-        rows = contributors.matrices[keep, idx]  # (s, d, d)
-        expected = rows @ r_bar[idx]
-        if not np.all(np.isfinite(expected)):  # KL is finite or +inf, so only rewards overflow
-            raise _reward_overflow(f"value-to-go at k={idx + 1}")
-        scores[idx] = (kl[:, idx] - expected).T
-        dead = np.isinf(scores[idx]).all(axis=1)
-        if dead.any():
-            raise InfeasibleError(
-                f"every contributor score is +inf at k={idx + 1}, "
-                f"state={target.space.label(int(dead.argmax()))!r}"
-            )
-        selected[idx] = scores[idx].argmin(axis=1)  # first minimizer: ties to the lowest index
-        agent_rows[idx] = rows[selected[idx], np.arange(d)]
-        value_to_go = -scores[idx].min(axis=1)
+        np.matmul(contributors.matrices[keep, idx], r_bar[idx], out=expected[idx])
+        value_to_go = -np.subtract(kl[:, idx], expected[idx], out=work[idx]).min(axis=0)
 
+    # the pass's checks: the first step it met fails, overflow first; later steps ran on garbage
+    overflowed = ~np.isfinite(expected).all(axis=(1, 2))  # KL is finite or +inf: rewards overflow
+    dead = np.isinf(work).all(axis=1)
+    failed = np.flatnonzero(overflowed | dead.any(axis=1))
+    if failed.size:
+        idx = int(failed[-1])
+        if overflowed[idx]:
+            raise _reward_overflow(f"value-to-go at k={idx + 1}")
+        raise InfeasibleError(
+            f"every contributor score is +inf at k={idx + 1}, "
+            f"state={target.space.label(int(dead[idx].argmax()))!r}"
+        )
+    scores = np.ascontiguousarray(work.transpose(0, 2, 1))
+    selected = scores.argmin(axis=2)  # first minimizer: ties to the lowest index
+    picks = np.arange(contributors.size)[keep][selected]  # pool index of each selection
+    agent_rows = contributors.matrices[picks, np.arange(n)[:, None], np.arange(d)]
     weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
     agent = Behavior._of(target.initial, agent_rows)  # rows copied from validated kernels
     for arr in (scores, selected, weights, r_hat, r_bar):

@@ -10,15 +10,20 @@ allocate more than one pool.
 
 The pool holds one KL table, for the last target it was scored against: at
 most ``POOL_BYTES / D`` bytes, a warm call allocates less than the cold call
-that built it, and the table keeps no target alive.
+that built it, and the table keeps no target alive. A pool the filter thins is
+read step by step, never copied whole, and `kl_rows` holds one float
+temporary the size of its input.
 """
 
 import gc
 import tracemalloc
 import weakref
 
+import numpy as np
+
 from crowdpolicy import generate_random_scenario, synthesize
-from crowdpolicy.synthesis import _kl_table
+from crowdpolicy.model import Behavior, kl_rows
+from crowdpolicy.synthesis import ContributorSet, _kl_table
 
 D, HORIZON, CONTRIBUTORS = 64, 16, 12
 POOL_BYTES = CONTRIBUTORS * HORIZON * D * D * 8
@@ -67,3 +72,45 @@ def test_held_table_is_small_warm_calls_allocate_less_and_no_target_is_kept_aliv
     del target
     gc.collect()
     assert dropped() is None
+
+
+def _peak_of(call, *args, **kwargs):
+    """Bytes `call` allocates on the heap above what was held before it, at its peak."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline, _ = tracemalloc.get_traced_memory()
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_filtered_pool_is_read_step_by_step_never_copied_whole():
+    # the target is contributor 0's kernels, zeros included; odd contributors
+    # reweight it on its support and are kept, the random even ones after 0 are
+    # dropped
+    scenario = generate_random_scenario(11, D, HORIZON, CONTRIBUTORS, sparsity=0.3)
+    source = scenario.contributors.matrices
+    target = Behavior._of(scenario.target.initial, np.array(source[0]))
+    rng = np.random.default_rng(5)
+    matrices = np.array(source)
+    kept = target.matrices * rng.uniform(0.5, 1.5, (CONTRIBUTORS // 2, HORIZON, D, D))
+    matrices[1::2] = kept / kept.sum(axis=-1, keepdims=True)
+    contributors = ContributorSet._of(scenario.space, matrices, scenario.contributors.ids)
+    rewards = scenario.reward_profile()
+    synthesize(target, contributors, rewards)  # cold: builds the held table
+    peak = _peak_of(synthesize, target, contributors, rewards)
+    retained = synthesize(target, contributors, rewards).contributor_ids
+    assert CONTRIBUTORS // 2 <= len(retained) < CONTRIBUTORS
+    assert peak < len(retained) * POOL_BYTES // CONTRIBUTORS // 2
+
+
+def test_kl_rows_holds_one_float_temporary():
+    # the ratio, its log and the terms share one buffer; a form holding two
+    # input-sized float temporaries at once peaks above two inputs, and at
+    # 512 KB each they trip glibc's trim threshold on every request
+    scenario = generate_random_scenario(11, D, HORIZON, 1, sparsity=0.3)
+    p, q = np.array(scenario.contributors.matrices[0]), scenario.target.matrices
+    kl_rows(p, q)
+    assert _peak_of(kl_rows, p, q) < 2 * p.nbytes

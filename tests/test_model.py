@@ -426,6 +426,55 @@ def test_kl_rows_equals_the_two_path_reference(pair):
     assert got.tobytes() == _reference_kl_rows(p, q).tobytes()
 
 
+NAN = math.nan
+
+#: Pairs the random net draws rarely or never: d = 1, all-zero p rows against
+#: zero q entries, subnormal q, and NaN p.
+KL_EDGE_PAIRS = [
+    ([1.0], [1.0]),
+    ([0.0], [0.0]),
+    ([1.0], [0.0]),
+    ([0.0], [1.0]),
+    ([[1.0], [0.0], [1.0]], [[1.0], [1.0], [5e-324]]),
+    ([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0]], [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+    ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+    ([0.5, 0.5], [1.0, 5e-324]),
+    ([[0.5, 0.5], [5e-324, 1.0], [0.0, 1.0]], [[1e-310, 1.0], [5e-324, 1.0], [5e-324, 1.0]]),
+    ([NAN, 0.5], [0.5, 0.5]),
+    ([NAN, 0.5], [0.0, 1.0]),
+    ([NAN, 1.0], [0.5, 0.0]),
+    ([[NAN, NAN], [0.5, 0.5]], [[0.5, 0.5], [5e-324, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("p, q", KL_EDGE_PAIRS)
+def test_kl_rows_equals_the_two_path_reference_at_the_edges(p, q):
+    got, want = kl_rows(p, q), _reference_kl_rows(p, q)
+    assert got.shape == np.shape(p)[:-1]
+    # the reference drops a NaN term of p; kl_rows keeps the row NaN unless it is +inf
+    nan_rows = np.isnan(p).any(axis=-1) & ~np.isinf(want)
+    assert np.isnan(got[nan_rows]).all()
+    assert got[~nan_rows].tobytes() == want[~nan_rows].tobytes()
+
+
+def test_kl_rows_drops_a_term_whose_ratio_underflows_off_pmfs():
+    # no pmf entry is 2 or more, but there p / q can underflow to 0 with p > 0.
+    # That term counts 0 (its value, about -4e-321, rounds away beside log 2);
+    # the two-path reference took its log as -inf and clamped the row to 0.
+    p = np.array([0.5, 0.5, 5e-324])
+    q = np.array([0.25, 0.25, 4.0])
+    assert p[2] / q[2] == 0.0
+    assert float(kl_rows(p, q)) == float(kl_rows(p[:2], q[:2])) == math.log(2.0)
+    assert float(_reference_kl_rows(p, q)) == 0.0
+
+
+def test_kl_rows_reads_a_nan_in_either_argument_as_nan():
+    assert math.isnan(kl_rows([0.5, 0.5], [NAN, 1.0]))  # the two-path reference dropped it
+    assert math.isnan(kl_rows([0.0, 1.0], [NAN, 1.0]))
+    assert math.isnan(kl_rows([NAN, 0.5], [0.5, 0.5]))
+    assert kl_rows([NAN, 1.0], [1.0, 0.0]) == math.inf  # a violation still wins
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=6),

@@ -10,6 +10,10 @@ from crowdpolicy.model import _FrozenValue
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "crowdpolicy"
 
+#: Most lines the package source may hold: a change that adds lines pays for
+#: them with deletions elsewhere, not by joining statements or cutting docstrings.
+LINE_BUDGET = 2512
+
 
 def test_package_source_has_no_assert_statements():
     # python -O strips asserts, so a check written as one would vanish; the
@@ -48,3 +52,10 @@ def test_every_dataclass_holding_an_array_is_a_frozen_value_with_no_eq_of_its_ow
         if not issubclass(cls, _FrozenValue) or "__eq__" in vars(cls)
     ]
     assert offenders == []
+
+
+def test_package_source_stays_within_the_line_budget():
+    paths = sorted(SOURCE.glob("*.py"))
+    assert paths, f"no source files under {SOURCE}"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
+    assert lines <= LINE_BUDGET

@@ -556,6 +556,169 @@ def test_unreachable_support_violations_equal_the_reference():
         synthesize(target, alone, rewards, prefilter=False)
 
 
+def test_signed_zero_ties_equal_the_reference():
+    # every contributor equals the target, so every KL is +0.0; with rewards of
+    # +0.0 and -0.0 every score is a zero tie, the lowest index wins, and the
+    # bonus and reward-plus-bonus keep the reference's sign bits
+    rows = [[0.6, 0.4], [0.1, 0.9]]
+    target = Behavior(StatePMF(AB, np.array([0.5, 0.5])), homogeneous(AB, rows, 3))
+    contributors = pool(3, rows, rows, rows)
+    for signs in ([[0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]], [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]):
+        rewards = RewardSchedule(AB, np.array(signs))
+        for prefilter in (True, False):
+            assert_matches_reference(target, contributors, rewards, prefilter)
+        policy = synthesize(target, contributors, rewards)
+        assert (policy.scores == 0.0).all() and (policy.selected == 0).all()
+    assert np.signbit(policy.r_hat[:-1]).all() and not np.signbit(policy.r_hat[-1]).any()
+
+
+def _steps(*matrices):
+    return tuple(TransitionKernel(AB, np.asarray(m, dtype=float)) for m in matrices)
+
+
+def test_a_filtered_pool_gathers_the_agent_rows_through_the_retained_indices():
+    # the target has no mass on 'b' out of 'a' at k=1, where the leaky contributors
+    # put some: they are dropped, retained contributor j sits at pool index 2j + 1,
+    # and every agent row must be read from there, not from pool index j
+    target = Behavior(
+        StatePMF(AB, np.array([0.5, 0.5])),
+        _steps([[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]),
+    )
+    leaky = _steps([[0.5, 0.5], [0.9, 0.1]], [[0.9, 0.1], [0.9, 0.1]])
+    good0 = _steps([[1.0, 0.0], [0.2, 0.8]], [[0.3, 0.7], [0.3, 0.7]])
+    good1 = _steps([[1.0, 0.0], [0.8, 0.2]], [[0.7, 0.3], [0.7, 0.3]])
+    contributors = ContributorSet(
+        AB, (leaky, good0, leaky, good1), ("leaky0", "good0", "leaky1", "good1")
+    )
+    rewards = RewardSchedule(AB, np.array([[2.0, 0.0], [0.0, 1.0]]))
+    assert_matches_reference(target, contributors, rewards, prefilter=True)
+    policy = synthesize(target, contributors, rewards)
+    assert policy.contributor_ids == ("good0", "good1")
+    assert policy.selection_table() == [["good0", "good1"], ["good0", "good0"]]
+    for k in (1, 2):
+        for x in (0, 1):
+            source = contributors.kernel(2 * int(policy.selected[k - 1, x]) + 1, k)
+            assert _bits(policy.agent.kernels[k - 1].matrix[x]) == _bits(source.matrix[x])
+
+
+# ---------------------------------------------------------------------------
+# the checks the backward pass runs after it: the first step it met fails
+# ---------------------------------------------------------------------------
+
+#: A reward whose double leaves the finite floats: two steps of it overflow a value-to-go.
+BIG = 1.7e308
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_first_failure(target, contributors, rewards):
+    """Reference: the checks `synthesize` once ran inside its backward loop, raised at once.
+
+    Step by step from k = N, every contributor row's expected reward plus
+    bonus is checked finite before any state is checked for scores that are
+    all +inf. Returns None when no step fails.
+    """
+    value_to_go = np.zeros(target.space.size)
+    for k in range(target.horizon, 0, -1):
+        rows = contributors.matrices[:, k - 1]
+        expected = rows @ (rewards.values[k - 1] + value_to_go)
+        if not np.isfinite(expected).all():
+            raise ValidationError(
+                f"rewards overflow the value-to-go at k={k}; keep their sum below 1.8e308"
+            )
+        target_rows = np.broadcast_to(target.matrices[k - 1], rows.shape)
+        scores = kl_rows(rows, target_rows) - expected
+        for x in range(target.space.size):
+            if np.isinf(scores[:, x]).all():
+                raise InfeasibleError(
+                    f"every contributor score is +inf at k={k}, "
+                    f"state={target.space.label(x)!r}"
+                )
+        value_to_go = -scores.min(axis=0)
+    return None
+
+
+def assert_fails_as_the_reference(target, contributors, rewards, error, message):
+    want = _outcome(_reference_first_failure, target, contributors, rewards)
+    assert want == (error, message)
+    assert _outcome(synthesize, target, contributors, rewards, prefilter=False) == want
+
+
+SPREAD = [[0.5, 0.5], [0.5, 0.5]]
+ONLY_A = [[1.0, 0.0], [1.0, 0.0]]
+
+
+def test_an_infeasible_state_met_before_an_overflow_is_reported():
+    # k=3 has no contributor for state 'a'; its -inf bonus then makes k=2's
+    # expected rewards non-finite, a failure the pass meets only later
+    target = Behavior(StatePMF(AB, np.array([1.0, 0.0])), _steps(SPREAD, SPREAD, ONLY_A))
+    contributors = ContributorSet(AB, (_steps(SPREAD, SPREAD, SPREAD),) * 2, ("c0", "c1"))
+    rewards = RewardSchedule(AB, np.array([[BIG, BIG], [0.0, 0.0], [1.0, 1.0]]))
+    assert_fails_as_the_reference(
+        target, contributors, rewards,
+        InfeasibleError, "every contributor score is +inf at k=3, state='a'",
+    )
+
+
+def test_an_overflow_met_before_an_infeasible_state_is_reported():
+    # rewards at k=2 and k=3 overflow k=2's value-to-go; k=1 has no contributor
+    # for state 'a', but the pass meets k=2 first
+    target = Behavior(StatePMF(AB, np.array([1.0, 0.0])), _steps(ONLY_A, SPREAD, SPREAD))
+    contributors = ContributorSet(AB, (_steps(SPREAD, SPREAD, SPREAD),) * 2, ("c0", "c1"))
+    rewards = RewardSchedule(AB, np.array([[0.0, 0.0], [BIG, BIG], [BIG, BIG]]))
+    assert_fails_as_the_reference(
+        target, contributors, rewards,
+        ValidationError, "rewards overflow the value-to-go at k=2; keep their sum below 1.8e308",
+    )
+
+
+def test_an_overflow_and_an_infeasible_state_at_one_step_report_the_overflow():
+    # k=2 has no contributor for state 'a', and its value-to-go overflows to
+    # -inf, which makes every score at k=2 +inf as well
+    target = Behavior(StatePMF(AB, np.array([1.0, 0.0])), _steps(SPREAD, ONLY_A, SPREAD))
+    contributors = ContributorSet(AB, (_steps(SPREAD, SPREAD, SPREAD),) * 2, ("c0", "c1"))
+    rewards = RewardSchedule(AB, np.array([[0.0, 0.0], [-BIG, -BIG], [-BIG, -BIG]]))
+    assert_fails_as_the_reference(
+        target, contributors, rewards,
+        ValidationError, "rewards overflow the value-to-go at k=2; keep their sum below 1.8e308",
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    horizon=st.integers(1, 4),
+    size=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    target_zero_share=st.sampled_from([0.0, 0.3, 0.7]),
+    big=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([BIG, -BIG])), max_size=4),
+)
+def test_unfiltered_failures_name_the_first_step_the_pass_meets(
+    d, horizon, size, seed, target_zero_share, big
+):
+    # zeroed target entries leave +inf scores and all-+inf states; huge rewards
+    # at two neighbouring steps overflow the earlier one's value-to-go
+    space = StateSpace(tuple(f"s{i}" for i in range(d)))
+    rng = np.random.default_rng(seed)
+    target = Behavior(
+        StatePMF(space, _random_rows(rng, (d,), target_zero_share)),
+        _kernels(space, _random_rows(rng, (horizon, d, d), target_zero_share)),
+    )
+    contributors = ContributorSet(
+        space,
+        tuple(_kernels(space, _random_rows(rng, (horizon, d, d), 0.3)) for _ in range(size)),
+        tuple(f"c{i}" for i in range(size)),
+    )
+    values = rng.uniform(-1.0, 1.0, (horizon, d))
+    for step, reward in big:
+        values[step % horizon] = reward
+    rewards = RewardSchedule(space, values)
+    want = _outcome(_reference_first_failure, target, contributors, rewards)
+    if want is None:
+        assert_matches_reference(target, contributors, rewards, prefilter=False)
+    else:
+        assert _outcome(synthesize, target, contributors, rewards, prefilter=False) == want
+
+
 # ---------------------------------------------------------------------------
 # the KL table a pool holds for the last target it was scored against
 # ---------------------------------------------------------------------------
