@@ -49,7 +49,7 @@ from .scenario import (
     save_policy,
 )
 from .simulate import (
-    _sample_and_estimate,
+    monte_carlo_cost,
     most_likely_trajectory,
     sample_trajectories,
     write_trajectories_csv,
@@ -264,13 +264,12 @@ def cmd_simulate(
 ) -> dict:
     policy = _policy(args, scenario)
     try:
-        trajectories, estimate = _sample_and_estimate(
-            policy, scenario.target, rewards, args.count, args.seed
-        )
+        estimate = monte_carlo_cost(policy, scenario.target, rewards, args.count, args.seed)
     except ValidationError:
         raise
     except ValueError as exc:  # a sampled path the target cannot produce
         raise InfeasibleError(str(exc)) from None
+    trajectories = sample_trajectories(policy, args.count, args.seed, scenario.target)
     exact = evaluate_cost(policy, scenario.target, rewards)
     out = _out_dir(args)
     write_trajectories_csv(trajectories, out / "trajectories.csv")

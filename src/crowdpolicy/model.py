@@ -201,12 +201,15 @@ class Behavior(_FrozenValue):
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
     once, as the read-only ``(N, d, d)`` array ``matrices``; each of
-    ``kernels`` is a view of one of its matrices.
+    ``kernels`` is a view of one of its matrices. The behavior also holds its
+    last sampled draw, which `sample_trajectories` and `monte_carlo_cost`
+    share; it is not compared, and a pickled or copied behavior starts without it.
     """
 
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`
     matrices: np.ndarray = field(init=False, repr=False)
+    _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
 
     def __post_init__(self) -> None:
         kernels = tuple(self.kernels)

@@ -10,7 +10,9 @@ A batch is held step-major, one (N + 1, count) index array, with one flat
 index (N, count) of every path's step in a raveled (N, d, d) kernel stack.
 Each behavior's log factors are one `take` through it (`log_pmf` runs once
 per behavior, on its kernel array), summed step by step in path order, so
-each total equals the scalar chain-rule sum.
+each total equals the scalar chain-rule sum. A behavior holds its last draw,
+read-only, for a plain-int (seed, count): `sample_trajectories` and
+`monte_carlo_cost` with that seed and count share one draw.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import _reward_overflow
 from .evaluation import _check_setup
-from .model import Behavior, Label, RewardSchedule, log_pmf
+from .model import Behavior, Label, RewardSchedule, _set, log_pmf
 from .scenario import _atomic_write_text, _csv_text
 
 
@@ -76,9 +78,20 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
 
 
 def _draw(policy: Behavior, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One seed's step-major paths, (N + 1, count), and their `_flat_steps` index."""
+    """One seed's read-only step-major paths, (N + 1, count), and `_flat_steps` index; held."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    key = (seed, count) if type(seed) is int and type(count) is int else None
+    held = policy._drawn
+    if held is not None and held[0] == key:
+        return held[1], held[2]
     paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
-    return paths, _flat_steps(paths, policy.space.size)
+    flat = _flat_steps(paths, policy.space.size)
+    paths.setflags(write=False)
+    flat.setflags(write=False)
+    if key is not None:
+        _set(policy, _drawn=(key, paths, flat))  # one assignment: safe across threads
+    return paths, flat
 
 
 def _flat_steps(paths: np.ndarray, d: int) -> np.ndarray:
@@ -128,8 +141,6 @@ def sample_trajectories(
     Returns:
         Trajectories in draw order.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if target is not None and (
         target.space != policy.space or target.horizon != policy.horizon
     ):
@@ -204,8 +215,6 @@ def _checked_draw(
     policy: Behavior, target: Behavior, rewards: RewardSchedule, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`monte_carlo_cost`'s checks, then one draw: step-major paths and both log-term tables."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     _check_setup(policy, target, rewards)
     paths, flat = _draw(policy, count, seed)
     return paths, _path_log_terms(policy, paths, flat), _path_log_terms(target, paths, flat)
@@ -237,18 +246,6 @@ def _estimate(
         where = f"sampled cost at k={k}" if steps.any() else f"estimate over {count} sampled paths"
         raise _reward_overflow(where)
     return MonteCarloEstimate(estimate, stderr, count)
-
-
-def _sample_and_estimate(
-    policy: Behavior, target: Behavior, rewards: RewardSchedule, count: int, seed: int
-) -> tuple[list[Trajectory], MonteCarloEstimate]:
-    """`sample_trajectories(policy, count, seed, target)` and `monte_carlo_cost` from one draw.
-
-    Raises as `monte_carlo_cost` does, before any trajectory is built.
-    """
-    paths, log_p, log_t = _checked_draw(policy, target, rewards, count, seed)
-    estimate = _estimate(rewards, paths, log_p, log_t)
-    return _trajectories(policy, paths, log_p, log_t), estimate
 
 
 #: Column layout of `write_trajectories_csv`.

@@ -513,6 +513,17 @@ def test_simulate_off_support_policy_exits_3(tmp_path, capsys):
     assert "target probability 0" in capsys.readouterr().err
 
 
+def test_simulate_off_support_policy_builds_no_trajectory(tmp_path, capsys, monkeypatch):
+    # the estimate runs before the trajectories, so the dead path exits 3
+    # before any `Trajectory` is built
+    import crowdpolicy.simulate as simulate
+
+    built = []
+    monkeypatch.setattr(simulate, "_trajectories", lambda *args: built.append(args))
+    test_simulate_off_support_policy_exits_3(tmp_path, capsys)
+    assert built == []
+
+
 def test_simulate_draws_its_paths_once(tmp_path, monkeypatch):
     import crowdpolicy.simulate as simulate
 

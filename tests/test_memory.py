@@ -13,15 +13,20 @@ most ``POOL_BYTES / D`` bytes, a warm call allocates less than the cold call
 that built it, and the table keeps no target alive. A pool the filter thins is
 read step by step, never copied whole, and `kl_rows` holds one float
 temporary the size of its input.
+
+A behavior holds one sampled draw, the last: after draws under many seeds it
+retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
+keeps no target or reward schedule alive.
 """
 
+import copy
 import gc
 import tracemalloc
 import weakref
 
 import numpy as np
 
-from crowdpolicy import generate_random_scenario, synthesize
+from crowdpolicy import generate_random_scenario, monte_carlo_cost, sample_trajectories, synthesize
 from crowdpolicy.model import Behavior, kl_rows
 from crowdpolicy.synthesis import ContributorSet, _kl_table
 
@@ -114,3 +119,40 @@ def test_kl_rows_holds_one_float_temporary():
     p, q = np.array(scenario.contributors.matrices[0]), scenario.target.matrices
     kl_rows(p, q)
     assert _peak_of(kl_rows, p, q) < 2 * p.nbytes
+
+
+def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
+    # the monte-carlo workload's sizes: d=20, N=20, 1000 paths per call
+    scenario = generate_random_scenario(5, 20, 20, 2, sparsity=0.3)
+    target, rewards = scenario.target, scenario.reward_profile()
+    monte_carlo_cost(copy.copy(target), target, rewards, 1000, 0)  # lazy imports stay out
+    policy = copy.copy(target)
+    count, horizon = 1000, target.horizon
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        for seed in range(20):
+            monte_carlo_cost(policy, target, rewards, count, seed)
+            sample_trajectories(policy, count, seed, target)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    key, paths, flat = policy._drawn
+    assert key == (19, count)
+    assert paths.nbytes + flat.nbytes == (2 * horizon + 1) * count * 8
+    assert paths.nbytes + flat.nbytes <= retained < 2 * (paths.nbytes + flat.nbytes)
+
+
+def test_the_held_draw_keeps_no_target_or_rewards_alive():
+    scenario = generate_random_scenario(5, 6, 4, 2, sparsity=0.3)
+    target, rewards = scenario.target, scenario.reward_profile()
+    policy = copy.copy(target)
+    del scenario
+    monte_carlo_cost(policy, target, rewards, 100, 3)
+    sample_trajectories(policy, 100, 3, target)
+    assert policy._drawn[0] == (3, 100)
+    dropped = weakref.ref(target), weakref.ref(rewards)
+    del target, rewards
+    gc.collect()
+    assert [ref() for ref in dropped] == [None, None]

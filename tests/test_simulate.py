@@ -1,12 +1,18 @@
 """Sampling, most-likely routes, and Monte Carlo estimation."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crowdpolicy.simulate as simulate
 from crowdpolicy.errors import ValidationError
 from crowdpolicy.evaluation import evaluate_cost
 from crowdpolicy.model import (
@@ -21,7 +27,6 @@ from crowdpolicy.scenario import generate_random_scenario
 from crowdpolicy.simulate import (
     MonteCarloEstimate,
     Trajectory,
-    _sample_and_estimate,
     _sample_paths,
     monte_carlo_cost,
     most_likely_trajectory,
@@ -249,22 +254,194 @@ def test_reward_overflow_names_the_earliest_step_over_all_paths(seed, k):
 
 @pytest.mark.parametrize("target_zero_share, huge", [(0.0, False), (0.5, False), (0.0, True)])
 def test_one_draw_equals_the_two_public_calls(target_zero_share, huge):
-    # the CLI's one draw: the same trajectories, estimate and first error (a
-    # dead path, or rewards of +/-1e308 overflowing a path's cost)
+    # the CLI's route, the estimate and then the trajectories from the draw the
+    # behavior holds, gives what each call gives on a fresh copy: the same
+    # trajectories, estimate and first error (a dead path, or rewards of
+    # +/-1e308 overflowing a path's cost)
     space = StateSpace(tuple(f"s{i}" for i in range(5)))
     rng = np.random.default_rng(3)
     policy = _random_behavior(space, 4, rng, 0.3)
     target = _random_behavior(space, 4, rng, target_zero_share)
     values = rng.choice([-1e308, 1e308], size=(4, 5)) if huge else rng.normal(size=(4, 5))
     rewards = RewardSchedule(space, values)
-    try:
-        got = _sample_and_estimate(policy, target, rewards, 300, 9)
-    except ValueError as exc:
-        got = str(exc)
-    want = _outcome(monte_carlo_cost, policy, target, rewards, 300, 9)
+    got = _outcome(monte_carlo_cost, policy, target, rewards, 300, 9)
+    if not isinstance(got, str):
+        got = (sample_trajectories(policy, 300, 9, target), got)
+    want = _outcome(monte_carlo_cost, copy.copy(policy), target, rewards, 300, 9)
     if not isinstance(want, str):
-        want = (sample_trajectories(policy, 300, 9, target), want)
+        want = (sample_trajectories(copy.copy(policy), 300, 9, target), want)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the held draw: one draw per (behavior, seed, count), shared by both calls
+# ---------------------------------------------------------------------------
+
+
+def _result(call, *args):
+    """What a call gives, to the byte: the repr of its value, or its error's type and message."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the error is the result under test
+        return type(exc).__name__, str(exc)
+
+
+def _held_draw_cases():
+    """(policy, target, rewards, count, seed) with a finite estimate, a dead path, an overflow."""
+    space = StateSpace(tuple(f"s{i}" for i in range(5)))
+    rng = np.random.default_rng(3)
+    policy, target = _random_behavior(space, 4, rng, 0.3), _random_behavior(space, 4, rng, 0.0)
+    finite = (policy, target, RewardSchedule(space, rng.normal(size=(4, 5))), 300, 9)
+    two = StateSpace(("a", "b"))
+    walker = behavior(two, [1.0, 0.0], [[0.5, 0.5], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]])
+    stayer = behavior(two, [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+    dead = (walker, stayer, RewardSchedule(two, np.zeros((2, 2))), 4, 17)
+    step = [[0.5, 0.5], [0.0, 1.0]]
+    climber = behavior(two, [1.0, 0.0], step, step, step)
+    overflow = (climber, climber, RewardSchedule(two, np.tile([0.0, -1e308], (3, 1))), 4, 17)
+    return {"finite": finite, "dead": dead, "overflow": overflow}
+
+
+def _both_calls(policy, target, rewards, count, seed, order):
+    calls = {
+        "sample": lambda: _result(sample_trajectories, policy, count, seed, target),
+        "estimate": lambda: _result(monte_carlo_cost, policy, target, rewards, count, seed),
+    }
+    return [calls[name]() for name in order]
+
+
+def _counting_draws(monkeypatch):
+    """The list each `_sample_paths` call appends to."""
+    draws = []
+    sample_paths = simulate._sample_paths
+    monkeypatch.setattr(
+        simulate, "_sample_paths", lambda *args: draws.append(args) or sample_paths(*args)
+    )
+    return draws
+
+
+@pytest.mark.parametrize("order", [("sample", "estimate"), ("estimate", "sample")])
+@pytest.mark.parametrize("case", ["finite", "dead", "overflow"])
+def test_warm_calls_equal_cold_ones_to_the_byte(case, order, monkeypatch):
+    policy, target, rewards, count, seed = _held_draw_cases()[case]
+    cold = [
+        _both_calls(copy.copy(policy), target, rewards, count, seed, [name])[0] for name in order
+    ]
+    draws = _counting_draws(monkeypatch)
+    warm = _both_calls(policy, target, rewards, count, seed, order)
+    again = _both_calls(policy, target, rewards, count, seed, order)
+    assert warm == cold and again == cold
+    assert len(draws) == 1
+    estimate = cold[order.index("estimate")]
+    error = {"finite": None, "dead": "ValueError", "overflow": "ValidationError"}[case]
+    assert estimate.startswith("MonteCarloEstimate(") if error is None else estimate[0] == error
+
+
+def test_another_seed_count_or_behavior_draws_again(monkeypatch):
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    fresh = copy.copy(policy)
+    assert fresh == policy and fresh is not policy
+    calls = [
+        (policy, count, seed, 1),
+        (policy, count, seed, 1),  # held
+        (policy, count, seed + 1, 2),  # another seed
+        (policy, count + 1, seed + 1, 3),  # another count
+        (policy, count + 1, seed + 1, 3),  # held
+        (fresh, count + 1, seed + 1, 4),  # another behavior with equal values
+    ]
+    both = ["sample", "estimate"]
+    wants = [_both_calls(copy.copy(policy), target, rewards, n, s, both) for _, n, s, _ in calls]
+    draws = _counting_draws(monkeypatch)
+    for (call_policy, call_count, call_seed, drawn), want in zip(calls, wants):
+        got = _both_calls(call_policy, target, rewards, call_count, call_seed, both)
+        assert len(draws) == drawn
+        assert got == want
+
+
+def test_only_plain_int_seeds_and_counts_are_held():
+    # (1.0, n) == (1, n) in Python, so a draw keyed on the values alone would
+    # answer seed 1.0 or count n.0, which do not draw today, with the held batch
+    policy, target, rewards, count, _ = _held_draw_cases()["finite"]
+    cold = copy.copy(policy)
+    batch = sample_trajectories(cold, count, 1, target)
+    sample_trajectories(policy, count, 1, target)
+    held = policy._drawn
+    assert held[0] == (1, count)
+    for seed, call_count in [(1.0, count), (1, float(count))]:
+        for call in (
+            lambda p: sample_trajectories(p, call_count, seed, target),
+            lambda p: monte_carlo_cost(p, target, rewards, call_count, seed),
+        ):
+            want = _result(call, copy.copy(policy))
+            assert want[0] == "TypeError"
+            assert _result(call, policy) == want
+    for seed in (np.int64(1), True, [1]):
+        assert sample_trajectories(policy, count, seed, target) == batch
+        assert _result(monte_carlo_cost, policy, target, rewards, count, seed) == _result(
+            monte_carlo_cost, cold, target, rewards, count, 1
+        )
+    assert policy._drawn is held  # nothing else was held
+
+
+def test_held_arrays_are_read_only():
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    monte_carlo_cost(policy, target, rewards, count, seed)
+    key, paths, flat = policy._drawn
+    assert key == (seed, count)
+    assert paths.shape == (policy.horizon + 1, count) and flat.shape == (policy.horizon, count)
+    for arr in (paths, flat):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0
+
+
+def test_pickles_and_copies_start_without_the_held_draw_and_equality_is_unchanged():
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    before = copy.copy(policy)
+    sample_trajectories(policy, count, seed, target)
+    assert policy._drawn is not None
+    assert "_drawn" not in {f.name for f in fields(Behavior)}
+    for restored in (
+        pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
+    ):
+        assert restored._drawn is None
+        assert restored == policy == before
+    assert before._drawn is None
+
+
+def test_threads_sharing_a_behavior_never_mix_a_draw():
+    # two threads call both functions on one behavior with alternating seeds; a
+    # race may redraw, but each result equals a cold copy's
+    policy, target, rewards, count, _ = _held_draw_cases()["finite"]
+    count = 50
+    seeds = (21, 22)
+    want = {
+        seed: _both_calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
+        for seed in seeds
+    }
+    start, wrong = threading.Barrier(2), []
+
+    def work(phase):
+        start.wait()
+        for i in range(200):
+            seed = seeds[(i + phase) % 2]
+            order = ["sample", "estimate"] if i % 3 else ["estimate", "sample"]
+            got = _both_calls(policy, target, rewards, count, seed, order)
+            if got != [want[seed][["sample", "estimate"].index(name)] for name in order]:
+                wrong.append((phase, i, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=work, args=(phase,)) for phase in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert policy._drawn[0] in {(seed, count) for seed in seeds}
 
 
 def test_monte_carlo_setup_validation():
