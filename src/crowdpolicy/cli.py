@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InfeasibleError, OracleGuardError, ValidationError
 from .evaluation import evaluate_cost, pure_schedule_oracle, simplex_grid_oracle
-from .model import Behavior, RewardSchedule
+from .model import Behavior, RewardSchedule, _marginals
 from .scenario import (
     Scenario,
     _atomic_write_text,
@@ -181,10 +181,8 @@ def _solve(
     for name, matrix in zip(kernels, policy.agent.matrices):
         rows = [[label, *row] for label, row in zip(labels, matrix.tolist())]
         _atomic_write_text(out / name, _csv_text(["from", *labels], rows))
-    marginals = [policy.agent.initial.probs]  # the agent's state pmf at k = 0..N
-    for matrix in policy.agent.matrices:
-        marginals.append(marginals[-1] @ matrix)
-    rows = [[k, *mu.tolist()] for k, mu in enumerate(marginals)]
+    marginals = _marginals(policy.agent.initial.probs, policy.agent.matrices)  # k = 0..N
+    rows = [[k, *mu] for k, mu in enumerate(marginals.tolist())]
     _atomic_write_text(out / outputs["marginals"], _csv_text(["k", *labels], rows))
     return policy, block
 

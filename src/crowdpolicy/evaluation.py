@@ -1,7 +1,9 @@
 """Exact cost evaluation and independent oracles.
 
 `evaluate_cost` computes the tracking cost of any agent behavior against a
-target by forward marginal propagation. The remaining functions are
+target from one forward pass, the state marginals of `model._marginals`,
+which `bound_value` and the CLI's ``marginals.csv`` read too: each step's KL
+and reward part is one row-wise product over them. The remaining functions are
 deliberately separate evidence routes used to check the synthesizer:
 brute-force trajectory enumeration, exhaustive or dynamic-programming search
 over pure contributor schedules, and a grid search over per-step mixture
@@ -24,6 +26,7 @@ from .model import (
     StatePMF,
     WeightVector,
     _FrozenValue,
+    _marginals,
     kl_rows,
     log_pmf,
 )
@@ -88,21 +91,16 @@ def evaluate_cost(
             overflow; the first such step is named.
     """
     _check_setup(policy, target, rewards)
+    mu = _marginals(policy.initial.probs, policy.matrices)[:-1]  # the pmf each step leaves
     kl = kl_rows(policy.matrices, target.matrices)
-    mu = policy.initial.probs
-    per_step: list[tuple[float, float]] = []
-    kl_part = 0.0
-    reward_part = 0.0
-    for idx, rows in enumerate(policy.matrices):
-        kl_k = _masked_dot(mu, kl[idx])
-        reward_k = float(mu @ (rows @ rewards.values[idx]))
-        per_step.append((kl_k, reward_k))
-        kl_part += kl_k
-        reward_part += reward_k
-        if not math.isfinite(reward_part):  # the steps' rewards, summed forward, overflowed
-            raise _reward_overflow(f"expected reward at k={idx + 1}")
-        mu = mu @ rows
-    return CostBreakdown(kl_part - reward_part, kl_part, reward_part, tuple(per_step))
+    kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))  # unreachable states cost nothing
+    reward_steps = np.vecdot(mu, np.matmul(policy.matrices, rewards.values[..., None])[..., 0])
+    running = np.cumsum(reward_steps)
+    if not np.isfinite(running[-1]):  # the steps' rewards, summed forward, overflowed
+        raise _reward_overflow(f"expected reward at k={int(np.argmax(~np.isfinite(running))) + 1}")
+    kl_part, reward_part = float(np.cumsum(kl_steps)[-1]), float(running[-1])
+    per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
+    return CostBreakdown(kl_part - reward_part, kl_part, reward_part, per_step)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite expected reward is reported below

@@ -238,7 +238,7 @@ class Behavior(_FrozenValue):
 
     @property
     def horizon(self) -> int:
-        return len(self.kernels)
+        return self.matrices.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,6 +307,15 @@ class WeightVector(_FrozenValue):
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
+
+
+def _marginals(initial: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """(N + 1, d) state marginals: row 0 is ``initial``, each next row the last times its kernel."""
+    mu = np.empty((len(matrices) + 1, initial.size))
+    mu[0] = initial
+    for idx, rows in enumerate(matrices):
+        np.matmul(mu[idx], rows, out=mu[idx + 1])
+    return mu
 
 
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -208,24 +208,10 @@ def monte_carlo_cost(
             steps, overflow (the first such step is named), or if the sampled
             costs overflow their mean or standard error; the path count is named.
     """
-    return _estimate(rewards, *_checked_draw(policy, target, rewards, count, seed))
-
-
-def _checked_draw(
-    policy: Behavior, target: Behavior, rewards: RewardSchedule, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`monte_carlo_cost`'s checks, then one draw: step-major paths and both log-term tables."""
     _check_setup(policy, target, rewards)
     paths, flat = _draw(policy, count, seed)
-    return paths, _path_log_terms(policy, paths, flat), _path_log_terms(target, paths, flat)
-
-
-def _estimate(
-    rewards: RewardSchedule, paths: np.ndarray, log_policy: np.ndarray, log_target: np.ndarray
-) -> MonteCarloEstimate:
-    """The Monte Carlo estimate over step-major paths, raising as `monte_carlo_cost` does."""
+    log_p, log_t = (_path_log_terms(each, paths, flat)[1:] for each in (policy, target))
     count = paths.shape[1]
-    log_p, log_t = log_policy[1:], log_target[1:]
     dead = np.isneginf(log_t)
     if dead.any():
         idx = int(np.argmax(dead.any(axis=1)))  # earliest step, then lowest path

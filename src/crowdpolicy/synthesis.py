@@ -40,6 +40,7 @@ from .model import (
     WeightVector,
     _FrozenValue,
     _kernel_views,
+    _marginals,
     _set,
     kl_rows,
 )
@@ -103,11 +104,11 @@ class ContributorSet(_FrozenValue):
 
     @property
     def size(self) -> int:
-        return len(self.kernels)
+        return self.matrices.shape[0]
 
     @property
     def horizon(self) -> int:
-        return len(self.kernels[0])
+        return self.matrices.shape[1]
 
     def kernel(self, contributor: int, k: int) -> TransitionKernel:
         """Kernel of a contributor at step k (1-based)."""
@@ -329,6 +330,7 @@ def synthesize(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is reported below
 def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     """Upper bound on the agent's tracking cost, tight for vertex weights.
 
@@ -344,15 +346,12 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     if policy.horizon != target.horizon:
         raise ValueError("policy and target horizons differ")
     sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
-    mu = target.initial.probs
-    total = 0.0
-    for idx, kernel in enumerate(policy.agent.matrices):
-        one_step = sel[idx] + kernel @ policy.r_hat[idx]
-        total += float(mu @ one_step)
-        if not np.isfinite(total):  # the steps' costs, summed forward, overflowed
-            raise _reward_overflow(f"bound value at k={idx + 1}")
-        mu = mu @ kernel
-    return total
+    matrices = policy.agent.matrices
+    mu = _marginals(target.initial.probs, matrices)[:-1]
+    running = np.cumsum(np.vecdot(mu, sel + np.matmul(matrices, policy.r_hat[..., None])[..., 0]))
+    if not np.isfinite(running[-1]):  # the steps' costs, summed forward, overflowed
+        raise _reward_overflow(f"bound value at k={int(np.argmax(~np.isfinite(running))) + 1}")
+    return float(running[-1])
 
 
 __all__ = [

@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from crowdpolicy.errors import OracleGuardError, ValidationError
+from crowdpolicy.errors import OracleGuardError, ValidationError, _reward_overflow
 from crowdpolicy.evaluation import (
     ORACLE_LIMIT,
+    CostBreakdown,
     _step_cost_table,
     evaluate_cost,
     logsum_bound_check,
@@ -230,6 +231,139 @@ def test_enumeration_guard():
     assert 4**10 > ORACLE_LIMIT
     with pytest.raises(OracleGuardError, match="refusing enumeration"):
         trajectory_enumeration_cost(pure_behavior(scenario, 0), scenario.target, rewards)
+
+
+def _reference_evaluate_cost(policy, target, rewards):
+    """The per-step loop `evaluate_cost` replaced: one masked dot and one forward sum a step."""
+    kl = kl_rows(policy.matrices, target.matrices)
+    mu = policy.initial.probs
+    per_step = []
+    kl_part = reward_part = 0.0
+    for idx, rows in enumerate(policy.matrices):
+        kl_k = _reference_masked_dot(mu, kl[idx])
+        with np.errstate(over="ignore", invalid="ignore"):
+            reward_k = float(mu @ (rows @ rewards.values[idx]))
+        per_step.append((kl_k, reward_k))
+        kl_part += kl_k
+        reward_part += reward_k
+        if not math.isfinite(reward_part):
+            raise _reward_overflow(f"expected reward at k={idx + 1}")
+        mu = mu @ rows
+    return CostBreakdown(kl_part - reward_part, kl_part, reward_part, tuple(per_step))
+
+
+def _reference_bound_value(policy, target):
+    """The per-step loop `bound_value` replaced, from the target's initial pmf."""
+    sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
+    mu = target.initial.probs
+    total = 0.0
+    for idx, kernel in enumerate(policy.agent.matrices):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total += float(mu @ (sel[idx] + kernel @ policy.r_hat[idx]))
+        if not np.isfinite(total):
+            raise _reward_overflow(f"bound value at k={idx + 1}")
+        mu = mu @ kernel
+    return total
+
+
+def _forward_instance(rng, d, start, scale, horizon=3):
+    """Policy, target (same initial pmf), rewards, and whether every marginal has full support.
+
+    ``start`` is "full" (dense initial pmf and rows), "sparse" or "point"
+    (sparse rows). At every (step, state) the policy leaves with no mass, the
+    target row is a point mass the policy row misses, so the unmasked KL
+    there is +inf. Rewards are ``scale`` times uniform in [-1, 1]; at
+    ``scale == MAX`` they are all above 0.6 * MAX, so their sum overflows.
+    """
+    space = StateSpace(tuple(range(d)))
+    mask = rng.random((horizon, d, d)) >= (0.0 if start == "full" else 0.8)
+    mask[:, np.arange(d), rng.integers(0, d, d)] = True  # every row keeps one entry
+    rows = rng.uniform(0.1, 1.0, (horizon, d, d)) * mask
+    rows /= rows.sum(axis=-1, keepdims=True)
+    if start == "point":
+        init = np.eye(d)[rng.integers(0, d)]
+    else:
+        init = rng.uniform(0.1, 1.0, d) * (rng.random(d) < (1.0 if start == "full" else 0.3))
+        init[rng.integers(0, d)] = 1.0
+        init /= init.sum()
+    target_rows = rng.uniform(0.1, 1.0, (horizon, d, d))
+    target_rows /= target_rows.sum(axis=-1, keepdims=True)
+    mu, full = init, True
+    for idx in range(horizon):
+        for x in np.flatnonzero(mu == 0):
+            target_rows[idx, x] = np.eye(d)[np.argmin(rows[idx, x])]
+        full &= bool((mu > 0).all())
+        mu = mu @ rows[idx]
+    low = 0.6 if scale == MAX else -1.0
+    policy, target = (
+        Behavior(StatePMF(space, init), tuple(TransitionKernel(space, m) for m in stack))
+        for stack in (rows, target_rows)
+    )
+    return policy, target, RewardSchedule(space, scale * rng.uniform(low, 1.0, (horizon, d))), full
+
+
+def _outcome(route, *args):
+    """What a route returns, or its error's type and text."""
+    try:
+        return route(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _ulps(a, b):
+    """Distance in units of the last place between two floats of one sign; 0 when equal."""
+    bits = np.array([a, b], dtype=float).view(np.int64)
+    return abs(int(bits[0]) - int(bits[1]))
+
+
+FORWARD_SCALES = [1.0, 1e-300, 1e305, MAX]
+
+
+@pytest.mark.parametrize("start", ["full", "sparse", "point"])
+@pytest.mark.parametrize("d", [1, 2, 6, 15, 16, 17, 64])
+def test_evaluate_cost_matches_its_per_step_loop(d, start):
+    # full-support marginals, every reward part and every error equal the
+    # loop exactly; a KL part over marginals with zero mass somewhere is a
+    # full-row dot where the loop summed over the support alone, so it may
+    # round up to 4 ulps away
+    rng = np.random.default_rng(d * 10 + len(start))
+    errors = 0
+    for scale in FORWARD_SCALES:
+        for _ in range(4):
+            policy, target, rewards, full = _forward_instance(rng, d, start, scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _outcome(evaluate_cost, policy, target, rewards)
+            want = _outcome(_reference_evaluate_cost, policy, target, rewards)
+            if isinstance(want, tuple) or full:
+                errors += isinstance(want, tuple)
+                assert got == want
+                continue
+            assert [r for _, r in got.per_step] == [r for _, r in want.per_step]
+            assert got.reward_part == want.reward_part
+            pairs = [*zip(got.per_step, want.per_step), ((got.kl_part,), (want.kl_part,))]
+            assert max(_ulps(mine[0], theirs[0]) for mine, theirs in pairs) <= 4
+            assert got.total == got.kl_part - got.reward_part
+    assert errors >= 4  # every overflowing draw is an error, named alike
+
+
+@pytest.mark.parametrize("start", ["full", "sparse", "point"])
+@pytest.mark.parametrize("d", [1, 2, 6, 16, 64])
+def test_bound_value_matches_its_per_step_loop(d, start):
+    # the bound dots full rows in both forms, so it is equal on every support;
+    # a uniform target keeps every score finite, and the agent starts from
+    # the instance's initial pmf
+    rng = np.random.default_rng(d * 10 + len(start))
+    for scale in FORWARD_SCALES[:3]:
+        policy, _, rewards, _ = _forward_instance(rng, d, start, scale)
+        pool = ContributorSet(policy.space, (policy.kernels, policy.kernels[::-1]), ("p", "q"))
+        uniform = TransitionKernel(policy.space, np.full((d, d), 1.0 / d))
+        target = Behavior(policy.initial, (uniform,) * policy.horizon)
+        synthesized = synthesize(target, pool, rewards)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(bound_value, synthesized, target)
+        assert got == _outcome(_reference_bound_value, synthesized, target)
 
 
 # ---------------------------------------------------------------------------

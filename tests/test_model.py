@@ -18,6 +18,7 @@ from crowdpolicy.model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    _marginals,
     expected_value,
     kl_divergence,
     kl_rows,
@@ -119,6 +120,27 @@ def test_behavior_horizon_and_space_checks():
     other = TransitionKernel(StateSpace(("x", "y")), np.full((2, 2), 0.5))
     with pytest.raises(ValueError, match="k=2 uses a different state space"):
         Behavior(pmf([1.0, 0.0]), (kernel, other))
+
+
+@pytest.mark.parametrize("start", ["point", "sparse", "full"])
+@pytest.mark.parametrize("d", [6, 64])
+def test_marginals_equal_the_row_times_kernel_chain_byte_for_byte(d, start):
+    # the chain `mu = mu @ rows` wrote marginals.csv before; its bytes are pinned
+    rng = np.random.default_rng(d)
+    rows = rng.random((16, d, d)) * (rng.random((16, d, d)) < 0.3)
+    rows[:, np.arange(d), rng.integers(0, d, d)] += 0.5  # every row keeps one entry
+    rows /= rows.sum(axis=-1, keepdims=True)
+    initial = np.eye(d)[3] if start == "point" else rng.random(d)
+    if start == "sparse":
+        initial[initial < 0.6] = 0.0
+        initial[0] = 1.0
+    initial = initial / initial.sum()
+    chain = [initial]
+    for kernel in rows:
+        chain.append(chain[-1] @ kernel)
+    got = _marginals(initial, rows)
+    assert got.shape == (17, d)
+    assert got.tobytes() == np.array(chain).tobytes()
 
 
 def test_reward_schedule():
