@@ -55,6 +55,7 @@ from .simulate import (
     write_trajectories_csv,
 )
 from .synthesis import SynthesizedPolicy, bound_value, filter_contributors, synthesize
+from .synthesis import _kl_table, _with_kl
 
 PROG = "crowdpolicy"
 
@@ -89,9 +90,9 @@ def _dump_json(doc: Any) -> str:
 def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float | dict]:
     """Cost of each contributor's own kernels from the target's initial pmf, or an error record."""
     target, pool, costs = scenario.target, scenario.contributors, {}
-    for cid, own in zip(pool.ids, pool.matrices):
+    for cid, own, kl in zip(pool.ids, pool.matrices, _kl_table(target, pool)):
         try:
-            costs[cid] = evaluate_cost(Behavior._of(target.initial, own), target, rewards).total
+            costs[cid] = evaluate_cost(_with_kl(target, own, kl), target, rewards).total
         except ValidationError as exc:  # its own rewards overflow; the other outputs still hold
             costs[cid] = {"error": str(exc)}
     return costs
@@ -295,9 +296,7 @@ def cmd_demo(args: argparse.Namespace, scenario: Scenario, rewards: None, report
     for profile, schedule in scenario.rewards.items():
         policy, block = _solve(scenario, schedule, out, f"{profile}/")
         route = most_likely_trajectory(policy.agent)
-        sampled = sample_trajectories(
-            policy.agent, 1, args.seed, target=scenario.target
-        )[0]
+        sampled = sample_trajectories(policy.agent, 1, args.seed, target=scenario.target)[0]
         _atomic_write_text(
             out / profile / "route.json",
             _dump_json({

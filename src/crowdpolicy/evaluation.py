@@ -3,11 +3,12 @@
 `evaluate_cost` computes the tracking cost of any agent behavior against a
 target from one forward pass, the state marginals of `model._marginals`,
 which `bound_value` and the CLI's ``marginals.csv`` read too: each step's KL
-and reward part is one row-wise product over them. The remaining functions are
-deliberately separate evidence routes used to check the synthesizer:
-brute-force trajectory enumeration, exhaustive or dynamic-programming search
-over pure contributor schedules, and a grid search over per-step mixture
-weights. The oracles refuse oversized instances instead of grinding.
+and reward part is one row-wise product over them. A synthesized agent brings
+its KL rows for its own target object. The remaining functions are deliberately
+separate evidence routes used to check the synthesizer: brute-force trajectory
+enumeration, exhaustive or dynamic-programming search over pure contributor
+schedules, and a grid search over per-step mixture weights. The oracles refuse
+oversized instances instead of grinding.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def evaluate_cost(
         policy: the behavior to evaluate; its own initial pmf seeds the
             forward marginals (transition factors alone enter the divergence,
             so a policy sharing the target's initial pmf is costed over
-            exactly the controllable part).
+            exactly the controllable part). A synthesized agent brings its KL
+            rows for the very target object it was built for, not a copy.
         target: the reference behavior.
         rewards: per-step reward vectors.
 
@@ -92,7 +94,8 @@ def evaluate_cost(
     """
     _check_setup(policy, target, rewards)
     mu = _marginals(policy.initial.probs, policy.matrices)[:-1]  # the pmf each step leaves
-    kl = kl_rows(policy.matrices, target.matrices)
+    held = policy._kl  # a synthesized agent's (weakref to its target, KL rows), else None
+    kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
     kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))  # unreachable states cost nothing
     reward_steps = np.vecdot(mu, np.matmul(policy.matrices, rewards.values[..., None])[..., 0])
     running = np.cumsum(reward_steps)

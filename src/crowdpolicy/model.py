@@ -202,14 +202,16 @@ class Behavior(_FrozenValue):
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
     once, as the read-only ``(N, d, d)`` array ``matrices``; each of
     ``kernels`` is a view of one of its matrices. The behavior also holds its
-    last sampled draw, which `sample_trajectories` and `monte_carlo_cost`
-    share; it is not compared, and a pickled or copied behavior starts without it.
+    last sampled draw, which `sample_trajectories` and `monte_carlo_cost` share,
+    and a synthesized agent its KL rows, which `evaluate_cost` reads for that
+    target alone; neither is compared, and a pickle or copy starts without them.
     """
 
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`
     matrices: np.ndarray = field(init=False, repr=False)
     _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
+    _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone
 
     def __post_init__(self) -> None:
         kernels = tuple(self.kernels)

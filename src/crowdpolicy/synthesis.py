@@ -21,7 +21,8 @@ copies each selected row verbatim into the agent's switched kernels. The KL
 part of the scores does not depend on the rewards, so it is tabulated once per
 (target, pool): the pool holds the read-only table of the last target it was
 scored against, and that one table feeds both the filter and the recursion of
-every later call with the same target object.
+every later call with the same target object; the agent keeps its own rows of
+it, which `evaluate_cost` reads instead of computing them for that target.
 """
 
 from __future__ import annotations
@@ -173,6 +174,12 @@ def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
     return kl
 
 
+def _with_kl(target: Behavior, rows: np.ndarray, kl: np.ndarray) -> Behavior:
+    """A behavior over validated ``rows`` from the target's initial pmf, holding its KL rows."""
+    kl.setflags(write=False)  # kl[k-1, x] = KL(rows[k-1, x] || target row), as `_kl_table` has it
+    return _set(Behavior._of(target.initial, rows), _kl=(weakref.ref(target), kl))
+
+
 def _filter(contributors: ContributorSet, kl: np.ndarray) -> tuple[list[int], FilterReport]:
     """Retained indices and report of `filter_contributors`, read off the KL table."""
     violations = np.isinf(kl).reshape(contributors.size, -1)  # step-then-state order
@@ -314,7 +321,7 @@ def synthesize(
     picks = np.arange(contributors.size)[keep][selected]  # pool index of each selection
     agent_rows = contributors.matrices[picks, np.arange(n)[:, None], np.arange(d)]
     weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
-    agent = Behavior._of(target.initial, agent_rows)  # rows copied from validated kernels
+    agent = _with_kl(target, agent_rows, np.take_along_axis(kl, selected[None], axis=0)[0])
     for arr in (scores, selected, weights, r_hat, r_bar):
         arr.setflags(write=False)
     return SynthesizedPolicy(

@@ -1,13 +1,17 @@
 """Tests for exact cost evaluation and the independent oracles."""
 
+import copy
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdpolicy.errors import OracleGuardError, ValidationError, _reward_overflow
+from crowdpolicy.cli import _pure_costs
+from crowdpolicy.errors import InfeasibleError, OracleGuardError, ValidationError, _reward_overflow
 from crowdpolicy.evaluation import (
     ORACLE_LIMIT,
     CostBreakdown,
@@ -27,7 +31,7 @@ from crowdpolicy.model import (
     WeightVector,
     kl_rows,
 )
-from crowdpolicy.scenario import generate_random_scenario
+from crowdpolicy.scenario import Scenario, generate_random_scenario
 from crowdpolicy.synthesis import ContributorSet, bound_value, synthesize
 
 LN2 = math.log(2.0)
@@ -721,3 +725,139 @@ def test_grid_guards():
         simplex_grid_oracle(small.target, small.contributors, small.reward_profile(), 0)
     with pytest.raises(OracleGuardError, match="assignments exceed"):
         simplex_grid_oracle(small.target, small.contributors, small.reward_profile(), 150)
+
+
+# ---------------------------------------------------------------------------
+# the KL rows a synthesized agent holds: the held route against the recompute
+# ---------------------------------------------------------------------------
+
+#: The smallest positive subnormal double.
+TINY = 5e-324
+
+
+def _pmf_rows(rng, shape, zero_share, subnormal_share):
+    """Random pmf rows with zeroed and positive subnormal entries; each row keeps its largest."""
+    rows = rng.dirichlet(np.ones(shape[-1]), size=shape[:-1])
+    largest = np.zeros(rows.shape, dtype=bool)
+    np.put_along_axis(largest, rows.argmax(axis=-1)[..., None], True, axis=-1)
+    draw = rng.random(rows.shape)
+    rows = np.where(~largest & (draw < zero_share), 0.0, rows)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    tiny = ~largest & (draw >= zero_share) & (draw < zero_share + subnormal_share)
+    rows = np.where(tiny, TINY * rng.integers(1, 2**20, rows.shape), rows)
+    return rows / rows.sum(axis=-1, keepdims=True)  # the subnormals stay subnormal
+
+
+def _held_instance(rng, d, horizon, size, zero_share, subnormal_share, scale):
+    """A sparse target with subnormal entries and a pool the filter may thin below its best.
+
+    Even-indexed contributors are random rows, which the target's zeros may
+    exclude; odd-indexed ones reweight the target's rows on their support,
+    so they stay admissible, and a selection among them sits above an
+    excluded index.
+    """
+    space = StateSpace(tuple(f"s{i}" for i in range(d)))
+    target_rows = _pmf_rows(rng, (horizon, d, d), zero_share, subnormal_share)
+    target = Behavior(
+        StatePMF(space, _pmf_rows(rng, (d,), zero_share, subnormal_share)),
+        tuple(TransitionKernel(space, m) for m in target_rows),
+    )
+    stacks = []
+    for i in range(size):
+        if i % 2 == 0:
+            rows = _pmf_rows(rng, (horizon, d, d), 0.3, subnormal_share)
+        else:
+            rows = target_rows * rng.uniform(0.5, 1.5, target_rows.shape)
+            rows /= rows.sum(axis=-1, keepdims=True)
+        stacks.append(tuple(TransitionKernel(space, m) for m in rows))
+    pool = ContributorSet(space, tuple(stacks), tuple(f"c{i}" for i in range(size)))
+    rewards = RewardSchedule(space, scale * rng.uniform(-1.0, 1.0, (horizon, d)))
+    return target, pool, rewards
+
+
+def _cost(policy, target, rewards):
+    """`evaluate_cost`'s result, or its error's type and text, by `repr`: -0.0 and nan differ."""
+    try:
+        return repr(evaluate_cost(policy, target, rewards))
+    except (ValidationError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _recomputed_pure_costs(target, pool, rewards):
+    """`cli._pure_costs` as it was: each contributor's behaviour costed from its kernels alone."""
+    costs = {}
+    for cid, kernels in zip(pool.ids, pool.kernels):
+        try:
+            costs[cid] = evaluate_cost(Behavior(target.initial, kernels), target, rewards).total
+        except ValidationError as exc:
+            costs[cid] = {"error": str(exc)}
+    return costs
+
+
+def assert_held_route_equals_the_recompute(target, pool, rewards, prefilter):
+    try:
+        policy = synthesize(target, pool, rewards, prefilter=prefilter)
+    except (InfeasibleError, ValidationError):
+        return False
+    agent = policy.agent
+    key, rows = agent._kl
+    assert key() is target
+    assert rows.tobytes() == kl_rows(agent.matrices, target.matrices).tobytes()
+    cold = copy.copy(agent)
+    assert cold._kl is None
+    got = _cost(agent, target, rewards)
+    assert got == _cost(cold, target, rewards)
+    # an equal copy of the target, and another target, recompute
+    twin = copy.copy(target)
+    assert _cost(agent, twin, rewards) == got
+    other = Behavior(target.initial, target.kernels[::-1])
+    assert _cost(agent, other, rewards) == _cost(cold, other, rewards)
+    # the independent leg: the bound the recursion carried equals the held route
+    if isinstance(got, str):
+        exact = evaluate_cost(agent, target, rewards).total
+        assert bound_value(policy, target) == pytest.approx(exact, rel=1e-9, abs=1e-9)
+    scenario = Scenario("held", target.space, target, pool, {"p": rewards})
+    want = repr(_recomputed_pure_costs(target, pool, rewards))
+    assert repr(_pure_costs(scenario, rewards)) == want
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.one_of(st.integers(1, 6), st.sampled_from([9, 16, 17, 64])),  # pairwise sums past 8
+    horizon=st.integers(1, 4),
+    size=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+    subnormal_share=st.sampled_from([0.0, 0.3]),
+    scale=st.sampled_from([0.0, 1.0, 50.0, 1e305]),
+    prefilter=st.booleans(),
+)
+def test_a_synthesized_agent_costs_the_same_with_or_without_its_held_rows(
+    d, horizon, size, seed, zero_share, subnormal_share, scale, prefilter
+):
+    rng = np.random.default_rng(seed)
+    target, pool, rewards = _held_instance(
+        rng, d, horizon, size, zero_share, subnormal_share, scale
+    )
+    assert_held_route_equals_the_recompute(target, pool, rewards, prefilter)
+
+
+def test_held_rows_come_from_the_retained_table_when_the_filter_drops_a_lower_index():
+    # the filter drops c0 and c2; the agent selects c1 and c3, retained
+    # indices 0 and 1, whose KL rows differ from c0's and c1's in the pool
+    space = StateSpace(("a", "b"))
+    target = chain(
+        space, [[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], initial=[0.5, 0.5]
+    )
+    leaky = chain(space, [[0.5, 0.5], [0.9, 0.1]], [[0.9, 0.1], [0.9, 0.1]]).kernels
+    good0 = chain(space, [[1.0, 0.0], [0.2, 0.8]], [[0.3, 0.7], [0.3, 0.7]]).kernels
+    good1 = chain(space, [[1.0, 0.0], [0.8, 0.2]], [[0.7, 0.3], [0.7, 0.3]]).kernels
+    pool = ContributorSet(space, (leaky, good0, leaky, good1), ("c0", "c1", "c2", "c3"))
+    rewards = RewardSchedule(space, np.array([[2.0, 0.0], [0.0, 1.0]]))
+    policy = synthesize(target, pool, rewards)
+    assert policy.filter_report.retained_ids == ("c1", "c3")
+    assert sorted({policy.selected_id(k, x) for k in (1, 2) for x in (0, 1)}) == ["c1", "c3"]
+    assert assert_held_route_equals_the_recompute(target, pool, rewards, prefilter=True)
+    assert math.isfinite(evaluate_cost(policy.agent, target, rewards).kl_part)
+

@@ -17,6 +17,10 @@ temporary the size of its input.
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
 keeps no target or reward schedule alive.
+
+A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
+more than the agent without them, never a view into the pool's table, and they
+keep no target alive.
 """
 
 import copy
@@ -26,7 +30,13 @@ import weakref
 
 import numpy as np
 
-from crowdpolicy import generate_random_scenario, monte_carlo_cost, sample_trajectories, synthesize
+from crowdpolicy import (
+    evaluate_cost,
+    generate_random_scenario,
+    monte_carlo_cost,
+    sample_trajectories,
+    synthesize,
+)
 from crowdpolicy.model import Behavior, kl_rows
 from crowdpolicy.synthesis import ContributorSet, _kl_table
 
@@ -156,3 +166,47 @@ def test_the_held_draw_keeps_no_target_or_rewards_alive():
     del target, rewards
     gc.collect()
     assert [ref() for ref in dropped] == [None, None]
+
+
+def test_an_agent_retains_only_its_n_by_d_kl_rows_more():
+    scenario = generate_random_scenario(11, D, HORIZON, CONTRIBUTORS, sparsity=0.3)
+    target, contributors, rewards = (
+        scenario.target, scenario.contributors, scenario.reward_profile()
+    )
+    synthesize(target, contributors, rewards)  # builds and holds the pool's table
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        policy = synthesize(target, contributors, rewards)
+        gc.collect()
+        with_rows = tracemalloc.get_traced_memory()[0] - baseline
+        rows = policy.agent._kl[1]
+        row_bytes = rows.nbytes
+        del rows
+        object.__delattr__(policy.agent, "_kl")  # back to the class default, None
+        gc.collect()
+        without_rows = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert policy.agent._kl is None
+    assert row_bytes == HORIZON * D * 8
+    # the rows, plus a few hundred bytes of array headers, key and tuple
+    assert row_bytes <= with_rows - without_rows < row_bytes + 1024
+
+
+def test_the_agents_held_kl_rows_keep_no_target_alive():
+    scenario = generate_random_scenario(5, 6, 4, 3, sparsity=0.3)
+    target, contributors, rewards = (
+        scenario.target, scenario.contributors, scenario.reward_profile()
+    )
+    del scenario
+    policy = synthesize(target, contributors, rewards)
+    assert policy.agent._kl[0]() is target
+    twin = copy.copy(target)
+    want = evaluate_cost(policy.agent, twin, rewards)
+    dropped = weakref.ref(target)
+    del target
+    gc.collect()
+    assert dropped() is None
+    assert policy.agent._kl[0]() is None
+    assert repr(evaluate_cost(policy.agent, twin, rewards)) == repr(want)

@@ -11,12 +11,14 @@ import math
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crowdpolicy import evaluation
 from crowdpolicy.errors import InfeasibleError, ValidationError
 from crowdpolicy.evaluation import evaluate_cost, pure_schedule_oracle, simplex_grid_oracle
 from crowdpolicy.model import (
@@ -28,7 +30,7 @@ from crowdpolicy.model import (
     kl_rows,
     simplex_argmin,
 )
-from crowdpolicy.scenario import generate_random_scenario
+from crowdpolicy.scenario import generate_random_scenario, load_policy, save_policy
 from crowdpolicy.synthesis import (
     ContributorSet,
     Exclusion,
@@ -947,3 +949,70 @@ def test_a_warm_pool_pickles_and_deep_copies_cold(duplicate):
     copied_target = duplicate(target)
     assert copied_target == target and not copied_target.matrices.flags.writeable
     assert_bit_identical(synthesize(copied_target, twin, rewards), warm)
+
+
+# ---------------------------------------------------------------------------
+# the agent's held KL rows: its rows of the table it was selected with
+# ---------------------------------------------------------------------------
+
+
+def test_the_agents_held_kl_rows_are_its_rows_of_the_table_and_read_only():
+    target, contributors, rewards = _three_state(21, size=4, zero_share=0.5)
+    policy = synthesize(target, contributors, rewards)
+    key, rows = policy.agent._kl
+    assert key() is target
+    assert _bits(rows) == _bits(kl_rows(policy.agent.matrices, target.matrices))
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0.0
+
+
+def test_the_held_kl_rows_are_no_field_and_change_neither_equality_nor_repr():
+    target, contributors, rewards = _three_state(22)
+    agent = synthesize(target, contributors, rewards).agent
+    bare = Behavior(agent.initial, agent.kernels)
+    assert agent._kl is not None and bare._kl is None
+    assert "_kl" not in {f.name for f in fields(Behavior)}
+    assert agent == bare and bare == agent
+    assert repr(agent) == repr(bare)
+
+
+def _policy_file_round_trip(agent, directory):
+    save_policy(agent, directory / "policy.json")
+    return load_policy(directory / "policy.json", agent.space)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        lambda agent, _: pickle.loads(pickle.dumps(agent)),
+        lambda agent, _: copy.copy(agent),
+        lambda agent, _: copy.deepcopy(agent),
+        _policy_file_round_trip,
+    ],
+    ids=["pickle", "copy", "deepcopy", "policy-file"],
+)
+def test_a_pickled_copied_or_loaded_agent_starts_without_held_kl_rows(duplicate, tmp_path):
+    target, contributors, rewards = _three_state(23)
+    agent = synthesize(target, contributors, rewards).agent
+    twin = duplicate(agent, tmp_path)
+    assert agent._kl is not None
+    assert twin._kl is None
+    assert twin == agent
+    assert repr(evaluate_cost(twin, target, rewards)) == repr(evaluate_cost(agent, target, rewards))
+
+
+def test_another_target_object_an_equal_copy_included_recomputes_the_same_bytes(monkeypatch):
+    target, contributors, rewards = _three_state(24)
+    agent = synthesize(target, contributors, rewards).agent
+    calls = []
+    monkeypatch.setattr(evaluation, "kl_rows", lambda *args: calls.append(1) or kl_rows(*args))
+    want = repr(evaluate_cost(agent, target, rewards))
+    assert calls == []  # the held rows: no KL computed
+    equal = (
+        copy.copy(target), pickle.loads(pickle.dumps(target)), Behavior(target.initial, target.kernels)
+    )
+    for other in equal:
+        assert other == target and other is not target
+        assert repr(evaluate_cost(agent, other, rewards)) == want
+    assert len(calls) == len(equal)
