@@ -73,13 +73,8 @@ def _jsonable(obj: Any) -> Any:
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, float) and math.isinf(obj):  # NumPy's float64 is a float too
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 

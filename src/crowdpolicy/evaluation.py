@@ -183,9 +183,8 @@ def logsum_bound_check(
     if len(components) != weights.weights.size:
         raise ValueError("one weight per component required")
     space = target_row.space
-    for comp in components:
-        if comp.space != space:
-            raise ValueError("components and target row must share one state space")
+    if any(comp.space != space for comp in components):
+        raise ValueError("components and target row must share one state space")
     mix = np.zeros(space.size)
     rhs = 0.0
     for w, comp in zip(weights.weights, components):

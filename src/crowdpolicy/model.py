@@ -82,10 +82,18 @@ def _set(obj, **fields: object):
     return obj
 
 
-def _kernel_views(space: StateSpace, matrices: np.ndarray) -> tuple[TransitionKernel, ...]:
-    """Lock an (N, d, d) stack of validated kernels and view each matrix as a kernel."""
-    matrices.setflags(write=False)
+def _kernel_views(space: StateSpace, matrices: np.ndarray) -> tuple:
+    """View each matrix of a read-only (..., N, d, d) stack as a kernel, nested like its axes."""
+    if matrices.ndim > 3:
+        return tuple(_kernel_views(space, stack) for stack in matrices)
     return tuple(_set(object.__new__(TransitionKernel), space=space, matrix=m) for m in matrices)
+
+
+def _step(k: int, horizon: int) -> int:
+    """The 0-based index of the 1-based step ``k``; IndexError unless 1 <= k <= horizon."""
+    if not 1 <= k <= horizon:
+        raise IndexError(f"step k={k} is outside 1..{horizon}")
+    return k - 1
 
 
 class _FrozenValue:
@@ -100,17 +108,13 @@ class _FrozenValue:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        for f in fields(self):
-            if not f.compare:
-                continue
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
-                same = np.array_equal(mine, theirs)
-            else:
-                same = mine == theirs
-            if not same:
-                return False
-        return True
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+        return all(
+            np.array_equal(mine, theirs)
+            if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray)
+            else mine == theirs
+            for mine, theirs in pairs
+        )
 
     def __setstate__(self, state: dict) -> None:
         for value in state.values():
@@ -194,21 +198,44 @@ class TransitionKernel(_FrozenValue):
         return StatePMF(self.space, self.matrix[x])
 
 
+class _KernelStack(_FrozenValue):
+    """Base of `Behavior` and `ContributorSet`, which store a read-only kernel stack alone.
+
+    Their ``kernels`` field, views of ``matrices`` nested like its leading axes, is
+    built on first read in one assignment (threads racing there get equal tuples).
+    """
+
+    def _stack(self, matrices: np.ndarray, **held: object):
+        """Hold validated ``matrices`` read-only, and ``held``, in place of any given kernels."""
+        vars(self).pop("kernels", None)
+        matrices.setflags(write=False)
+        return _set(self, matrices=matrices, **held)
+
+    def __getattr__(self, name: str):
+        if name != "kernels":
+            return object.__getattribute__(self, name)  # raises the standard AttributeError
+        return _set(self, kernels=_kernel_views(self.space, self.matrices)).kernels
+
+    @property
+    def horizon(self) -> int:
+        return self.matrices.shape[-3]
+
+
 @dataclass(frozen=True, eq=False)
-class Behavior(_FrozenValue):
+class Behavior(_KernelStack):
     """A finite-horizon Markov behavior: initial pmf plus one kernel per step.
 
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
-    once, as the read-only ``(N, d, d)`` array ``matrices``; each of
-    ``kernels`` is a view of one of its matrices. The behavior also holds its
-    last sampled draw, which `sample_trajectories` and `monte_carlo_cost` share,
-    and a synthesized agent its KL rows, which `evaluate_cost` reads for that
-    target alone; neither is compared, and a pickle or copy starts without them.
+    once, as the read-only ``(N, d, d)`` array ``matrices``; ``kernels`` views
+    its matrices, built on first read. The behavior also holds its last
+    sampled draw, which `sample_trajectories` and `monte_carlo_cost` share, and
+    a synthesized agent its KL rows, which `evaluate_cost` reads for that target
+    alone; none of these is compared, and a pickle or copy starts without them.
     """
 
     initial: StatePMF
-    kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`
+    kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`, on read
     matrices: np.ndarray = field(init=False, repr=False)
     _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
     _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone
@@ -220,27 +247,20 @@ class Behavior(_FrozenValue):
         for k, kernel in enumerate(kernels, start=1):
             if kernel.space != self.initial.space:
                 raise ValueError(f"kernel at k={k} uses a different state space")
-        self._hold(np.array([kernel.matrix for kernel in kernels]))
+        self._stack(np.array([kernel.matrix for kernel in kernels]))
 
     @classmethod
     def _of(cls, initial: StatePMF, matrices: np.ndarray) -> "Behavior":
         """A behavior that takes over ``matrices``, an (N, d, d) stack of validated kernels."""
-        return _set(object.__new__(cls), initial=initial)._hold(matrices)
-
-    def _hold(self, matrices: np.ndarray) -> "Behavior":
-        return _set(self, kernels=_kernel_views(self.space, matrices), matrices=matrices)
+        return object.__new__(cls)._stack(matrices, initial=initial)
 
     def __reduce__(self):
-        """Pickle and copy the pmf and the stack: the copy's kernels are read-only views again."""
+        """Pickle and copy the pmf and the stack: the copy builds its kernel views on read."""
         return type(self)._of, (self.initial, self.matrices)
 
     @property
     def space(self) -> StateSpace:
         return self.initial.space
-
-    @property
-    def horizon(self) -> int:
-        return self.matrices.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +289,7 @@ class RewardSchedule(_FrozenValue):
 
     def step(self, k: int) -> np.ndarray:
         """Reward vector for step k (1-based)."""
-        return self.values[k - 1]
+        return self.values[_step(k, self.horizon)]
 
 
 @dataclass(frozen=True, eq=False)

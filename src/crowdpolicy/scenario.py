@@ -214,10 +214,7 @@ def scenario_from_dict(
     if not isinstance(metadata, dict):
         raise fail("metadata must be an object")
 
-    try:
-        return Scenario(name, space, target, contributors, rewards, metadata)
-    except ValueError as exc:
-        raise fail(str(exc)) from None
+    return Scenario(name, space, target, contributors, rewards, metadata)
 
 
 def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:

@@ -166,11 +166,9 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
         best[idx] = (log_kernels[idx] + best[idx + 1]).max(axis=1)
 
     path = np.empty(n + 1, dtype=np.int64)
-    start_scores = log_pmf(policy.initial.probs) + best[0]
-    path[0] = int(np.argmax(start_scores))
+    path[0] = np.argmax(log_pmf(policy.initial.probs) + best[0])
     for idx in range(n):
-        step_scores = log_kernels[idx][path[idx]] + best[idx + 1]
-        path[idx + 1] = int(np.argmax(step_scores))
+        path[idx + 1] = np.argmax(log_kernels[idx][path[idx]] + best[idx + 1])
     states = tuple(policy.space.labels[i] for i in path)
     column = path[:, None]
     log_prob = _sum_in_path_order(_path_log_terms(policy, column, _flat_steps(column, d)))[0]

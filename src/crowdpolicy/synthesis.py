@@ -40,21 +40,22 @@ from .model import (
     TransitionKernel,
     WeightVector,
     _FrozenValue,
-    _kernel_views,
+    _KernelStack,
     _marginals,
     _set,
+    _step,
     kl_rows,
 )
 
 
 @dataclass(frozen=True, eq=False)
-class ContributorSet(_FrozenValue):
+class ContributorSet(_KernelStack):
     """A pool of contributor kernels sharing one state space and horizon.
 
     Contributors supply transition kernels only; the initial pmf always comes
     from the target behavior. The kernels are stored once, as the read-only
     ``(S, N, d, d)`` array ``matrices``; ``kernels[i][k-1]`` is a view of
-    ``matrices[i, k-1]``.
+    ``matrices[i, k-1]``, built when ``kernels`` is first read.
 
     The pool also holds one entry for `synthesize` and `filter_contributors`:
     the last target it was scored against, by weak reference and matched by
@@ -64,7 +65,7 @@ class ContributorSet(_FrozenValue):
     """
 
     space: StateSpace
-    kernels: tuple[tuple[TransitionKernel, ...], ...] = field(compare=False)  # views of `matrices`
+    kernels: tuple[tuple[TransitionKernel, ...], ...] = field(compare=False)  # views, on read
     ids: tuple[str, ...]
     matrices: np.ndarray = field(init=False, repr=False)
     _held = None  # (weakref to a target, its KL table); set by `_kl_table` alone
@@ -79,9 +80,8 @@ class ContributorSet(_FrozenValue):
         for i, per_k in enumerate(kernels):
             if len(per_k) != horizon:
                 raise ValueError(f"contributor {i} has horizon {len(per_k)}, expected {horizon}")
-            for kernel in per_k:
-                if kernel.space != self.space:
-                    raise ValueError(f"contributor {i} uses a different state space")
+            if any(kernel.space != self.space for kernel in per_k):
+                raise ValueError(f"contributor {i} uses a different state space")
         self._hold(np.array([[kernel.matrix for kernel in per_k] for per_k in kernels]), self.ids)
 
     @classmethod
@@ -95,25 +95,19 @@ class ContributorSet(_FrozenValue):
             raise ValueError("one id per contributor required")
         if len(set(ids)) != len(ids):
             raise ValueError("contributor ids must be unique")
-        matrices.setflags(write=False)
-        views = tuple(_kernel_views(self.space, per_k) for per_k in matrices)
-        return _set(self, kernels=views, ids=ids, matrices=matrices)
+        return self._stack(matrices, ids=ids)
 
     def __reduce__(self):
-        """Pickle and copy the stack alone: the copy is read-only, viewed, and holds no table."""
+        """Pickle and copy the stack alone: the copy is read-only and holds no views or table."""
         return type(self)._of, (self.space, self.matrices, self.ids)
 
     @property
     def size(self) -> int:
         return self.matrices.shape[0]
 
-    @property
-    def horizon(self) -> int:
-        return self.matrices.shape[1]
-
     def kernel(self, contributor: int, k: int) -> TransitionKernel:
         """Kernel of a contributor at step k (1-based)."""
-        return self.kernels[contributor][k - 1]
+        return self.kernels[contributor][_step(k, self.horizon)]
 
     def subset(self, indices: list[int]) -> "ContributorSet":
         """The contributors at ``indices``, in that order, in a read-only stack of their own."""
@@ -244,17 +238,14 @@ class SynthesizedPolicy(_FrozenValue):
 
     def weight_vector(self, k: int, state: int) -> WeightVector:
         """Simplex weights at step k (1-based) for conditioning state index."""
-        return WeightVector(self.weights[k - 1, state])
+        return WeightVector(self.weights[_step(k, self.horizon), state])
 
     def selected_id(self, k: int, state: int) -> str:
-        return self.contributor_ids[int(self.selected[k - 1, state])]
+        return self.contributor_ids[int(self.selected[_step(k, self.horizon), state])]
 
     def selection_table(self) -> list[list[str]]:
         """Selected contributor id per step (rows) and conditioning state (columns)."""
-        return [
-            [self.contributor_ids[int(i)] for i in self.selected[k]]
-            for k in range(self.horizon)
-        ]
+        return [[self.contributor_ids[i] for i in row] for row in self.selected.tolist()]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported per step below

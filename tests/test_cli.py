@@ -681,3 +681,45 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert "scenario OK" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# evaluate: infinite costs and a policy of another horizon
+# ---------------------------------------------------------------------------
+
+
+def test_evaluate_writes_an_infinite_cost_as_a_string(tmp_path, capsys):
+    # every row jumps to node 1, which the target cannot do from every reachable node
+    doc = read_json(demo_scenario_path())
+    rogue = tmp_path / "rogue.json"
+    rogue.write_text(json.dumps({
+        "policy_version": 1,
+        "states": doc["states"],
+        "initial": doc["target"]["initial"],
+        "kernels": [[[1.0, 0, 0, 0, 0, 0]] * 6] * 4,
+    }))
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--scenario", DEMO, "--reward-profile", "favor-node-2",
+               "--policy", str(rogue), "--out", str(out)])
+    assert rc == 0
+    printed = json.loads(capsys.readouterr().out)
+    report = read_json(out / "report.json")
+    assert printed == report
+    assert report["cost"]["kl_part"] == "inf" and report["cost"]["total"] == "inf"
+    assert math.isfinite(report["cost"]["reward_part"])
+    assert '"kl_part": "inf"' in (out / "report.json").read_text()
+
+
+def test_evaluate_rejects_a_policy_of_another_horizon(tmp_path, capsys):
+    scenario = generate_random_scenario(seed=3, d=2, horizon=1, contributors=1)
+    path = tmp_path / "short.json"
+    save_scenario(scenario, path)
+    from crowdpolicy import save_policy
+
+    longer = tmp_path / "longer.json"
+    save_policy(generate_random_scenario(seed=3, d=2, horizon=2, contributors=1).target, longer)
+    rc = main(["evaluate", "--scenario", str(path), "--policy", str(longer)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "validation error: policy horizon 2 != scenario horizon 1\n"
+    )

@@ -861,3 +861,11 @@ def test_held_rows_come_from_the_retained_table_when_the_filter_drops_a_lower_in
     assert assert_held_route_equals_the_recompute(target, pool, rewards, prefilter=True)
     assert math.isfinite(evaluate_cost(policy.agent, target, rewards).kl_part)
 
+
+
+def test_evaluate_cost_rejects_a_policy_on_another_space():
+    scenario = generate_random_scenario(4, 2, 2, 1)
+    foreign = generate_random_scenario(4, 3, 2, 1).target
+    with pytest.raises(ValueError) as err:
+        evaluate_cost(foreign, scenario.target, scenario.reward_profile())
+    assert str(err.value) == "policy, target, and rewards must share one state space"

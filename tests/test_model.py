@@ -567,3 +567,12 @@ def test_log_pmf_silent_on_zero():
     assert out[0] == -math.inf
     assert out[1] == 0.0
     assert out[2] == pytest.approx(math.log(0.5))
+
+
+def test_an_empty_pmf_and_an_empty_weight_vector_are_rejected():
+    with pytest.raises(ValueError) as err:
+        StatePMF(AB, [])
+    assert str(err.value) == "pmf must have at least one entry"
+    with pytest.raises(ValueError) as err:
+        WeightVector([])
+    assert str(err.value) == "weights must be a non-empty vector"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdpolicy.errors import ValidationError
-from crowdpolicy.model import Behavior, StatePMF, StateSpace, TransitionKernel
+from crowdpolicy.model import Behavior, RewardSchedule, StatePMF, StateSpace, TransitionKernel
 from crowdpolicy.synthesis import ContributorSet, synthesize
 from crowdpolicy.scenario import (
     POLICY_VERSION,
@@ -906,3 +906,93 @@ def test_concurrent_writers_never_expose_a_partial_file(tmp_path):
     assert failures == []
     assert seen <= set(texts)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.json"]
+
+
+def test_a_scenario_or_policy_file_whose_top_level_is_no_object_is_rejected(tmp_path):
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(listed)
+    assert str(err.value) == f"{listed}: top level must be a JSON object"
+    with pytest.raises(ValidationError) as err:
+        load_policy(listed)
+    assert str(err.value) == f"{listed}: top level must be a JSON object"
+
+
+def test_an_empty_reward_profile_name_is_rejected():
+    doc = minimal_doc()
+    doc["rewards"][""] = [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == "scenario: reward profile names must be non-empty"
+
+
+@pytest.mark.parametrize(
+    "kernels", [[0.5, 0.5], [[[[0.5, 0.5], [0.5, 0.5]]]] * 2], ids=["1-D", "4-D"]
+)
+@pytest.mark.parametrize("owner", ["target", "contributor"])
+def test_kernels_of_neither_two_nor_three_axes_are_rejected(kernels, owner):
+    doc = minimal_doc()
+    if owner == "target":
+        doc["target"]["kernels"] = kernels
+        name = "target"
+    else:
+        doc["contributors"][0]["kernels"] = kernels
+        name = "contributor 'only'"
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == (
+        f"scenario: {name} kernels must be a [from][to] matrix or a [k][from][to] array"
+    )
+
+
+_AC = StateSpace(("a", "c"))
+
+
+def _half(space, steps=2):
+    """A contributor set of one contributor moving uniformly over ``space`` for ``steps`` steps."""
+    return ContributorSet(space, ((TransitionKernel(space, np.full((2, 2), 0.5)),) * steps,), ("x",))
+
+
+_SCENARIO_CHECKS = {
+    "name": (lambda parts: parts.update(name=""), "scenario name must be non-empty"),
+    "target space": (
+        lambda parts: parts.update(space=_AC), "target state space does not match scenario states"
+    ),
+    "pool space": (
+        lambda parts: parts.update(contributors=_half(_AC)),
+        "contributor state space does not match scenario states",
+    ),
+    "pool horizon": (
+        lambda parts: parts.update(contributors=_half(parts["space"], 1)),
+        "contributor horizon does not match target horizon",
+    ),
+    "no rewards": (
+        lambda parts: parts.update(rewards={}), "scenario must define at least one reward profile"
+    ),
+    "reward horizon": (
+        lambda parts: parts["rewards"].update(short=RewardSchedule(parts["space"], np.zeros((1, 2)))),
+        "reward profile 'short' does not match scenario dimensions",
+    ),
+    "reward space": (
+        lambda parts: parts["rewards"].update(other=RewardSchedule(_AC, np.zeros((2, 2)))),
+        "reward profile 'other' does not match scenario dimensions",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_SCENARIO_CHECKS))
+def test_each_check_of_the_public_scenario_constructor(check):
+    scenario = scenario_from_dict(minimal_doc())
+    parts = {
+        "name": scenario.name,
+        "space": scenario.space,
+        "target": scenario.target,
+        "contributors": scenario.contributors,
+        "rewards": dict(scenario.rewards),
+    }
+    change, message = _SCENARIO_CHECKS[check]
+    change(parts)
+    with pytest.raises(ValueError) as err:
+        Scenario(**parts)
+    assert str(err.value) == message

@@ -1016,3 +1016,55 @@ def test_another_target_object_an_equal_copy_included_recomputes_the_same_bytes(
         assert other == target and other is not target
         assert repr(evaluate_cost(agent, other, rewards)) == want
     assert len(calls) == len(equal)
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_the_one_based_step_accessors_reject_steps_outside_the_horizon(demo, k):
+    # the demo's horizon is 4: k = 0 and -1 once read step N, and k = 5 raised bare errors
+    rewards = demo.reward_profile("favor-node-2")
+    policy = synthesize(demo.target, demo.contributors, rewards)
+    accessors = {
+        "kernel": lambda: demo.contributors.kernel(0, k),
+        "step": lambda: rewards.step(k),
+        "weight_vector": lambda: policy.weight_vector(k, 0),
+        "selected_id": lambda: policy.selected_id(k, 0),
+    }
+    for name, read in accessors.items():
+        with pytest.raises(IndexError) as err:
+            read()
+        assert str(err.value) == f"step k={k} is outside 1..4", name
+
+
+def test_the_one_based_step_accessors_read_their_first_and_last_steps(demo):
+    rewards = demo.reward_profile("favor-node-2")
+    policy = synthesize(demo.target, demo.contributors, rewards)
+    pool = demo.contributors
+    for k in (1, 4):
+        assert np.array_equal(pool.kernel(1, k).matrix, pool.matrices[1, k - 1])
+        assert np.array_equal(rewards.step(k), rewards.values[k - 1])
+        assert np.array_equal(policy.weight_vector(k, 2).weights, policy.weights[k - 1, 2])
+        assert policy.selected_id(k, 2) == policy.contributor_ids[policy.selected[k - 1, 2]]
+
+
+def test_a_pool_rejects_zero_step_kernels_and_a_kernel_on_another_space():
+    with pytest.raises(ValueError) as err:
+        ContributorSet(AB, ((),), ("empty",))
+    assert str(err.value) == "contributors must cover at least one step"
+    other = TransitionKernel(StateSpace(("a", "c")), np.full((2, 2), 0.5))
+    own = TransitionKernel(AB, np.full((2, 2), 0.5))
+    with pytest.raises(ValueError) as err:
+        ContributorSet(AB, ((own, own), (own, other)), ("fine", "foreign"))
+    assert str(err.value) == "contributor 1 uses a different state space"
+
+
+def test_bound_value_rejects_a_target_on_another_space():
+    target = uniform_target(1)
+    rewards = RewardSchedule(AB, np.zeros((1, 2)))
+    policy = synthesize(target, pool(1, [[0.5, 0.5], [0.5, 0.5]]), rewards)
+    other = StateSpace(("a", "c"))
+    foreign = Behavior(
+        StatePMF(other, np.array([1.0, 0.0])), (TransitionKernel(other, np.full((2, 2), 0.5)),)
+    )
+    with pytest.raises(ValueError) as err:
+        bound_value(policy, foreign)
+    assert str(err.value) == "policy and target use different state spaces"
