@@ -3,8 +3,8 @@
 Subcommands: validate, synthesize, evaluate, oracle, simulate, demo.
 
 Exit codes: 0 success, 2 scenario or policy validation failure, 3
-infeasibility (no admissible contributor, or an estimand undefined for the
-given inputs), 4 oracle guard refusal, 1 unexpected internal error.
+infeasibility (the initial pmf on a dead state, or an estimand undefined for
+the given inputs), 4 oracle guard refusal, 1 unexpected internal error.
 
 `main` runs every command the same way: it starts the clock, `_inputs` loads
 the scenario and reward profile and starts the report, the command's handler
@@ -54,8 +54,7 @@ from .simulate import (
     sample_trajectories,
     write_trajectories_csv,
 )
-from .synthesis import SynthesizedPolicy, bound_value, filter_contributors, synthesize
-from .synthesis import _kl_table, _with_kl
+from .synthesis import SynthesizedPolicy, _kl_table, _with_kl, bound_value, synthesize
 
 PROG = "crowdpolicy"
 
@@ -203,7 +202,7 @@ def cmd_synthesize(
 ) -> dict:
     out = Path(args.out)
     policy, block = _solve(scenario, rewards, out)
-    filtered = policy.filter_report  # the CLI always filters, so there is one
+    filtered = policy.filter_report  # admissibility only: excluded contributors may be selected
     excluded = [{"id": e.contributor_id, "k": e.k, "state": e.state} for e in filtered.exclusions]
     report.update(block, filter={"retained": filtered.retained_ids, "excluded": excluded})
     print(f"synthesized {scenario.name} [{report['reward_profile']}]")
@@ -228,22 +227,20 @@ def cmd_oracle(
     policy = synthesize(scenario.target, scenario.contributors, rewards)
     bound = bound_value(policy, scenario.target)
     mode = {"per-time": "per-time", "per-time-state": "per-time-and-state"}[args.mode]
-    retained, _ = filter_contributors(scenario.target, scenario.contributors)
-    result = pure_schedule_oracle(scenario.target, retained, rewards, mode)
+    pool = scenario.contributors  # the whole pool, as synthesize scores it
+    result = pure_schedule_oracle(scenario.target, pool, rewards, mode)
     report.update(
         bound_value=bound,
         oracle={
             "mode": args.mode,
             "cost": result.cost,
             "schedule": result.schedule,
-            "contributor_ids": retained.ids,
+            "contributor_ids": pool.ids,
         },
         gap_oracle_minus_bound=result.cost - bound,
     )
     if args.grid_resolution is not None:
-        grid = simplex_grid_oracle(
-            scenario.target, retained, rewards, args.grid_resolution
-        )
+        grid = simplex_grid_oracle(scenario.target, pool, rewards, args.grid_resolution)
         report["grid"] = {
             "resolution": args.grid_resolution,
             "cost": grid.cost,

@@ -89,11 +89,11 @@ def _kernel_views(space: StateSpace, matrices: np.ndarray) -> tuple:
     return tuple(_set(object.__new__(TransitionKernel), space=space, matrix=m) for m in matrices)
 
 
-def _step(k: int, horizon: int) -> int:
-    """The 0-based index of the 1-based step ``k``; IndexError unless 1 <= k <= horizon."""
-    if not 1 <= k <= horizon:
-        raise IndexError(f"step k={k} is outside 1..{horizon}")
-    return k - 1
+def _index(i: int, size: int, name: str, first: int = 0) -> int:
+    """``i - first`` (1 for a step k), a 0-based index; IndexError naming ``name`` outside."""
+    if not first <= i < first + size:
+        raise IndexError(f"{name}={i} is outside {first}..{first + size - 1}")
+    return i - first
 
 
 class _FrozenValue:
@@ -289,7 +289,7 @@ class RewardSchedule(_FrozenValue):
 
     def step(self, k: int) -> np.ndarray:
         """Reward vector for step k (1-based)."""
-        return self.values[_step(k, self.horizon)]
+        return self.values[_index(k, self.horizon, "step k", 1)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,17 +12,24 @@ row minus the expected reward its row collects. Minimizing a linear score
 over simplex weights always lands on a vertex, so the best single contributor
 is selected outright (ties go to the lowest index). The negated best score is
 carried one step back as a value-to-go bonus added to the raw reward, and the
-procedure repeats. The backward pass does only that: per step, one product of
-the pool's rows with reward plus bonus and one subtraction from the KL table,
-into buffers that hold every step. After it, one pass over the buffers checks
-for overflow and for states every contributor scores +inf, naming the first
-step the backward pass met; one argmin selects, and one gather from the pool
-copies each selected row verbatim into the agent's switched kernels. The KL
-part of the scores does not depend on the rewards, so it is tabulated once per
-(target, pool): the pool holds the read-only table of the last target it was
-scored against, and that one table feeds both the filter and the recursion of
-every later call with the same target object; the agent keeps its own rows of
-it, which `evaluate_cost` reads instead of computing them for that target.
+procedure repeats over the whole pool. A row scores +inf where its KL is +inf
+or where it puts mass on a state dead at the next step, a (k, state) where
+every row scores +inf. Dead states depend only on the KL table's +inf pattern
+and the pool's support, so they are found once, before the pass, when the
+filter report shows a violation. Only a dead state the initial pmf puts mass
+on makes the problem infeasible; the agent never reaches the others, which
+keep a zero bonus and take the lowest index.
+
+Per step, the backward pass does one product of the pool's rows with reward
+plus bonus and one subtraction from the KL table, into buffers that hold
+every step. After it, one check for overflow names the first step the pass
+met; one argmin selects, and one gather from the pool copies each selected
+row verbatim into the agent's switched kernels. The KL part of the scores
+does not depend on the rewards, so it is tabulated once per (target, pool):
+the pool holds the read-only table of the last target it was scored against,
+and that one table feeds both the filter report and the recursion of every
+later call with the same target object; the agent keeps its own rows of it,
+which `evaluate_cost` reads instead of computing them for that target.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ from .model import (
     WeightVector,
     _FrozenValue,
     _KernelStack,
+    _index,
     _marginals,
     _set,
-    _step,
     kl_rows,
 )
 
@@ -107,7 +114,8 @@ class ContributorSet(_KernelStack):
 
     def kernel(self, contributor: int, k: int) -> TransitionKernel:
         """Kernel of a contributor at step k (1-based)."""
-        return self.kernels[contributor][_step(k, self.horizon)]
+        i = _index(contributor, self.size, "contributor")
+        return self.kernels[i][_index(k, self.horizon, "step k", 1)]
 
     def subset(self, indices: list[int]) -> "ContributorSet":
         """The contributors at ``indices``, in that order, in a read-only stack of their own."""
@@ -146,8 +154,12 @@ def filter_contributors(
         InfeasibleError: if no contributor survives.
     """
     _check_compatible(target, contributors)
-    retained, report = _filter(contributors, _kl_table(target, contributors))
-    return contributors.subset(retained), report
+    report = _filter(contributors, _kl_table(target, contributors))
+    if not report.retained_ids:
+        raise InfeasibleError(
+            "no admissible contributor: every contributor places mass where the target has none"
+        )
+    return contributors.subset([contributors.ids.index(i) for i in report.retained_ids]), report
 
 
 def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
@@ -174,21 +186,17 @@ def _with_kl(target: Behavior, rows: np.ndarray, kl: np.ndarray) -> Behavior:
     return _set(Behavior._of(target.initial, rows), _kl=(weakref.ref(target), kl))
 
 
-def _filter(contributors: ContributorSet, kl: np.ndarray) -> tuple[list[int], FilterReport]:
-    """Retained indices and report of `filter_contributors`, read off the KL table."""
+def _filter(contributors: ContributorSet, kl: np.ndarray) -> FilterReport:
+    """The report of `filter_contributors`, read off the KL table."""
     violations = np.isinf(kl).reshape(contributors.size, -1)  # step-then-state order
     excluded = violations.any(axis=1)
-    retained = np.flatnonzero(~excluded).tolist()
-    if not retained:
-        raise InfeasibleError(
-            "no admissible contributor: every contributor places mass where the target has none"
-        )
     steps, states = np.divmod(violations.argmax(axis=1), contributors.space.size)
     exclusions = tuple(
         Exclusion(contributors.ids[i], int(steps[i]) + 1, contributors.space.label(int(states[i])))
         for i in np.flatnonzero(excluded)
     )
-    return retained, FilterReport(tuple(contributors.ids[i] for i in retained), exclusions)
+    retained = tuple(cid for cid, out in zip(contributors.ids, excluded.tolist()) if not out)
+    return FilterReport(retained, exclusions)
 
 
 def _check_compatible(
@@ -210,7 +218,8 @@ class SynthesizedPolicy(_FrozenValue):
 
     Arrays are indexed ``[k-1, state, contributor]`` (or without the trailing
     axis where it does not apply); ``contributor`` indexes `contributor_ids`,
-    the retained pool in order.
+    the whole pool in order. A score is +inf where its row breaks the target's
+    support or reaches a dead state; a dead (k, state) selects the lowest index.
 
     Attributes:
         scores: per-(k, state) score of each contributor, reward-to-go folded in.
@@ -219,7 +228,7 @@ class SynthesizedPolicy(_FrozenValue):
         agent: the synthesized behavior (target initial pmf, switched kernels).
         r_hat: value-to-go bonus per step, ``r_hat[N-1]`` identically zero.
         r_bar: reward plus bonus actually scored at each step.
-        filter_report: admissibility report when filtering ran, else None.
+        filter_report: the pool's admissibility report, as `filter_contributors` gives it.
     """
 
     space: StateSpace
@@ -230,7 +239,7 @@ class SynthesizedPolicy(_FrozenValue):
     agent: Behavior
     r_hat: np.ndarray
     r_bar: np.ndarray
-    filter_report: FilterReport | None = field(default=None)
+    filter_report: FilterReport
 
     @property
     def horizon(self) -> int:
@@ -238,30 +247,25 @@ class SynthesizedPolicy(_FrozenValue):
 
     def weight_vector(self, k: int, state: int) -> WeightVector:
         """Simplex weights at step k (1-based) for conditioning state index."""
-        return WeightVector(self.weights[_step(k, self.horizon), state])
+        cell = _index(k, self.horizon, "step k", 1), _index(state, self.space.size, "state")
+        return WeightVector(self.weights[cell])
 
     def selected_id(self, k: int, state: int) -> str:
-        return self.contributor_ids[int(self.selected[_step(k, self.horizon), state])]
+        return self.contributor_ids[self.weight_vector(k, state).weights.argmax()]  # the vertex
 
     def selection_table(self) -> list[list[str]]:
         """Selected contributor id per step (rows) and conditioning state (columns)."""
         return [[self.contributor_ids[i] for i in row] for row in self.selected.tolist()]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported per step below
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported after the pass
 def synthesize(
-    target: Behavior,
-    contributors: ContributorSet,
-    rewards: RewardSchedule,
-    *,
-    prefilter: bool = True,
+    target: Behavior, contributors: ContributorSet, rewards: RewardSchedule
 ) -> SynthesizedPolicy:
     """Build the switched agent behavior for a target, contributor pool, and rewards.
 
-    Runs the backward recursion described in the module docstring. By default
-    inadmissible contributors are filtered out first; pass ``prefilter=False``
-    to score the pool as given (scores may then be +inf, and a (k, state)
-    where every score is +inf raises ``InfeasibleError`` naming it).
+    Runs the backward recursion described in the module docstring and
+    attaches the pool's `filter_contributors` report.
 
     Args:
         target: behavior to track; also supplies the agent's initial pmf.
@@ -271,58 +275,55 @@ def synthesize(
     Returns:
         A `SynthesizedPolicy` carrying the agent behavior, the full score
         table, selections, one-hot weights, and the recursion's value terms.
+
+    Raises:
+        InfeasibleError: naming a dead state the initial pmf puts mass on.
+        ValidationError: naming the first step whose value-to-go overflows.
     """
     _check_compatible(target, contributors, rewards)
-
     kl = _kl_table(target, contributors)
-    report: FilterReport | None = None
-    ids, keep = contributors.ids, slice(None)  # keep: retained contributors, read step by step
-    if prefilter:
-        retained, report = _filter(contributors, kl)
-        if len(retained) < contributors.size:
-            ids, keep, kl = report.retained_ids, retained, kl[retained]
+    report = _filter(contributors, kl)
+    n, d, s = target.horizon, target.space.size, contributors.size
+    scored, alive = kl, (True,) * n  # a pool with no +inf KL has no dead state
+    if report.exclusions:  # the dead states, before any reward is read
+        scored, alive = kl.copy(), np.ones((n + 1, d), dtype=bool)  # alive[N]: past k = N
+        for idx in range(n - 1, -1, -1):
+            scored[:, idx][(contributors.matrices[:, idx] > 0) @ ~alive[idx + 1]] = np.inf
+            alive[idx] = (scored[:, idx] < np.inf).any(axis=0)
+        stuck = (target.initial.probs > 0) & ~alive[0]
+        if stuck.any():  # the agent starts there; a dead state it never reaches costs nothing
+            state = target.space.label(int(stuck.argmax()))
+            raise InfeasibleError(f"every contributor score is +inf at k=1, state={state!r}")
 
-    n, d, s = target.horizon, target.space.size, len(ids)
-    r_hat = np.empty((n, d))
+    to_go = np.zeros((n + 1, d))  # to_go[idx + 1] is the bonus r_hat[idx]; zero past k = N
     r_bar = np.empty((n, d))
     expected = np.empty((n, s, d))  # rows @ r_bar per step, contributor-major like `kl`
-    work = np.empty((n, s, d))  # kl - expected: the scores, contributor-major
-
-    value_to_go = np.zeros(d)  # r_hat at the step being processed; zero at k = N
+    work = np.empty((n, s, d))  # scored - expected: the scores, contributor-major
     for idx in range(n - 1, -1, -1):
-        r_hat[idx] = value_to_go
-        r_bar[idx] = rewards.values[idx] + value_to_go
-        np.matmul(contributors.matrices[keep, idx], r_bar[idx], out=expected[idx])
-        value_to_go = -np.subtract(kl[:, idx], expected[idx], out=work[idx]).min(axis=0)
+        np.add(rewards.values[idx], to_go[idx + 1], out=r_bar[idx])
+        np.matmul(contributors.matrices[:, idx], r_bar[idx], out=expected[idx])
+        np.subtract(scored[:, idx], expected[idx], out=work[idx])
+        np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive[idx])  # dead: stays 0
 
-    # the pass's checks: the first step it met fails, overflow first; later steps ran on garbage
-    overflowed = ~np.isfinite(expected).all(axis=(1, 2))  # KL is finite or +inf: rewards overflow
-    dead = np.isinf(work).all(axis=1)
-    failed = np.flatnonzero(overflowed | dead.any(axis=1))
-    if failed.size:
-        idx = int(failed[-1])
-        if overflowed[idx]:
-            raise _reward_overflow(f"value-to-go at k={idx + 1}")
-        raise InfeasibleError(
-            f"every contributor score is +inf at k={idx + 1}, "
-            f"state={target.space.label(int(dead[idx].argmax()))!r}"
-        )
+    # KL is finite or +inf: a non-finite expected reward is an overflow; earlier steps ran on it
+    overflowed = np.flatnonzero(~np.isfinite(expected).all(axis=(1, 2)))
+    if overflowed.size:
+        raise _reward_overflow(f"value-to-go at k={int(overflowed[-1]) + 1}")
     scores = np.ascontiguousarray(work.transpose(0, 2, 1))
-    selected = scores.argmin(axis=2)  # first minimizer: ties to the lowest index
-    picks = np.arange(contributors.size)[keep][selected]  # pool index of each selection
-    agent_rows = contributors.matrices[picks, np.arange(n)[:, None], np.arange(d)]
+    selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index
+    agent_rows = contributors.matrices[selected, np.arange(n)[:, None], np.arange(d)]
     weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
     agent = _with_kl(target, agent_rows, np.take_along_axis(kl, selected[None], axis=0)[0])
-    for arr in (scores, selected, weights, r_hat, r_bar):
+    for arr in (scores, selected, weights, to_go, r_bar):
         arr.setflags(write=False)
     return SynthesizedPolicy(
         space=target.space,
-        contributor_ids=ids,
+        contributor_ids=contributors.ids,
         scores=scores,
         selected=selected,
         weights=weights,
         agent=agent,
-        r_hat=r_hat,
+        r_hat=to_go[1:],
         r_bar=r_bar,
         filter_report=report,
     )
@@ -346,7 +347,8 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
     matrices = policy.agent.matrices
     mu = _marginals(target.initial.probs, matrices)[:-1]
-    running = np.cumsum(np.vecdot(mu, sel + np.matmul(matrices, policy.r_hat[..., None])[..., 0]))
+    steps = sel + np.matmul(matrices, policy.r_hat[..., None])[..., 0]
+    running = np.cumsum(np.vecdot(mu, np.where(mu > 0, steps, 0.0)))  # unreachable states: 0
     if not np.isfinite(running[-1]):  # the steps' costs, summed forward, overflowed
         raise _reward_overflow(f"bound value at k={int(np.argmax(~np.isfinite(running))) + 1}")
     return float(running[-1])

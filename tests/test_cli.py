@@ -436,6 +436,45 @@ def test_oracle_per_time_with_grid(tmp_path, capsys):
     assert (tmp_path / "o" / "report.json").exists()
 
 
+#: The smallest pool that breaks the target's support only in a state without mass.
+UNREACHABLE = {
+    "scenario_version": 1, "name": "unreachable-violation", "states": ["a", "b"], "horizon": 1,
+    "target": {"initial": [1.0, 0.0], "kernels": [[[1.0, 0.0], [0.0, 1.0]]]},
+    "contributors": [{"id": "c", "kernels": [[[1.0, 0.0], [0.72, 0.28]]]}],
+    "rewards": {"p": [[-0.1033, 0.2329]]},
+}
+
+
+def test_synthesize_and_oracle_score_the_whole_pool(tmp_path, capsys):
+    # the filter report excludes the only contributor, yet its row out of 'a'
+    # is the answer: synthesize exits 0 and the oracle, on the same pool, agrees
+    path = tmp_path / "unreachable.json"
+    path.write_text(json.dumps(UNREACHABLE))
+    assert main(["synthesize", "--scenario", str(path), "--out", str(tmp_path / "s")]) == 0
+    report = read_json(tmp_path / "s" / "report.json")
+    assert report["filter"] == {"retained": [], "excluded": [{"id": "c", "k": 1, "state": "b"}]}
+    assert report["bound_value"] == report["exact_cost"]["total"] == 0.1033
+    capsys.readouterr()
+    assert main(["oracle", "--scenario", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle"]["contributor_ids"] == ["c"]
+    assert doc["oracle"]["cost"] == doc["bound_value"] == 0.1033
+    assert doc["gap_oracle_minus_bound"] == 0.0
+
+
+def test_the_grid_oracle_refuses_a_pool_of_four_with_an_excluded_contributor(tmp_path, capsys):
+    # the filter would leave three contributors, but the oracles take the whole pool
+    doc = json.loads(json.dumps(UNREACHABLE))
+    doc["contributors"] += [
+        {"id": f"stay{i}", "kernels": [[[1.0, 0.0], [0.0, 1.0]]]} for i in range(3)
+    ]
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["oracle", "--scenario", str(path), "--mode", "per-time", "--grid-resolution", "1"])
+    assert rc == 4
+    assert "S=4" in capsys.readouterr().err
+
+
 def test_oracle_guard_exits_4(tmp_path, capsys):
     scenario = generate_random_scenario(seed=2, d=3, horizon=14, contributors=3)
     path = tmp_path / "big.json"

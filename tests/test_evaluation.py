@@ -794,9 +794,9 @@ def _recomputed_pure_costs(target, pool, rewards):
     return costs
 
 
-def assert_held_route_equals_the_recompute(target, pool, rewards, prefilter):
+def assert_held_route_equals_the_recompute(target, pool, rewards):
     try:
-        policy = synthesize(target, pool, rewards, prefilter=prefilter)
+        policy = synthesize(target, pool, rewards)
     except (InfeasibleError, ValidationError):
         return False
     agent = policy.agent
@@ -831,21 +831,21 @@ def assert_held_route_equals_the_recompute(target, pool, rewards, prefilter):
     zero_share=st.sampled_from([0.0, 0.3, 0.6]),
     subnormal_share=st.sampled_from([0.0, 0.3]),
     scale=st.sampled_from([0.0, 1.0, 50.0, 1e305]),
-    prefilter=st.booleans(),
 )
 def test_a_synthesized_agent_costs_the_same_with_or_without_its_held_rows(
-    d, horizon, size, seed, zero_share, subnormal_share, scale, prefilter
+    d, horizon, size, seed, zero_share, subnormal_share, scale
 ):
     rng = np.random.default_rng(seed)
     target, pool, rewards = _held_instance(
         rng, d, horizon, size, zero_share, subnormal_share, scale
     )
-    assert_held_route_equals_the_recompute(target, pool, rewards, prefilter)
+    assert_held_route_equals_the_recompute(target, pool, rewards)
 
 
-def test_held_rows_come_from_the_retained_table_when_the_filter_drops_a_lower_index():
-    # the filter drops c0 and c2; the agent selects c1 and c3, retained
-    # indices 0 and 1, whose KL rows differ from c0's and c1's in the pool
+def test_held_rows_come_from_the_pool_table_when_a_lower_index_breaks_the_support():
+    # c0 and c2 break the target's support at (k=1, 'a') and are avoided
+    # there; the agent selects c1 and, at (k=1, 'b'), c0, whose held KL rows
+    # are read from the pool's table at those indices
     space = StateSpace(("a", "b"))
     target = chain(
         space, [[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]], initial=[0.5, 0.5]
@@ -857,8 +857,8 @@ def test_held_rows_come_from_the_retained_table_when_the_filter_drops_a_lower_in
     rewards = RewardSchedule(space, np.array([[2.0, 0.0], [0.0, 1.0]]))
     policy = synthesize(target, pool, rewards)
     assert policy.filter_report.retained_ids == ("c1", "c3")
-    assert sorted({policy.selected_id(k, x) for k in (1, 2) for x in (0, 1)}) == ["c1", "c3"]
-    assert assert_held_route_equals_the_recompute(target, pool, rewards, prefilter=True)
+    assert policy.selection_table() == [["c1", "c0"], ["c1", "c1"]]
+    assert assert_held_route_equals_the_recompute(target, pool, rewards)
     assert math.isfinite(evaluate_cost(policy.agent, target, rewards).kl_part)
 
 

@@ -10,9 +10,9 @@ allocate more than one pool.
 
 The pool holds one KL table, for the last target it was scored against: at
 most ``POOL_BYTES / D`` bytes, a warm call allocates less than the cold call
-that built it, and the table keeps no target alive. A pool the filter thins is
-read step by step, never copied whole, and `kl_rows` holds one float
-temporary the size of its input.
+that built it, and the table keeps no target alive. A pool with contributors
+the filter report excludes is read step by step, never copied whole, and
+`kl_rows` holds one float temporary the size of its input.
 
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
@@ -101,10 +101,10 @@ def _peak_of(call, *args, **kwargs):
         tracemalloc.stop()
 
 
-def test_a_filtered_pool_is_read_step_by_step_never_copied_whole():
+def test_a_pool_with_excluded_contributors_is_read_step_by_step_never_copied_whole():
     # the target is contributor 0's kernels, zeros included; odd contributors
-    # reweight it on its support and are kept, the random even ones after 0 are
-    # dropped
+    # reweight it on its support, the random even ones after 0 break it, and
+    # the whole pool is scored
     scenario = generate_random_scenario(11, D, HORIZON, CONTRIBUTORS, sparsity=0.3)
     source = scenario.contributors.matrices
     target = Behavior._of(scenario.target.initial, np.array(source[0]))
@@ -116,9 +116,9 @@ def test_a_filtered_pool_is_read_step_by_step_never_copied_whole():
     rewards = scenario.reward_profile()
     synthesize(target, contributors, rewards)  # cold: builds the held table
     peak = _peak_of(synthesize, target, contributors, rewards)
-    retained = synthesize(target, contributors, rewards).contributor_ids
+    retained = synthesize(target, contributors, rewards).filter_report.retained_ids
     assert CONTRIBUTORS // 2 <= len(retained) < CONTRIBUTORS
-    assert peak < len(retained) * POOL_BYTES // CONTRIBUTORS // 2
+    assert peak < POOL_BYTES // 4
 
 
 def test_kl_rows_holds_one_float_temporary():
