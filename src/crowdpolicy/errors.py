@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Plain ``ValueError`` is reserved for structural misuse of the library API
-(dimension mismatches, NaN inputs). The classes below mark conditions the
-command line maps to dedicated exit codes.
+Plain ``ValueError`` is reserved for structural misuse of the library API (dimension
+mismatches, NaN inputs). A pool, reward schedule or policy given with a target must have its
+state space and horizon, else the error names the part: ``contributors and target use
+different state spaces`` or ``reward horizon 1 != target horizon 2``. The classes below mark
+conditions the command line maps to dedicated exit codes.
 """
 
 

@@ -26,12 +26,13 @@ from .model import (
     RewardSchedule,
     StatePMF,
     WeightVector,
+    _check_compatible,
     _FrozenValue,
     _marginals,
     kl_rows,
     log_pmf,
 )
-from .synthesis import ContributorSet, _check_compatible
+from .synthesis import ContributorSet
 
 #: An agent policy is structurally just a behavior.
 AgentPolicy = Behavior
@@ -62,13 +63,6 @@ def _masked_dot(mu: np.ndarray, values: np.ndarray) -> float:
     return float(mu[active] @ values[active])
 
 
-def _check_setup(policy: Behavior, target: Behavior, rewards: RewardSchedule) -> None:
-    if policy.space != target.space or rewards.space != target.space:
-        raise ValueError("policy, target, and rewards must share one state space")
-    if policy.horizon != target.horizon or rewards.horizon != target.horizon:
-        raise ValueError("policy, target, and rewards must share one horizon")
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite expected reward is reported below
 def evaluate_cost(
     policy: AgentPolicy, target: Behavior, rewards: RewardSchedule
@@ -92,7 +86,7 @@ def evaluate_cost(
         ValidationError: if the expected rewards, summed over the steps,
             overflow; the first such step is named.
     """
-    _check_setup(policy, target, rewards)
+    _check_compatible(target, policy=policy, rewards=rewards)
     mu = _marginals(policy.initial.probs, policy.matrices)[:-1]  # the pmf each step leaves
     held = policy._kl  # a synthesized agent's (weakref to its target, KL rows), else None
     kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
@@ -124,7 +118,7 @@ def trajectory_enumeration_cost(
         ValidationError: if the expected rewards, summed over the steps,
             overflow; the first such step is named.
     """
-    _check_setup(policy, target, rewards)
+    _check_compatible(target, policy=policy, rewards=rewards)
     d, n = policy.space.size, policy.horizon
     if d**n > ORACLE_LIMIT:
         raise OracleGuardError(
@@ -280,7 +274,7 @@ def pure_schedule_oracle(
             over (k, state) finds the optimum without enumeration; ties go to
             the lowest contributor index.
     """
-    _check_compatible(target, contributors, rewards)
+    _check_compatible(target, contributors=contributors, rewards=rewards)
     s, n, d = contributors.size, target.horizon, target.space.size
     if mode not in ("per-time", "per-time-and-state"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -349,7 +343,7 @@ def simplex_grid_oracle(
         OracleGuardError: unless S <= 3, N <= 3, d <= 4, resolution >= 1, and
             the total number of grid assignments stays within ``ORACLE_LIMIT``.
     """
-    _check_compatible(target, contributors, rewards)
+    _check_compatible(target, contributors=contributors, rewards=rewards)
     s, n, d = contributors.size, target.horizon, target.space.size
     if grid_resolution < 1:
         raise OracleGuardError("grid resolution must be a positive integer")

@@ -96,6 +96,16 @@ def _index(i: int, size: int, name: str, first: int = 0) -> int:
     return i - first
 
 
+def _check_compatible(target: Behavior, **parts) -> None:
+    """Raise ValueError unless each named part has the target's state space and horizon."""
+    for name, part in parts.items():
+        if part.space != target.space:
+            raise ValueError(f"{name} and target use different state spaces")
+        if part.horizon != target.horizon:
+            horizons = f"horizon {part.horizon} != target horizon {target.horizon}"
+            raise ValueError(f"{name.removesuffix('s')} {horizons}")  # the part in the singular
+
+
 class _FrozenValue:
     """Base of the package's frozen dataclasses that hold arrays; each is declared ``eq=False``.
 
@@ -149,7 +159,7 @@ class StateSpace:
             raise ValueError(f"unknown state label {label!r}") from None
 
     def label(self, index: int) -> Label:
-        return self.labels[index]
+        return self.labels[_index(index, self.size, "state")]
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,7 +29,15 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from .errors import ValidationError
-from .model import Behavior, RewardSchedule, StatePMF, StateSpace, _as_probabilities, _FrozenValue
+from .model import (
+    Behavior,
+    RewardSchedule,
+    StatePMF,
+    StateSpace,
+    _as_probabilities,
+    _check_compatible,
+    _FrozenValue,
+)
 from .synthesis import ContributorSet
 
 SCENARIO_VERSION = 1
@@ -62,17 +70,10 @@ class Scenario(_FrozenValue):
             raise ValueError("scenario name must be non-empty")
         if self.target.space != self.space:
             raise ValueError("target state space does not match scenario states")
-        if self.contributors.space != self.space:
-            raise ValueError("contributor state space does not match scenario states")
-        if self.contributors.horizon != self.horizon:
-            raise ValueError("contributor horizon does not match target horizon")
         if not self.rewards:
             raise ValueError("scenario must define at least one reward profile")
-        for profile, schedule in self.rewards.items():
-            if schedule.space != self.space or schedule.horizon != self.horizon:
-                raise ValueError(
-                    f"reward profile {profile!r} does not match scenario dimensions"
-                )
+        profiles = {f"reward profile {name!r}": schedule for name, schedule in self.rewards.items()}
+        _check_compatible(self.target, contributors=self.contributors, **profiles)
 
     @property
     def horizon(self) -> int:

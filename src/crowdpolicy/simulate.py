@@ -25,8 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import _reward_overflow
-from .evaluation import _check_setup
-from .model import Behavior, Label, RewardSchedule, _set, log_pmf
+from .model import Behavior, Label, RewardSchedule, _check_compatible, _set, log_pmf
 from .scenario import _atomic_write_text, _csv_text
 
 
@@ -101,7 +100,7 @@ def _flat_steps(paths: np.ndarray, d: int) -> np.ndarray:
 
 
 def _path_log_terms(behavior: Behavior, paths: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Log factors of step-major paths, (N + 1, count): initial, then one per step (-inf: impossible)."""
+    """Log factors of step-major paths, (N + 1, count): initial, then per step; -inf: impossible."""
     terms = np.empty(paths.shape)
     terms[0] = log_pmf(behavior.initial.probs).take(paths[0])
     terms[1:] = log_pmf(behavior.matrices).ravel().take(flat)
@@ -141,10 +140,8 @@ def sample_trajectories(
     Returns:
         Trajectories in draw order.
     """
-    if target is not None and (
-        target.space != policy.space or target.horizon != policy.horizon
-    ):
-        raise ValueError("target must share the policy's state space and horizon")
+    if target is not None:
+        _check_compatible(target, policy=policy)
     paths, flat = _draw(policy, count, seed)
     log_target = None if target is None else _path_log_terms(target, paths, flat)
     return _trajectories(policy, paths, _path_log_terms(policy, paths, flat), log_target)
@@ -206,7 +203,7 @@ def monte_carlo_cost(
             steps, overflow (the first such step is named), or if the sampled
             costs overflow their mean or standard error; the path count is named.
     """
-    _check_setup(policy, target, rewards)
+    _check_compatible(target, policy=policy, rewards=rewards)
     paths, flat = _draw(policy, count, seed)
     log_p, log_t = (_path_log_terms(each, paths, flat)[1:] for each in (policy, target))
     count = paths.shape[1]

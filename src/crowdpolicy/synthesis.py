@@ -46,6 +46,7 @@ from .model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    _check_compatible,
     _FrozenValue,
     _KernelStack,
     _index,
@@ -153,7 +154,7 @@ def filter_contributors(
     Raises:
         InfeasibleError: if no contributor survives.
     """
-    _check_compatible(target, contributors)
+    _check_compatible(target, contributors=contributors)
     report = _filter(contributors, _kl_table(target, contributors))
     if not report.retained_ids:
         raise InfeasibleError(
@@ -197,19 +198,6 @@ def _filter(contributors: ContributorSet, kl: np.ndarray) -> FilterReport:
     )
     retained = tuple(cid for cid, out in zip(contributors.ids, excluded.tolist()) if not out)
     return FilterReport(retained, exclusions)
-
-
-def _check_compatible(
-    target: Behavior, contributors: ContributorSet, rewards: RewardSchedule | None = None
-) -> None:
-    """Raise ValueError unless the pool, and the rewards when given, match the target's shape."""
-    for name, part in (("contributor", contributors), ("reward", rewards)):
-        if part is None:
-            continue
-        if part.space != target.space:
-            raise ValueError(f"{name}s and target use different state spaces")
-        if part.horizon != target.horizon:
-            raise ValueError(f"{name} horizon {part.horizon} != target horizon {target.horizon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +268,7 @@ def synthesize(
         InfeasibleError: naming a dead state the initial pmf puts mass on.
         ValidationError: naming the first step whose value-to-go overflows.
     """
-    _check_compatible(target, contributors, rewards)
+    _check_compatible(target, contributors=contributors, rewards=rewards)
     kl = _kl_table(target, contributors)
     report = _filter(contributors, kl)
     n, d, s = target.horizon, target.space.size, contributors.size
@@ -340,10 +328,7 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     per-row log-sum inequality is an equality and the returned value matches
     the exact cost of the synthesized behavior.
     """
-    if policy.space != target.space:
-        raise ValueError("policy and target use different state spaces")
-    if policy.horizon != target.horizon:
-        raise ValueError("policy and target horizons differ")
+    _check_compatible(target, policy=policy)
     sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
     matrices = policy.agent.matrices
     mu = _marginals(target.initial.probs, matrices)[:-1]

@@ -20,6 +20,7 @@ from crowdpolicy import (
     save_scenario,
     synthesize,
 )
+from crowdpolicy import cli
 from crowdpolicy.cli import main
 
 DEMO = str(demo_scenario_path())
@@ -720,6 +721,25 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert "scenario OK" in proc.stdout
+
+
+def test_entry_exits_with_the_code_main_returns(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["crowdpolicy", "validate", "--scenario", DEMO])
+    with pytest.raises(SystemExit) as err:
+        cli.entry()
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("scenario OK")
+
+
+def test_an_unexpected_error_prints_its_traceback_and_exits_1(monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)  # the parser is built on each call
+    assert main(["validate", "--scenario", DEMO]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: handler broke\n")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ def test_state_space_indexing():
         space.index("nope")
 
 
+@pytest.mark.parametrize("index", [-1, 2])
+def test_a_state_space_rejects_a_label_index_outside_it(index):
+    # -1 once read the last label, 2 raised a bare tuple error
+    with pytest.raises(IndexError) as err:
+        AB.label(index)
+    assert str(err.value) == f"state={index} is outside 0..1"
+    assert [AB.label(i) for i in (0, 1)] == ["a", "b"]
+
+
 def test_state_space_rejects_duplicates_and_empty():
     with pytest.raises(ValueError, match="unique"):
         StateSpace((1, 1))

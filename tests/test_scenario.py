@@ -961,22 +961,22 @@ _SCENARIO_CHECKS = {
     ),
     "pool space": (
         lambda parts: parts.update(contributors=_half(_AC)),
-        "contributor state space does not match scenario states",
+        "contributors and target use different state spaces",
     ),
     "pool horizon": (
         lambda parts: parts.update(contributors=_half(parts["space"], 1)),
-        "contributor horizon does not match target horizon",
+        "contributor horizon 1 != target horizon 2",
     ),
     "no rewards": (
         lambda parts: parts.update(rewards={}), "scenario must define at least one reward profile"
     ),
     "reward horizon": (
         lambda parts: parts["rewards"].update(short=RewardSchedule(parts["space"], np.zeros((1, 2)))),
-        "reward profile 'short' does not match scenario dimensions",
+        "reward profile 'short' horizon 1 != target horizon 2",
     ),
     "reward space": (
         lambda parts: parts["rewards"].update(other=RewardSchedule(_AC, np.zeros((2, 2)))),
-        "reward profile 'other' does not match scenario dimensions",
+        "reward profile 'other' and target use different state spaces",
     ),
 }
 

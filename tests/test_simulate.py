@@ -96,17 +96,6 @@ def test_zero_probability_states_are_never_sampled():
     assert all(t.states[1] != 2 for t in batch)
 
 
-def test_target_must_share_the_policy_space_and_horizon():
-    space = StateSpace(("s", "t"))
-    policy = behavior(space, [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
-    other_space = behavior(StateSpace(("s", "u")), [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]])
-    longer = behavior(space, [1.0, 0.0], [[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]])
-    for target in (other_space, longer):
-        with pytest.raises(ValueError) as err:
-            sample_trajectories(policy, 5, seed=0, target=target)
-        assert str(err.value) == "target must share the policy's state space and horizon"
-
-
 def test_count_validation():
     scenario = generate_random_scenario(seed=3, d=2, horizon=1, contributors=1)
     with pytest.raises(ValueError, match="count"):

@@ -12,7 +12,7 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "crowdpolicy"
 
 #: Most lines the package source may hold: a change that adds lines pays for
 #: them with deletions elsewhere, not by joining statements or cutting docstrings.
-LINE_BUDGET = 2511
+LINE_BUDGET = 2500
 
 
 def test_package_source_has_no_assert_statements():

@@ -37,6 +37,7 @@ from crowdpolicy.model import (
     simplex_argmin,
 )
 from crowdpolicy.scenario import generate_random_scenario, load_policy, save_policy
+from crowdpolicy.simulate import monte_carlo_cost, sample_trajectories
 from crowdpolicy.synthesis import (
     ContributorSet,
     Exclusion,
@@ -308,42 +309,64 @@ _MISMATCHES = {
     "pool space": "contributors and target use different state spaces",
     "reward horizon": "reward horizon 1 != target horizon 2",
     "reward space": "rewards and target use different state spaces",
+    "policy horizon": "policy horizon 1 != target horizon 2",
+    "policy space": "policy and target use different state spaces",
+}
+
+#: Every public route that takes a target, called on (target, pool, rewards, synthesized
+#: policy), with the parts of `_MISMATCHES` it takes.
+_ROUTES = {
+    "synthesize": (lambda t, c, r, p: synthesize(t, c, r), ("pool", "reward")),
+    "filter_contributors": (lambda t, c, r, p: filter_contributors(t, c), ("pool",)),
+    "pure_schedule_oracle": (lambda t, c, r, p: pure_schedule_oracle(t, c, r), ("pool", "reward")),
+    "_grid_oracle": (lambda t, c, r, p: _grid_oracle(t, c, r), ("pool", "reward")),
+    "evaluate_cost": (lambda t, c, r, p: evaluate_cost(p.agent, t, r), ("policy", "reward")),
+    "trajectory_enumeration_cost": (
+        lambda t, c, r, p: trajectory_enumeration_cost(p.agent, t, r), ("policy", "reward")
+    ),
+    "monte_carlo_cost": (
+        lambda t, c, r, p: monte_carlo_cost(p.agent, t, r, count=5, seed=0), ("policy", "reward")
+    ),
+    "bound_value": (lambda t, c, r, p: bound_value(p, t), ("policy",)),
+    "sample_trajectories": (
+        lambda t, c, r, p: sample_trajectories(p.agent, 5, seed=0, target=t), ("policy",)
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "entry, mismatch",
-    [(entry, mismatch)
-     for entry in (synthesize, filter_contributors, pure_schedule_oracle, _grid_oracle)
+    "route, mismatch",
+    [(route, mismatch)
+     for route, (_, parts) in _ROUTES.items()
      for mismatch in _MISMATCHES
-     if entry is not filter_contributors or mismatch.startswith("pool")],
+     if mismatch.split()[0] in parts],
 )
-def test_entry_points_share_one_compatibility_check(entry, mismatch):
+def test_entry_points_share_one_compatibility_check(route, mismatch):
     target = uniform_target(2)
     contributors = pool(2, [[0.5, 0.5], [0.5, 0.5]])
     rewards = RewardSchedule(AB, np.zeros((2, 2)))
+    policy = synthesize(target, contributors, rewards)
     other = StateSpace(("a", "c"))
+    kernel = TransitionKernel(other, np.full((2, 2), 0.5))
+    foreign_pool = ContributorSet(other, ((kernel, kernel),), ("x",))
     if mismatch == "pool horizon":
         contributors = pool(1, [[0.5, 0.5], [0.5, 0.5]])
     elif mismatch == "pool space":
-        kernel = TransitionKernel(other, np.full((2, 2), 0.5))
-        contributors = ContributorSet(other, ((kernel, kernel),), ("x",))
+        contributors = foreign_pool
     elif mismatch == "reward horizon":
         rewards = RewardSchedule(AB, np.zeros((1, 2)))
-    else:
+    elif mismatch == "reward space":
         rewards = RewardSchedule(other, np.zeros((2, 2)))
-    args = (target, contributors) if entry is filter_contributors else (target, contributors, rewards)
-    with pytest.raises(ValueError, match=_MISMATCHES[mismatch]):
-        entry(*args)
-
-
-def test_bound_value_mismatch_checks():
-    target = uniform_target(1)
-    contributors = pool(1, [[0.5, 0.5], [0.5, 0.5]])
-    rewards = RewardSchedule(AB, np.zeros((1, 2)))
-    policy = synthesize(target, contributors, rewards)
-    with pytest.raises(ValueError, match="horizons differ"):
-        bound_value(policy, uniform_target(2))
+    elif mismatch == "policy horizon":
+        short = RewardSchedule(AB, np.zeros((1, 2)))
+        policy = synthesize(uniform_target(1), pool(1, [[0.5, 0.5], [0.5, 0.5]]), short)
+    else:
+        foreign = Behavior(StatePMF(other, np.array([1.0, 0.0])), (kernel, kernel))
+        policy = synthesize(foreign, foreign_pool, RewardSchedule(other, np.zeros((2, 2))))
+    call, _ = _ROUTES[route]
+    with pytest.raises(ValueError) as err:
+        call(target, contributors, rewards, policy)
+    assert str(err.value) == _MISMATCHES[mismatch]
 
 
 # ---------------------------------------------------------------------------
@@ -1197,16 +1220,3 @@ def test_a_pool_rejects_zero_step_kernels_and_a_kernel_on_another_space():
     with pytest.raises(ValueError) as err:
         ContributorSet(AB, ((own, own), (own, other)), ("fine", "foreign"))
     assert str(err.value) == "contributor 1 uses a different state space"
-
-
-def test_bound_value_rejects_a_target_on_another_space():
-    target = uniform_target(1)
-    rewards = RewardSchedule(AB, np.zeros((1, 2)))
-    policy = synthesize(target, pool(1, [[0.5, 0.5], [0.5, 0.5]]), rewards)
-    other = StateSpace(("a", "c"))
-    foreign = Behavior(
-        StatePMF(other, np.array([1.0, 0.0])), (TransitionKernel(other, np.full((2, 2), 0.5)),)
-    )
-    with pytest.raises(ValueError) as err:
-        bound_value(policy, foreign)
-    assert str(err.value) == "policy and target use different state spaces"
