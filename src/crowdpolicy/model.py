@@ -76,8 +76,11 @@ def _as_probabilities(
 
 
 def _set(obj, **fields: object):
-    """Set fields of a frozen dataclass instance as given, with no checks or copies; return it."""
+    """Set fields of a frozen instance, no checks or copies; arrays, alone or in tuples, locked."""
     for name, value in fields.items():
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
 
@@ -127,10 +130,7 @@ class _FrozenValue:
         )
 
     def __setstate__(self, state: dict) -> None:
-        for value in state.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        self.__dict__.update(state)
+        _set(self, **state)
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,6 @@ class _KernelStack(_FrozenValue):
     def _stack(self, matrices: np.ndarray, **held: object):
         """Hold validated ``matrices`` read-only, and ``held``, in place of any given kernels."""
         vars(self).pop("kernels", None)
-        matrices.setflags(write=False)
         return _set(self, matrices=matrices, **held)
 
     def __getattr__(self, name: str):
@@ -238,16 +237,18 @@ class Behavior(_KernelStack):
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
     once, as the read-only ``(N, d, d)`` array ``matrices``; ``kernels`` views
-    its matrices, built on first read. The behavior also holds its last
-    sampled draw, which `sample_trajectories` and `monte_carlo_cost` share, and
-    a synthesized agent its KL rows, which `evaluate_cost` reads for that target
-    alone; none of these is compared, and a pickle or copy starts without them.
+    its matrices, built on first read. The behavior also holds its sampling
+    tables (`simulate._tables`), its last draw, which `sample_trajectories` and
+    `monte_carlo_cost` share, and a synthesized agent its KL rows, read by
+    `evaluate_cost` for that target alone; none of these is compared, and a
+    pickle or copy starts without them.
     """
 
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`, on read
     matrices: np.ndarray = field(init=False, repr=False)
     _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
+    _sampling = None  # (log pmf, raveled log kernels, their CDFs); set by `simulate._tables` alone
     _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone
 
     def __post_init__(self) -> None:
@@ -290,8 +291,7 @@ class RewardSchedule(_FrozenValue):
             raise ValueError("reward schedule must cover at least one step")
         if not np.all(np.isfinite(arr)):
             raise ValueError("rewards must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        _set(self, values=arr)
 
     @property
     def horizon(self) -> int:
@@ -318,8 +318,7 @@ class WeightVector(_FrozenValue):
             raise ValueError("weights must be non-negative")
         if abs(float(arr.sum()) - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {arr.sum()!r}, outside 1 +/- {WEIGHT_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weights", arr)
+        _set(self, weights=arr)
 
     @property
     def is_vertex(self) -> bool:

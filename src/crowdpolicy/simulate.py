@@ -8,15 +8,16 @@ each draw takes the first entry of its guarded CDF row above the uniform.
 
 A batch is held step-major, one (N + 1, count) index array, with one flat
 index (N, count) of every path's step in a raveled (N, d, d) kernel stack.
-Each behavior's log factors are one `take` through it (`log_pmf` runs once
-per behavior, on its kernel array), summed step by step in path order, so
-each total equals the scalar chain-rule sum. A behavior holds its last draw,
-read-only, for a plain-int (seed, count): `sample_trajectories` and
-`monte_carlo_cost` with that seed and count share one draw.
+A behavior holds its log and guarded-CDF tables, built on first use, and its
+last draw for a plain-int (seed, count), both read-only: `sample_trajectories`
+and `monte_carlo_cost` with that seed and count share one draw. Log factors
+are one `take` of the held logs through the flat index, summed row by row in
+path order, so each total equals the scalar chain-rule sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,15 @@ def _guarded_cumulative(rows: np.ndarray) -> np.ndarray:
     return cums
 
 
+def _tables(behavior: Behavior) -> tuple[np.ndarray, ...]:
+    """The behavior's held (log pmf, raveled log kernels, pmf CDF, kernel CDFs); built once."""
+    if behavior._sampling is None:  # one assignment: threads racing here build equal tables
+        pmf, kernels = behavior.initial.probs, behavior.matrices
+        logs = log_pmf(pmf), log_pmf(kernels.ravel())
+        _set(behavior, _sampling=(*logs, _guarded_cumulative(pmf), _guarded_cumulative(kernels)))
+    return behavior._sampling
+
+
 def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``count`` i.i.d. index paths of shape (count, N+1).
 
@@ -67,8 +77,7 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
     """
     n = policy.horizon
     paths = np.empty((n + 1, count), dtype=np.int64)
-    cum0 = _guarded_cumulative(policy.initial.probs)
-    cums = _guarded_cumulative(policy.matrices)
+    cum0, cums = _tables(policy)[2:]
     paths[0] = np.searchsorted(cum0, rng.random(count), side="right")
     for idx in range(n):
         u = rng.random(count)
@@ -77,7 +86,7 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
 
 
 def _draw(policy: Behavior, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One seed's read-only step-major paths, (N + 1, count), and `_flat_steps` index; held."""
+    """One seed's step-major paths, (N + 1, count), and `_flat_steps` index; held read-only."""
     if count < 1:
         raise ValueError("count must be >= 1")
     key = (seed, count) if type(seed) is int and type(count) is int else None
@@ -86,8 +95,6 @@ def _draw(policy: Behavior, count: int, seed: int) -> tuple[np.ndarray, np.ndarr
         return held[1], held[2]
     paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
     flat = _flat_steps(paths, policy.space.size)
-    paths.setflags(write=False)
-    flat.setflags(write=False)
     if key is not None:
         _set(policy, _drawn=(key, paths, flat))  # one assignment: safe across threads
     return paths, flat
@@ -101,25 +108,16 @@ def _flat_steps(paths: np.ndarray, d: int) -> np.ndarray:
 
 def _path_log_terms(behavior: Behavior, paths: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Log factors of step-major paths, (N + 1, count): initial, then per step; -inf: impossible."""
+    log_initial, log_steps = _tables(behavior)[:2]
     terms = np.empty(paths.shape)
-    terms[0] = log_pmf(behavior.initial.probs).take(paths[0])
-    terms[1:] = log_pmf(behavior.matrices).ravel().take(flat)
+    terms[0] = log_initial.take(paths[0])
+    log_steps.take(flat, out=terms[1:], mode="clip")  # unbuffered; flat is always in range
     return terms
 
 
 def _sum_in_path_order(terms: np.ndarray) -> np.ndarray:
-    """Column sums added top to bottom (`np.sum` adds pairwise, which moves the last bits)."""
-    return np.cumsum(terms, axis=0)[-1]
-
-
-def _trajectories(
-    policy: Behavior, paths: np.ndarray, log_policy: np.ndarray, log_target: np.ndarray | None
-) -> list[Trajectory]:
-    """`Trajectory` objects from step-major paths and their log terms."""
-    states = zip(*np.array(policy.space.labels, dtype=object)[paths].tolist())  # one tuple per path
-    log_p = _sum_in_path_order(log_policy).tolist()
-    log_t = [None] * len(log_p) if log_target is None else _sum_in_path_order(log_target).tolist()
-    return list(map(Trajectory, states, log_p, log_t))
+    """Column sums, one row added at a time from the top (`np.sum` adds pairwise, moving bits)."""
+    return functools.reduce(np.add, terms)
 
 
 def sample_trajectories(
@@ -143,8 +141,10 @@ def sample_trajectories(
     if target is not None:
         _check_compatible(target, policy=policy)
     paths, flat = _draw(policy, count, seed)
-    log_target = None if target is None else _path_log_terms(target, paths, flat)
-    return _trajectories(policy, paths, _path_log_terms(policy, paths, flat), log_target)
+    behaviors = (policy,) if target is None else (policy, target)
+    sums = (_sum_in_path_order(_path_log_terms(each, paths, flat)).tolist() for each in behaviors)
+    states = zip(*np.array(policy.space.labels, dtype=object)[paths].tolist())  # one tuple per path
+    return list(map(Trajectory, states, *sums))  # log_prob_target: None without a target
 
 
 def most_likely_trajectory(policy: Behavior) -> Trajectory:
@@ -157,13 +157,14 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     returns the lexicographically smallest in state-index order.
     """
     d, n = policy.space.size, policy.horizon
-    log_kernels = log_pmf(policy.matrices)
+    log_initial, log_steps = _tables(policy)[:2]
+    log_kernels = log_steps.reshape(n, d, d)
     best = np.zeros((n + 1, d))  # best[k, x]: optimal log-prob of steps k+1..N from state x
     for idx in range(n - 1, -1, -1):
         best[idx] = (log_kernels[idx] + best[idx + 1]).max(axis=1)
 
     path = np.empty(n + 1, dtype=np.int64)
-    path[0] = np.argmax(log_pmf(policy.initial.probs) + best[0])
+    path[0] = np.argmax(log_initial + best[0])
     for idx in range(n):
         path[idx + 1] = np.argmax(log_kernels[idx][path[idx]] + best[idx + 1])
     states = tuple(policy.space.labels[i] for i in path)
@@ -181,6 +182,7 @@ class MonteCarloEstimate:
     count: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed cost is reported below
 def monte_carlo_cost(
     policy: Behavior,
     target: Behavior,
@@ -216,13 +218,13 @@ def monte_carlo_cost(
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
     collected = rewards.values[np.arange(rewards.horizon)[:, None], paths[1:]]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        running = np.cumsum(log_p - log_t - collected, axis=0)  # as _sum_in_path_order
-        z = running[-1]
-        estimate = float(z.mean())
-        stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    costs = np.subtract(log_p, log_t, out=log_p)  # in place: the terms are this call's own
+    costs -= collected
+    z = _sum_in_path_order(costs)
+    estimate = float(z.mean())
+    stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
     if not (math.isfinite(estimate) and math.isfinite(stderr)):  # a cost or their sum overflowed
-        steps = ~np.isfinite(running).all(axis=1)  # sums stay non-finite once they overflow
+        steps = ~np.isfinite(np.cumsum(costs, axis=0)).all(axis=1)  # non-finite once overflowed
         k = int(np.argmax(steps)) + 1
         where = f"sampled cost at k={k}" if steps.any() else f"estimate over {count} sampled paths"
         raise _reward_overflow(where)

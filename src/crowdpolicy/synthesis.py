@@ -176,14 +176,12 @@ def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
     for idx, target_rows in enumerate(target.matrices):
         rows = contributors.matrices[:, idx]
         kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
-    kl.setflags(write=False)
     _set(contributors, _held=(weakref.ref(target), kl))  # one assignment: safe across threads
     return kl
 
 
 def _with_kl(target: Behavior, rows: np.ndarray, kl: np.ndarray) -> Behavior:
-    """A behavior over validated ``rows`` from the target's initial pmf, holding its KL rows."""
-    kl.setflags(write=False)  # kl[k-1, x] = KL(rows[k-1, x] || target row), as `_kl_table` has it
+    """A behavior over validated ``rows`` from the target's initial pmf, holding KL rows ``kl``."""
     return _set(Behavior._of(target.initial, rows), _kl=(weakref.ref(target), kl))
 
 

@@ -559,7 +559,7 @@ def test_simulate_off_support_policy_builds_no_trajectory(tmp_path, capsys, monk
     import crowdpolicy.simulate as simulate
 
     built = []
-    monkeypatch.setattr(simulate, "_trajectories", lambda *args: built.append(args))
+    monkeypatch.setattr(simulate, "Trajectory", lambda *args: built.append(args))
     test_simulate_off_support_policy_exits_3(tmp_path, capsys)
     assert built == []
 

@@ -16,7 +16,8 @@ the filter report excludes is read step by step, never copied whole, and
 
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
-keeps no target or reward schedule alive.
+keeps no target or reward schedule alive. Its sampling tables, the logs and
+guarded CDFs of its initial pmf and kernels, take ``(2N * d * d + 2d) * 8`` bytes.
 
 A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
 more than the agent without them, never a view into the pool's table, and they
@@ -151,6 +152,9 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
     key, paths, flat = policy._drawn
     assert key == (19, count)
     assert paths.nbytes + flat.nbytes == (2 * horizon + 1) * count * 8
+    d = target.space.size
+    tables = sum(table.nbytes for table in policy._sampling)
+    assert tables == (2 * horizon * d * d + 2 * d) * 8 == 128_320
     assert paths.nbytes + flat.nbytes <= retained < 2 * (paths.nbytes + flat.nbytes)
 
 

@@ -1,7 +1,9 @@
 """Sampling, most-likely routes, and Monte Carlo estimation."""
 
 import copy
+import functools
 import math
+import operator
 import pickle
 import sys
 import threading
@@ -28,6 +30,7 @@ from crowdpolicy.simulate import (
     MonteCarloEstimate,
     Trajectory,
     _sample_paths,
+    _sum_in_path_order,
     monte_carlo_cost,
     most_likely_trajectory,
     sample_trajectories,
@@ -291,22 +294,24 @@ def _held_draw_cases():
     return {"finite": finite, "dead": dead, "overflow": overflow}
 
 
-def _both_calls(policy, target, rewards, count, seed, order):
+def _calls(policy, target, rewards, count, seed, order):
+    """The results of the named calls, in ``order``: "sample", "estimate" or "route"."""
     calls = {
         "sample": lambda: _result(sample_trajectories, policy, count, seed, target),
         "estimate": lambda: _result(monte_carlo_cost, policy, target, rewards, count, seed),
+        "route": lambda: _result(most_likely_trajectory, policy),
     }
     return [calls[name]() for name in order]
 
 
-def _counting_draws(monkeypatch):
-    """The list each `_sample_paths` call appends to."""
-    draws = []
-    sample_paths = simulate._sample_paths
+def _counting(monkeypatch, name):
+    """The list each call of `simulate.<name>` appends its first argument to."""
+    calls = []
+    function = getattr(simulate, name)
     monkeypatch.setattr(
-        simulate, "_sample_paths", lambda *args: draws.append(args) or sample_paths(*args)
+        simulate, name, lambda first, *rest: calls.append(first) or function(first, *rest)
     )
-    return draws
+    return calls
 
 
 @pytest.mark.parametrize("order", [("sample", "estimate"), ("estimate", "sample")])
@@ -314,11 +319,11 @@ def _counting_draws(monkeypatch):
 def test_warm_calls_equal_cold_ones_to_the_byte(case, order, monkeypatch):
     policy, target, rewards, count, seed = _held_draw_cases()[case]
     cold = [
-        _both_calls(copy.copy(policy), target, rewards, count, seed, [name])[0] for name in order
+        _calls(copy.copy(policy), target, rewards, count, seed, [name])[0] for name in order
     ]
-    draws = _counting_draws(monkeypatch)
-    warm = _both_calls(policy, target, rewards, count, seed, order)
-    again = _both_calls(policy, target, rewards, count, seed, order)
+    draws = _counting(monkeypatch, "_sample_paths")
+    warm = _calls(policy, target, rewards, count, seed, order)
+    again = _calls(policy, target, rewards, count, seed, order)
     assert warm == cold and again == cold
     assert len(draws) == 1
     estimate = cold[order.index("estimate")]
@@ -339,10 +344,10 @@ def test_another_seed_count_or_behavior_draws_again(monkeypatch):
         (fresh, count + 1, seed + 1, 4),  # another behavior with equal values
     ]
     both = ["sample", "estimate"]
-    wants = [_both_calls(copy.copy(policy), target, rewards, n, s, both) for _, n, s, _ in calls]
-    draws = _counting_draws(monkeypatch)
+    wants = [_calls(copy.copy(policy), target, rewards, n, s, both) for _, n, s, _ in calls]
+    draws = _counting(monkeypatch, "_sample_paths")
     for (call_policy, call_count, call_seed, drawn), want in zip(calls, wants):
-        got = _both_calls(call_policy, target, rewards, call_count, call_seed, both)
+        got = _calls(call_policy, target, rewards, call_count, call_seed, both)
         assert len(draws) == drawn
         assert got == want
 
@@ -405,7 +410,7 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
     count = 50
     seeds = (21, 22)
     want = {
-        seed: _both_calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
+        seed: _calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
         for seed in seeds
     }
     start, wrong = threading.Barrier(2), []
@@ -415,7 +420,7 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
         for i in range(200):
             seed = seeds[(i + phase) % 2]
             order = ["sample", "estimate"] if i % 3 else ["estimate", "sample"]
-            got = _both_calls(policy, target, rewards, count, seed, order)
+            got = _calls(policy, target, rewards, count, seed, order)
             if got != [want[seed][["sample", "estimate"].index(name)] for name in order]:
                 wrong.append((phase, i, seed))
 
@@ -431,6 +436,99 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
         sys.setswitchinterval(interval)
     assert wrong == []
     assert policy._drawn[0] in {(seed, count) for seed in seeds}
+
+
+# ---------------------------------------------------------------------------
+# the held sampling tables: log pmf, log kernels and guarded CDFs, built once
+# ---------------------------------------------------------------------------
+
+
+def test_tables_are_built_once_per_behavior_across_all_three_calls(monkeypatch):
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy, target = copy.copy(policy), copy.copy(target)
+    logs, cdfs = _counting(monkeypatch, "log_pmf"), _counting(monkeypatch, "_guarded_cumulative")
+    for call_seed in (seed, seed, seed + 1):  # held draw, then a new one
+        _calls(policy, target, rewards, count, call_seed, ["sample", "estimate", "route"])
+        _calls(policy, target, rewards, count, call_seed, ["route", "estimate", "sample"])
+    # one log of the initial pmf and one of the stacked kernels per behavior
+    assert [arr.shape for arr in logs] == [(5,), (4 * 5 * 5,)] * 2
+    assert [arr.shape for arr in cdfs] == [(5,), (4, 5, 5)] * 2
+    assert policy._sampling is not None and target._sampling is not None
+
+
+def test_held_tables_are_read_only_and_hold_the_logs_and_cdfs():
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy = copy.copy(policy)
+    most_likely_trajectory(policy)
+    tables = policy._sampling
+    assert [arr.shape for arr in tables] == [(5,), (100,), (5,), (4, 5, 5)]
+    assert np.array_equal(tables[0], log_pmf(policy.initial.probs))
+    assert np.array_equal(tables[1], log_pmf(policy.matrices).ravel())
+    assert np.array_equal(tables[2], simulate._guarded_cumulative(policy.initial.probs))
+    assert np.array_equal(tables[3], simulate._guarded_cumulative(policy.matrices))
+    for arr in tables:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+    monte_carlo_cost(policy, target, rewards, count, seed)
+    sample_trajectories(policy, count, seed, target)
+    assert policy._sampling is tables
+
+
+def test_pickles_and_copies_start_without_the_held_tables():
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy = copy.copy(policy)
+    monte_carlo_cost(policy, target, rewards, count, seed)
+    assert policy._sampling is not None
+    assert "_sampling" not in {f.name for f in fields(Behavior)}
+    for restored in (
+        pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
+    ):
+        assert restored._sampling is None
+        assert restored == policy
+
+
+@pytest.mark.parametrize(
+    "order", [("sample", "estimate", "route"), ("route", "estimate", "sample")]
+)
+@pytest.mark.parametrize("case", ["finite", "dead", "overflow"])
+def test_warm_tables_give_a_fresh_copys_bytes(case, order):
+    # the tables are warm from another seed's draw, so only they are reused
+    policy, target, rewards, count, seed = _held_draw_cases()[case]
+    policy, target = copy.copy(policy), copy.copy(target)
+    _calls(policy, target, rewards, count, seed + 1, order)
+    tables = policy._sampling, target._sampling
+    cold = [
+        _calls(copy.copy(policy), copy.copy(target), rewards, count, seed, [name])[0]
+        for name in order
+    ]
+    assert _calls(policy, target, rewards, count, seed, order) == cold
+    assert policy._sampling is tables[0] and target._sampling is tables[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.sampled_from([1, 2, 8, 9, 1000]),
+    rows=st.integers(1, 25),
+    exponent=st.integers(-300, 300),
+    spread=st.booleans(),
+    minus_inf_share=st.sampled_from([0.0, 0.02, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_sums_equal_a_left_fold_over_the_rows_to_the_bit(
+    count, rows, exponent, spread, minus_inf_share, seed
+):
+    # at count 1 the column is contiguous and an axis-0 `np.sum` adds it
+    # pairwise; the fold must add row 0, then row 1, ... as a scalar loop does
+    rng = np.random.default_rng(seed)
+    if spread:  # magnitudes from 1e-300 to 1e300 in one column
+        signs = rng.choice([-1.0, 1.0], (rows, count))
+        terms = signs * 10.0 ** rng.uniform(-300, 300, (rows, count))
+    else:  # one scale, so that every addition rounds
+        terms = rng.normal(size=(rows, count)) * 10.0**exponent
+    terms[rng.random(terms.shape) < minus_inf_share] = -np.inf
+    want = [functools.reduce(operator.add, column).hex() for column in terms.T.tolist()]
+    assert [total.hex() for total in _sum_in_path_order(terms).tolist()] == want
 
 
 def test_monte_carlo_setup_validation():
