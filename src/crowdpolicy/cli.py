@@ -81,15 +81,13 @@ def _dump_json(doc: Any) -> str:
     return json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float | dict]:
-    """Cost of each contributor's own kernels from the target's initial pmf, or an error record."""
-    target, pool, costs = scenario.target, scenario.contributors, {}
-    for cid, own, kl in zip(pool.ids, pool.matrices, _kl_table(target, pool)):
-        try:
-            costs[cid] = evaluate_cost(_with_kl(target, own, kl), target, rewards).total
-        except ValidationError as exc:  # its own rewards overflow; the other outputs still hold
-            costs[cid] = {"error": str(exc)}
-    return costs
+def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]:
+    """Cost of each contributor's own kernels from the target's initial pmf."""
+    target, pool = scenario.target, scenario.contributors
+    return {
+        cid: evaluate_cost(_with_kl(target, own, kl), target, rewards).total
+        for cid, own, kl in zip(pool.ids, pool.matrices, _kl_table(target, pool))
+    }
 
 
 def _out_dir(args: argparse.Namespace) -> Path:

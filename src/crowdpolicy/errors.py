@@ -3,8 +3,10 @@
 Plain ``ValueError`` is reserved for structural misuse of the library API (dimension
 mismatches, NaN inputs). A pool, reward schedule or policy given with a target must have its
 state space and horizon, else the error names the part: ``contributors and target use
-different state spaces`` or ``reward horizon 1 != target horizon 2``. The classes below mark
-conditions the command line maps to dedicated exit codes.
+different state spaces`` or ``reward horizon 1 != target horizon 2``. A reward schedule whose
+per-step largest magnitudes, summed over the steps, reach ``model.REWARD_LIMIT`` is refused
+when it is built, with a ``ValueError`` naming the step, so no route meets an overflowed
+reward sum. The classes below mark conditions the command line maps to dedicated exit codes.
 """
 
 
@@ -25,7 +27,7 @@ class OracleGuardError(CrowdPolicyError):
 
 
 def _reward_overflow(where: str) -> ValidationError:
-    """The error for finite rewards whose running sum leaves the finite floats at ``where``."""
+    """The error for finite sampled costs whose sum over many paths leaves the finite floats."""
     return ValidationError(f"rewards overflow the {where}; keep their sum below 1.8e308")
 
 

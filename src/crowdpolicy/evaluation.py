@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import OracleGuardError, _reward_overflow
+from .errors import OracleGuardError
 from .model import (
     Behavior,
     RewardSchedule,
@@ -63,7 +63,6 @@ def _masked_dot(mu: np.ndarray, values: np.ndarray) -> float:
     return float(mu[active] @ values[active])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite expected reward is reported below
 def evaluate_cost(
     policy: AgentPolicy, target: Behavior, rewards: RewardSchedule
 ) -> CostBreakdown:
@@ -81,10 +80,6 @@ def evaluate_cost(
     Returns:
         CostBreakdown whose kl_part may be ``+inf`` when a reachable row
         breaks absolute continuity.
-
-    Raises:
-        ValidationError: if the expected rewards, summed over the steps,
-            overflow; the first such step is named.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
     mu = _marginals(policy.initial.probs, policy.matrices)[:-1]  # the pmf each step leaves
@@ -92,15 +87,11 @@ def evaluate_cost(
     kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
     kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))  # unreachable states cost nothing
     reward_steps = np.vecdot(mu, np.matmul(policy.matrices, rewards.values[..., None])[..., 0])
-    running = np.cumsum(reward_steps)
-    if not np.isfinite(running[-1]):  # the steps' rewards, summed forward, overflowed
-        raise _reward_overflow(f"expected reward at k={int(np.argmax(~np.isfinite(running))) + 1}")
-    kl_part, reward_part = float(np.cumsum(kl_steps)[-1]), float(running[-1])
+    kl_part, reward_part = float(np.cumsum(kl_steps)[-1]), float(np.cumsum(reward_steps)[-1])
     per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, per_step)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite expected reward is reported below
 def trajectory_enumeration_cost(
     policy: AgentPolicy, target: Behavior, rewards: RewardSchedule
 ) -> CostBreakdown:
@@ -115,8 +106,6 @@ def trajectory_enumeration_cost(
 
     Raises:
         OracleGuardError: when d**N exceeds ``ORACLE_LIMIT``.
-        ValidationError: if the expected rewards, summed over the steps,
-            overflow; the first such step is named.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
     d, n = policy.space.size, policy.horizon
@@ -152,15 +141,9 @@ def trajectory_enumeration_cost(
         if p0 > 0:
             visit(0, x0, float(p0), [], [])
 
-    running = np.cumsum(reward_steps)  # summed forward, as evaluate_cost does
-    # evaluate_cost also fails a step whose row rewards overflow where no path goes
-    rows = policy.matrices @ rewards.values[..., None]
-    bad = ~np.isfinite(running) | ~np.isfinite(rows).all(axis=(1, 2))
-    if bad.any():
-        raise _reward_overflow(f"expected reward at k={int(np.argmax(bad)) + 1}")
     per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
     kl_part = float(kl_steps.sum())
-    reward_part = float(running[-1])
+    reward_part = float(np.cumsum(reward_steps)[-1])  # summed forward, as evaluate_cost does
     return CostBreakdown(kl_part - reward_part, kl_part, reward_part, per_step)
 
 
@@ -190,15 +173,9 @@ def logsum_bound_check(
     return lhs, rhs
 
 
-def _step_costs(
-    rows: np.ndarray, target_rows: np.ndarray, step_rewards: np.ndarray, idx: int
-) -> np.ndarray:
-    """KL(row || target row) - expected reward per row at step ``idx + 1``; overflow raises."""
-    with np.errstate(over="ignore"):  # overflow is reported below
-        reward = rows @ step_rewards
-    if not np.isfinite(reward).all():
-        raise _reward_overflow(f"schedule cost at k={idx + 1}")
-    return kl_rows(rows, np.broadcast_to(target_rows, rows.shape)) - reward
+def _step_costs(rows: np.ndarray, target_rows: np.ndarray, step_rewards: np.ndarray) -> np.ndarray:
+    """KL(row || target row) - expected reward, per row of one step."""
+    return kl_rows(rows, np.broadcast_to(target_rows, rows.shape)) - rows @ step_rewards
 
 
 def _step_cost_table(
@@ -212,7 +189,7 @@ def _step_cost_table(
     size of the pool.
     """
     steps = zip(contributors.matrices.swapaxes(0, 1), target.matrices, rewards.values)
-    return np.stack([_step_costs(*step, idx) for idx, step in enumerate(steps)], axis=1)
+    return np.stack([_step_costs(*step) for step in steps], axis=1)
 
 
 def _cheapest(target: Behavior, choices: Sequence, step: Callable) -> tuple[tuple, float]:
@@ -220,8 +197,7 @@ def _cheapest(target: Behavior, choices: Sequence, step: Callable) -> tuple[tupl
 
     ``step(idx, choice)`` returns the choice's kernel and per-state cost at step
     ``idx + 1``. Ties, and a search where every cost is ``+inf``, go to the
-    earliest assignment. Raises ``ValidationError`` naming the first step at
-    which finite costs, summed forward, overflow.
+    earliest assignment.
     """
     best: tuple = ()
     best_cost = math.inf
@@ -230,12 +206,9 @@ def _cheapest(target: Behavior, choices: Sequence, step: Callable) -> tuple[tupl
         cost = 0.0
         for idx, choice in enumerate(assignment):
             kernel, step_cost = step(idx, choice)
-            cost_k = _masked_dot(mu, step_cost)
-            cost += cost_k
-            if not math.isfinite(cost):
-                if cost_k == math.inf:  # a reachable row the target cannot produce
-                    break
-                raise _reward_overflow(f"schedule cost at k={idx + 1}")
+            cost += _masked_dot(mu, step_cost)
+            if cost == math.inf:  # a reachable row the target cannot produce
+                break
             mu = mu @ kernel
         if not best or cost < best_cost:  # the first assignment, then each strict minimum
             best, best_cost = assignment, cost
@@ -293,10 +266,7 @@ def pure_schedule_oracle(
     for idx in range(n - 1, -1, -1):
         pool = contributors.matrices[:, idx]  # (s, d, d)
         dead = np.isinf(to_go)  # states from which no schedule is feasible
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises; inf - inf is reset
-            cand = costs[:, idx] + np.vecdot(pool, np.where(dead, 0.0, to_go))
-        if np.isinf(cand[np.isfinite(costs[:, idx])]).any():
-            raise _reward_overflow(f"schedule cost at k={idx + 1}")
+        cand = costs[:, idx] + np.vecdot(pool, np.where(dead, 0.0, to_go))
         cand[np.isinf(costs[:, idx]) | (pool > 0) @ dead] = np.inf  # infeasible rows, dead ends
         schedule[idx] = np.argmin(cand, axis=0)  # first minimizer wins ties
         to_go = cand.min(axis=0)
@@ -359,7 +329,7 @@ def simplex_grid_oracle(
 
     def step(idx: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mixed = np.tensordot(w, contributors.matrices[:, idx], axes=1)
-        return mixed, _step_costs(mixed, target.matrices[idx], rewards.values[idx], idx)
+        return mixed, _step_costs(mixed, target.matrices[idx], rewards.values[idx])
 
     best, best_cost = _cheapest(target, points, step)
     weights = np.stack(best)

@@ -29,6 +29,10 @@ from .errors import InfeasibleError
 #: Accepted deviation of a probability vector's sum from 1.
 PROB_TOL = 1e-9
 
+#: Bound on a reward schedule's per-step largest magnitudes, summed over the steps: half
+#: the largest float, which leaves room for the ``PROB_TOL`` row slack and finite KL.
+REWARD_LIMIT = float(np.finfo(float).max) / 2
+
 #: Accepted deviation of a weight vector's sum from 1.
 WEIGHT_TOL = 1e-12
 
@@ -276,7 +280,11 @@ class Behavior(_KernelStack):
 
 @dataclass(frozen=True, eq=False)
 class RewardSchedule(_FrozenValue):
-    """Per-step reward vectors; ``values[k-1][x]`` is the reward for arriving in x at step k."""
+    """Per-step reward vectors; ``values[k-1][x]`` is the reward for arriving in x at step k.
+
+    Each step's largest magnitude, summed over the steps, stays below ``REWARD_LIMIT``, so
+    no route's sums over these rewards leave the finite floats, in either order.
+    """
 
     space: StateSpace
     values: np.ndarray
@@ -291,6 +299,13 @@ class RewardSchedule(_FrozenValue):
             raise ValueError("reward schedule must cover at least one step")
         if not np.all(np.isfinite(arr)):
             raise ValueError("rewards must be finite")
+        with np.errstate(over="ignore"):  # a sum past the largest float is past the limit too
+            reach = np.cumsum(np.abs(arr).max(axis=1)) >= REWARD_LIMIT
+        if reach.any():
+            raise ValueError(
+                f"rewards' largest magnitudes, summed over steps 1..k, reach {REWARD_LIMIT!r} "
+                f"at k={int(reach.argmax()) + 1}; keep the sum below it"
+            )
         _set(self, values=arr)
 
     @property
@@ -441,6 +456,7 @@ def log_pmf(probs: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "PROB_TOL",
+    "REWARD_LIMIT",
     "WEIGHT_TOL",
     "Label",
     "StateSpace",

@@ -182,7 +182,7 @@ class MonteCarloEstimate:
     count: int
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed cost is reported below
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed mean or spread is reported below
 def monte_carlo_cost(
     policy: Behavior,
     target: Behavior,
@@ -201,9 +201,8 @@ def monte_carlo_cost(
         ValueError: if a sampled trajectory has target probability zero (the
             cost integrand is undefined there); the offending trajectory is
             named.
-        ValidationError: if a sampled trajectory's rewards, summed over the
-            steps, overflow (the first such step is named), or if the sampled
-            costs overflow their mean or standard error; the path count is named.
+        ValidationError: if the sampled costs, each finite, overflow their
+            mean or standard error; the path count is named.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
     paths, flat = _draw(policy, count, seed)
@@ -223,11 +222,8 @@ def monte_carlo_cost(
     z = _sum_in_path_order(costs)
     estimate = float(z.mean())
     stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    if not (math.isfinite(estimate) and math.isfinite(stderr)):  # a cost or their sum overflowed
-        steps = ~np.isfinite(np.cumsum(costs, axis=0)).all(axis=1)  # non-finite once overflowed
-        k = int(np.argmax(steps)) + 1
-        where = f"sampled cost at k={k}" if steps.any() else f"estimate over {count} sampled paths"
-        raise _reward_overflow(where)
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):  # summed over many paths
+        raise _reward_overflow(f"estimate over {count} sampled paths")
     return MonteCarloEstimate(estimate, stderr, count)
 
 

@@ -22,9 +22,9 @@ keep a zero bonus and take the lowest index.
 
 Per step, the backward pass does one product of the pool's rows with reward
 plus bonus and one subtraction from the KL table, into buffers that hold
-every step. After it, one check for overflow names the first step the pass
-met; one argmin selects, and one gather from the pool copies each selected
-row verbatim into the agent's switched kernels. The KL part of the scores
+every step; the reward schedule's own bound keeps them finite. After it, one
+argmin selects, and one gather from the pool copies each selected row
+verbatim into the agent's switched kernels. The KL part of the scores
 does not depend on the rewards, so it is tabulated once per (target, pool):
 the pool holds the read-only table of the last target it was scored against,
 and that one table feeds both the filter report and the recursion of every
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError, _reward_overflow
+from .errors import InfeasibleError
 from .model import (
     Behavior,
     RewardSchedule,
@@ -244,7 +244,6 @@ class SynthesizedPolicy(_FrozenValue):
         return [[self.contributor_ids[i] for i in row] for row in self.selected.tolist()]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported after the pass
 def synthesize(
     target: Behavior, contributors: ContributorSet, rewards: RewardSchedule
 ) -> SynthesizedPolicy:
@@ -264,7 +263,6 @@ def synthesize(
 
     Raises:
         InfeasibleError: naming a dead state the initial pmf puts mass on.
-        ValidationError: naming the first step whose value-to-go overflows.
     """
     _check_compatible(target, contributors=contributors, rewards=rewards)
     kl = _kl_table(target, contributors)
@@ -291,10 +289,6 @@ def synthesize(
         np.subtract(scored[:, idx], expected[idx], out=work[idx])
         np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive[idx])  # dead: stays 0
 
-    # KL is finite or +inf: a non-finite expected reward is an overflow; earlier steps ran on it
-    overflowed = np.flatnonzero(~np.isfinite(expected).all(axis=(1, 2)))
-    if overflowed.size:
-        raise _reward_overflow(f"value-to-go at k={int(overflowed[-1]) + 1}")
     scores = np.ascontiguousarray(work.transpose(0, 2, 1))
     selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index
     agent_rows = contributors.matrices[selected, np.arange(n)[:, None], np.arange(d)]
@@ -315,7 +309,6 @@ def synthesize(
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is reported below
 def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     """Upper bound on the agent's tracking cost, tight for vertex weights.
 
@@ -332,8 +325,6 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     mu = _marginals(target.initial.probs, matrices)[:-1]
     steps = sel + np.matmul(matrices, policy.r_hat[..., None])[..., 0]
     running = np.cumsum(np.vecdot(mu, np.where(mu > 0, steps, 0.0)))  # unreachable states: 0
-    if not np.isfinite(running[-1]):  # the steps' costs, summed forward, overflowed
-        raise _reward_overflow(f"bound value at k={int(np.argmax(~np.isfinite(running))) + 1}")
     return float(running[-1])
 
 

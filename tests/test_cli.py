@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from crowdpolicy import (
+    REWARD_LIMIT,
     demo_scenario_path,
     evaluate_cost,
     generate_random_scenario,
@@ -24,6 +25,9 @@ from crowdpolicy import cli
 from crowdpolicy.cli import main
 
 DEMO = str(demo_scenario_path())
+
+#: Finite rewards for the demo whose largest magnitudes, summed forward, reach the limit at k=2.
+PAST_THE_LIMIT = [[5e307] * 6, [5e307] * 6, [-5e307] * 6, [0.0] * 6]
 
 
 def read_json(path):
@@ -206,7 +210,7 @@ def test_synthesize_infeasible_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
-def test_synthesize_reward_overflow_exits_2(tmp_path, capsys):
+def test_synthesize_reward_past_the_limit_exits_2(tmp_path, capsys):
     doc = read_json(demo_scenario_path())
     doc["rewards"]["favor-node-2"] = [[-1.7e308] * 6] * 4
     bad = tmp_path / "huge.json"
@@ -216,30 +220,34 @@ def test_synthesize_reward_overflow_exits_2(tmp_path, capsys):
          "--out", str(tmp_path / "x")]
     )
     assert rc == 2
-    assert "value-to-go at k=" in capsys.readouterr().err
+    assert "reward profile 'favor-node-2': rewards' largest" in capsys.readouterr().err
 
 
-def test_synthesize_reports_a_failing_contributor_cost_as_an_error_record(tmp_path):
-    # the agent avoids state b; the contributor that seeks it collects
-    # -1e308 twice, so only its own cost overflows: that entry becomes an
-    # error record and every output is still written
-    doc = {
+def _seek_and_avoid(reward):
+    """Two steps: the agent avoids state b; the contributor seeking it collects ``reward`` twice."""
+    return {
         "scenario_version": 1, "name": "tiny", "states": ["a", "b"], "horizon": 2,
         "target": {"initial": [1.0, 0.0], "kernels": [[0.5, 0.5], [0.5, 0.5]]},
         "contributors": [{"id": "avoid", "kernels": [[1.0, 0.0], [1.0, 0.0]]},
                          {"id": "seek", "kernels": [[0.0, 1.0], [0.0, 1.0]]}],
-        "rewards": {"default": [[0.0, -1e308], [0.0, -1e308]]},
+        "rewards": {"default": [[0.0, reward], [0.0, reward]]},
     }
+
+
+def test_synthesize_refuses_a_profile_past_the_limit_and_writes_nothing(tmp_path, capsys):
+    # -1e308 twice: the load refuses the profile at k=1, before any route runs
     path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_seek_and_avoid(-1e308)))
     out = tmp_path / "out"
+    assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "reward profile 'default'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    # just below the limit, the contributor that seeks b costs a number like any other
+    path.write_text(json.dumps(_seek_and_avoid(-0.49 * REWARD_LIMIT)))
     assert main(["synthesize", "--scenario", str(path), "--out", str(out)]) == 0
     costs = json.loads((out / "report.json").read_text())["pure_contributor_costs"]
-    assert costs["seek"] == {
-        "error": "rewards overflow the expected reward at k=2; keep their sum below 1.8e308"
-    }
+    assert costs["seek"] == 0.98 * REWARD_LIMIT
     assert isinstance(costs["avoid"], float) and math.isfinite(costs["avoid"])
-    assert (out / "policy.json").exists()
 
 
 def test_synthesize_and_demo_outputs_are_pinned(tmp_path, monkeypatch):
@@ -359,13 +367,13 @@ def test_evaluate_prints_cost_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])
-def test_expected_reward_overflow_exits_2(tmp_path, capsys, command):
-    # each reward is finite, but their sum along any route passes 1.8e308 at k=2
+def test_a_profile_past_the_limit_exits_2_naming_the_step(tmp_path, capsys, command):
+    # each reward is finite, but their largest magnitudes reach the limit at k=2
     syn = tmp_path / "syn"
     main(["synthesize", "--scenario", DEMO, "--reward-profile", "favor-node-2",
           "--out", str(syn)])
     doc = read_json(demo_scenario_path())
-    doc["rewards"]["huge"] = [[1e308] * 6, [1e308] * 6, [-1e308] * 6, [0.0] * 6]
+    doc["rewards"]["huge"] = PAST_THE_LIMIT
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -374,8 +382,8 @@ def test_expected_reward_overflow_exits_2(tmp_path, capsys, command):
     if command == "simulate":
         args += ["--count", "20", "--seed", "1", "--out", str(tmp_path / "sim")]
     assert main(args) == 2
-    what = "expected reward" if command == "evaluate" else "sampled cost"
-    assert f"rewards overflow the {what} at k=2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reward profile 'huge': rewards' largest magnitudes" in err and "at k=2;" in err
 
 
 def test_evaluate_rejects_policy_from_other_space(tmp_path, capsys):
@@ -677,15 +685,14 @@ def _half_initial(doc):
     doc["target"]["initial"] = [0.5, 0, 0, 0, 0, 0]
 
 
-FORWARD_OVERFLOW = [[1e308] * 6, [1e308] * 6, [-1e308] * 6, [0.0] * 6]
-
-# command, edit of the demo, exit code: a validation failure, a reward overflow, an infeasible pool
+# command, edit of the demo, exit code: a validation failure, rewards past the limit, an
+# infeasible pool
 FAILING_RUNS = {
     "synthesize-invalid": ("synthesize", _half_initial, 2),
     "simulate-invalid": ("simulate", _half_initial, 2),
-    "synthesize-overflow": ("synthesize", _rewards([[-1.7e308] * 6] * 4), 2),
-    "evaluate-overflow": ("evaluate", _rewards(FORWARD_OVERFLOW), 2),
-    "simulate-overflow": ("simulate", _rewards(FORWARD_OVERFLOW), 2),
+    "synthesize-past-limit": ("synthesize", _rewards([[-1.7e308] * 6] * 4), 2),
+    "evaluate-past-limit": ("evaluate", _rewards(PAST_THE_LIMIT), 2),
+    "simulate-past-limit": ("simulate", _rewards(PAST_THE_LIMIT), 2),
     "synthesize-infeasible": ("synthesize", _no_self_loop_at_node_6, 3),
     "oracle-infeasible": ("oracle", _no_self_loop_at_node_6, 3),
 }

@@ -18,6 +18,7 @@ import crowdpolicy.simulate as simulate
 from crowdpolicy.errors import ValidationError
 from crowdpolicy.evaluation import evaluate_cost
 from crowdpolicy.model import (
+    REWARD_LIMIT,
     Behavior,
     RewardSchedule,
     StatePMF,
@@ -186,25 +187,34 @@ def test_dead_trajectory_raises_with_coordinates():
         monte_carlo_cost(policy, target, rewards, count=10, seed=2)
 
 
-def test_reward_overflow_is_a_validation_error_naming_the_step():
-    # every reward is finite, but each path's running sum passes 1.8e308 at k=2
+#: The largest reward below the limit.
+JUST_BELOW = float(np.nextafter(REWARD_LIMIT, 0.0))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_path_costs_near_the_limit_stay_finite_in_step_order(sign):
+    # each path sums a + a - a, or its mirror, from k=1: 0.6 of the limit at
+    # most, and four such costs sum to 1.2 of it, below the largest float
+    a = sign * 0.3 * REWARD_LIMIT
     single = StateSpace(("x",))
     point = behavior(single, [1.0], [[1.0]], [[1.0]], [[1.0]])
-    rewards = RewardSchedule(single, np.array([[1e308], [1e308], [-1e308]]))
-    with pytest.raises(ValidationError, match="sampled cost at k=2"):
-        monte_carlo_cost(point, point, rewards, count=3, seed=0)
+    rewards = RewardSchedule(single, np.array([[a], [a], [-a]]))
+    estimate = monte_carlo_cost(point, point, rewards, count=4, seed=0)
+    assert estimate == MonteCarloEstimate(-a, 0.0, 4)
 
 
-@pytest.mark.parametrize("reward", [1e308, -1e308])
+@pytest.mark.parametrize("reward", [JUST_BELOW, -JUST_BELOW])
 def test_overflowing_mean_of_finite_path_costs_is_a_validation_error(reward):
-    # each path's cost is finite; their sum, taken for the mean, is not
+    # each path's cost is finite, and so is the sum of two; the sum of three,
+    # taken for the mean, is not
     single = StateSpace(("x",))
     point = behavior(single, [1.0], [[1.0]])
     rewards = RewardSchedule(single, np.array([[reward]]))
+    assert monte_carlo_cost(point, point, rewards, count=2, seed=0).estimate == -reward
     with pytest.raises(ValidationError) as err:
-        monte_carlo_cost(point, point, rewards, count=2, seed=0)
+        monte_carlo_cost(point, point, rewards, count=3, seed=0)
     assert str(err.value) == (
-        "rewards overflow the estimate over 2 sampled paths; keep their sum below 1.8e308"
+        "rewards overflow the estimate over 3 sampled paths; keep their sum below 1.8e308"
     )
 
 
@@ -226,21 +236,22 @@ def test_dead_trajectories_name_the_earliest_step_before_the_lowest_path():
 
 
 @pytest.mark.parametrize("seed, k", [(17, 2), (1, 3)])
-def test_reward_overflow_names_the_earliest_step_over_all_paths(seed, k):
-    # each step in b adds 1e308 to a path's cost, so a path that enters b at
-    # step j overflows at k = j + 1; at seed 17 only the last path enters at
-    # step 1, at seed 1 none does
+def test_paths_near_the_limit_overflow_only_the_estimate_over_all_paths(seed, k):
+    # each step in b adds 0.3 of the limit to a path's cost, so every path's
+    # cost stays finite from whichever step it enters b (the earliest is k - 1;
+    # at seed 17 only the last path enters at step 1, at seed 1 none does);
+    # only the paths' mean and spread overflow
     space = StateSpace(("a", "b"))
     step = [[0.5, 0.5], [0.0, 1.0]]
     policy = behavior(space, [1.0, 0.0], step, step, step)
-    rewards = RewardSchedule(space, np.tile([0.0, -1e308], (3, 1)))
+    rewards = RewardSchedule(space, np.tile([0.0, -0.3 * REWARD_LIMIT], (3, 1)))
     entered = [t.states.index("b") for t in sample_trajectories(policy, 4, seed) if "b" in t.states]
     assert min(entered) + 1 == k
     assert seed != 17 or entered[-1] < min(entered[:-1])
     with pytest.raises(ValidationError) as err:
         monte_carlo_cost(policy, policy, rewards, count=4, seed=seed)
     assert str(err.value) == (
-        f"rewards overflow the sampled cost at k={k}; keep their sum below 1.8e308"
+        "rewards overflow the estimate over 4 sampled paths; keep their sum below 1.8e308"
     )
 
 
@@ -248,13 +259,14 @@ def test_reward_overflow_names_the_earliest_step_over_all_paths(seed, k):
 def test_one_draw_equals_the_two_public_calls(target_zero_share, huge):
     # the CLI's route, the estimate and then the trajectories from the draw the
     # behavior holds, gives what each call gives on a fresh copy: the same
-    # trajectories, estimate and first error (a dead path, or rewards of
-    # +/-1e308 overflowing a path's cost)
+    # trajectories, estimate and first error (a dead path, or rewards near
+    # the limit overflowing the estimate over the paths)
     space = StateSpace(tuple(f"s{i}" for i in range(5)))
     rng = np.random.default_rng(3)
     policy = _random_behavior(space, 4, rng, 0.3)
     target = _random_behavior(space, 4, rng, target_zero_share)
-    values = rng.choice([-1e308, 1e308], size=(4, 5)) if huge else rng.normal(size=(4, 5))
+    big = 0.24 * REWARD_LIMIT  # four steps of it stay below the limit
+    values = rng.choice([-big, big], size=(4, 5)) if huge else rng.normal(size=(4, 5))
     rewards = RewardSchedule(space, values)
     got = _outcome(monte_carlo_cost, policy, target, rewards, 300, 9)
     if not isinstance(got, str):
@@ -290,7 +302,8 @@ def _held_draw_cases():
     dead = (walker, stayer, RewardSchedule(two, np.zeros((2, 2))), 4, 17)
     step = [[0.5, 0.5], [0.0, 1.0]]
     climber = behavior(two, [1.0, 0.0], step, step, step)
-    overflow = (climber, climber, RewardSchedule(two, np.tile([0.0, -1e308], (3, 1))), 4, 17)
+    near = RewardSchedule(two, np.tile([0.0, -0.3 * REWARD_LIMIT], (3, 1)))
+    overflow = (climber, climber, near, 4, 17)  # the estimate over the paths overflows
     return {"finite": finite, "dead": dead, "overflow": overflow}
 
 

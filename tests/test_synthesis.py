@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdpolicy import evaluation
-from crowdpolicy.errors import InfeasibleError, ValidationError
+from crowdpolicy.errors import InfeasibleError
 from crowdpolicy.evaluation import (
     evaluate_cost,
     pure_schedule_oracle,
@@ -28,6 +28,7 @@ from crowdpolicy.evaluation import (
     trajectory_enumeration_cost,
 )
 from crowdpolicy.model import (
+    REWARD_LIMIT,
     Behavior,
     RewardSchedule,
     StatePMF,
@@ -208,32 +209,34 @@ def test_subnormal_target_mass_keeps_contributor_admissible():
 
 
 @pytest.mark.parametrize("reward", [-1.7e308, 1.7e308])
-def test_reward_overflow_is_a_validation_error_naming_the_step(reward):
-    contributors = pool(2, [[0.5, 0.5], [0.5, 0.5]])
+def test_a_reward_past_the_limit_is_refused_before_synthesize_runs(reward):
+    with pytest.raises(ValueError, match="at k=1; keep the sum below it"):
+        RewardSchedule(AB, np.full((2, 2), reward))
+
+
+@pytest.mark.parametrize("reward", [-0.49 * REWARD_LIMIT, 0.49 * REWARD_LIMIT])
+@pytest.mark.parametrize("size", [1, 2])
+def test_rewards_just_below_the_limit_synthesize_what_the_oracle_selects(reward, size):
+    # with more than one contributor an overflow once ended in a wrong
+    # InfeasibleError; two steps of these rewards now stay finite throughout
+    contributors = pool(2, *([[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]])[:size])
     rewards = RewardSchedule(AB, np.full((2, 2), reward))
-    with pytest.raises(ValidationError, match="value-to-go at k=1"):
-        synthesize(uniform_target(2), contributors, rewards)
+    policy = synthesize(uniform_target(2), contributors, rewards)
+    assert np.isfinite(policy.scores).all() and np.isfinite(policy.r_hat).all()
+    best = pure_schedule_oracle(uniform_target(2), contributors, rewards)
+    assert np.array_equal(policy.selected, best.schedule)
 
 
-@pytest.mark.parametrize("reward", [-1.7e308, 1.7e308])
-def test_reward_overflow_in_a_pool_of_two_is_a_validation_error_naming_the_step(reward):
-    # with more than one contributor the same overflow once ended in a wrong InfeasibleError
-    contributors = pool(2, [[0.5, 0.5], [0.5, 0.5]], [[0.9, 0.1], [0.2, 0.8]])
-    rewards = RewardSchedule(AB, np.full((2, 2), reward))
-    with pytest.raises(ValidationError, match="value-to-go at k=1"):
-        synthesize(uniform_target(2), contributors, rewards)
-
-
-def test_bound_value_overflow_is_a_validation_error_naming_the_step():
-    # the backward recursion sums 1e308 + (1e308 - 1e308) without overflow,
-    # but the bound adds the same step costs forward and passes -1.8e308 at k=2
+def test_bound_value_sums_forward_what_the_backward_pass_sums_from_the_end():
+    # the backward recursion sums a + (a - a), the bound a + a - a: both stay
+    # finite below the limit and give the same cost
+    a = 0.3 * REWARD_LIMIT
     single = StateSpace(("x",))
     point = Behavior(StatePMF(single, np.array([1.0])), homogeneous(single, [[1.0]], 3))
     contributors = ContributorSet(single, (homogeneous(single, [[1.0]], 3),), ("c",))
-    rewards = RewardSchedule(single, np.array([[1e308], [1e308], [-1e308]]))
+    rewards = RewardSchedule(single, np.array([[a], [a], [-a]]))
     policy = synthesize(point, contributors, rewards)
-    with pytest.raises(ValidationError, match="bound value at k=2"):
-        bound_value(policy, point)
+    assert policy.scores[0, 0, 0] == bound_value(policy, point) == -a
 
 
 def test_bound_equals_exact_cost_on_random_instances():
@@ -286,18 +289,6 @@ def test_contributor_set_validation():
     assert full.subset([1]).ids == ("y",)
     with pytest.raises(ValueError, match="must not be empty"):
         full.subset([])
-
-
-def test_dimension_mismatches_raise():
-    target = uniform_target(2)
-    contributors = pool(1, [[0.5, 0.5], [0.5, 0.5]])
-    rewards = RewardSchedule(AB, np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="horizon"):
-        synthesize(target, contributors, rewards)
-    other_space = StateSpace((1, 2, 3))
-    other_rewards = RewardSchedule(other_space, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="state space"):
-        synthesize(target, pool(2, [[0.5, 0.5], [0.5, 0.5]]), other_rewards)
 
 
 def _grid_oracle(target, contributors, rewards):
@@ -403,13 +394,12 @@ def _reference_filter(target, contributors):
     return contributors.subset(retained), report
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _reference_synthesize(target, contributors, rewards):
     """Reference: a second KL pass and one `simplex_argmin` per (k, state).
 
-    Kept as `synthesize` ran before its scores came from one KL table, overflow
-    check included. It knows no dead states, so it stands for `synthesize`
-    only on pools the filter leaves whole.
+    Kept as `synthesize` ran before its scores came from one KL table. It
+    knows no dead states, so it stands for `synthesize` only on pools the
+    filter leaves whole.
     """
     _, report = _reference_filter(target, contributors)
     n, d, s = target.horizon, target.space.size, contributors.size
@@ -428,10 +418,6 @@ def _reference_synthesize(target, contributors, rewards):
         for i in range(s):
             rows = contributors.kernel(i, k).matrix
             scores[idx, :, i] = kl_rows(rows, target_rows) - rows @ r_bar[idx]
-        if not np.all(np.isfinite(scores[idx])):
-            raise ValidationError(
-                f"rewards overflow the value-to-go at k={k}; keep their sum below 1.8e308"
-            )
         for x in range(d):
             choice = simplex_argmin(scores[idx, x])
             selected[idx, x] = choice.index
@@ -534,6 +520,10 @@ def _kernels(space, stack, mode="strict"):
     return tuple(TransitionKernel(space, matrix, mode) for matrix in stack)
 
 
+#: The largest reward scale whose four steps stay below the limit.
+NEAR = REWARD_LIMIT / 4.01
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(1, 6),
@@ -542,7 +532,7 @@ def _kernels(space, stack, mode="strict"):
     distinct=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     initial_zero_share=st.sampled_from([0.0, 0.3, 0.7]),
-    reward_scale=st.sampled_from([0.0, 1.0, 50.0, 1.7e308]),
+    reward_scale=st.sampled_from([0.0, 1.0, 50.0, NEAR]),
     renormalize=st.booleans(),
 )
 def test_synthesize_equals_the_reference(
@@ -656,7 +646,7 @@ ONE = StateSpace(("only",))
 def test_single_state_step_and_contributor_equal_the_reference():
     point = Behavior(StatePMF(ONE, np.array([1.0])), homogeneous(ONE, [[1.0]], 1))
     contributors = ContributorSet(ONE, (homogeneous(ONE, [[1.0]], 1),), ("c",))
-    for reward in (0.0, -3.5, 1.7e308):
+    for reward in (0.0, -3.5, float(np.nextafter(REWARD_LIMIT, 0.0))):
         rewards = RewardSchedule(ONE, np.array([[reward]]))
         assert_matches_reference(point, contributors, rewards, abs(reward) < 1e3)
 
@@ -738,11 +728,11 @@ def test_agent_rows_are_gathered_from_the_whole_pool_around_support_violations()
 
 
 # ---------------------------------------------------------------------------
-# failures: a dead initial state before any reward is read, then overflow
+# failures: a dead initial state, before any reward is read
 # ---------------------------------------------------------------------------
 
-#: A reward whose double leaves the finite floats: two steps of it overflow a value-to-go.
-BIG = 1.7e308
+#: A reward near the limit: four steps of it stay below it.
+BIG = 0.24 * REWARD_LIMIT
 
 
 def _dead_initial_state(target, contributors):
@@ -754,37 +744,16 @@ def _dead_initial_state(target, contributors):
     return None
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _reference_first_failure(target, contributors, rewards):
-    """Reference: an infeasible pool whatever the rewards, then the first overflow from k = N.
-
-    Step by step from k = N, every contributor row's expected reward plus
-    bonus is checked finite. A row with mass on a state where every score
-    was +inf one step later scores +inf, and such a state carries no bonus.
-    Returns None when nothing fails.
-    """
+def _reference_failure(target, contributors):
+    """Reference: an infeasible pool, whatever the rewards; None when the pool is feasible."""
     state = _dead_initial_state(target, contributors)
     if state is not None:
         raise InfeasibleError(f"every contributor score is +inf at k=1, state={state!r}")
-    value_to_go = np.zeros(target.space.size)
-    dead = np.zeros(target.space.size, dtype=bool)
-    for k in range(target.horizon, 0, -1):
-        rows = contributors.matrices[:, k - 1]
-        expected = rows @ (rewards.values[k - 1] + value_to_go)
-        if not np.isfinite(expected).all():
-            raise ValidationError(
-                f"rewards overflow the value-to-go at k={k}; keep their sum below 1.8e308"
-            )
-        target_rows = np.broadcast_to(target.matrices[k - 1], rows.shape)
-        scores = kl_rows(rows, target_rows) - expected
-        scores[(rows > 0) @ dead] = np.inf
-        dead = np.isinf(scores).all(axis=0)
-        value_to_go = np.where(dead, 0.0, -scores.min(axis=0))
     return None
 
 
 def assert_fails_as_the_reference(target, contributors, rewards, error, message):
-    want = _outcome(_reference_first_failure, target, contributors, rewards)
+    want = _outcome(_reference_failure, target, contributors)
     assert want == (error, message)
     assert _outcome(synthesize, target, contributors, rewards) == want
 
@@ -798,11 +767,11 @@ DEAD_FROM_A = "every contributor score is +inf at k=1, state='a'"
     "steps, values",
     [
         # k=3 has no contributor for either state, so neither has k=2 or k=1;
-        # k=1's rewards would overflow
+        # k=1's rewards are near the limit
         ((SPREAD, SPREAD, ONLY_A), [[BIG, BIG], [0.0, 0.0], [1.0, 1.0]]),
-        # k=1 has no contributor for 'a'; k=2's value-to-go would overflow
+        # k=1 has no contributor for 'a'; k=2's value-to-go is near the limit
         ((ONLY_A, SPREAD, SPREAD), [[0.0, 0.0], [BIG, BIG], [BIG, BIG]]),
-        # k=2 has no contributor for either state, and its value-to-go would overflow
+        # k=2 has no contributor for either state, and its value-to-go is near the limit
         ((SPREAD, ONLY_A, SPREAD), [[0.0, 0.0], [-BIG, -BIG], [-BIG, -BIG]]),
     ],
     ids=["dead-at-k3", "dead-at-k1", "dead-at-k2"],
@@ -816,19 +785,16 @@ def test_an_infeasible_pool_is_reported_before_any_reward_is_read(steps, values)
         )
 
 
-def test_a_dead_state_without_mass_hides_no_overflow():
+def test_a_dead_state_without_mass_costs_what_the_oracle_finds_near_the_limit():
     # 'b' is dead at k=2 but the target never goes there from 'a'; the rewards
-    # at k=1 and k=2 overflow k=1's value-to-go
+    # at k=1 and k=2 sum to 0.98 of the limit in k=1's value-to-go
     target = Behavior(StatePMF(AB, np.array([1.0, 0.0])), _steps(ONLY_A, ONLY_A))
     contributors = pool(2, [[1.0, 0.0], [0.5, 0.5]])
-    rewards = RewardSchedule(AB, np.array([[BIG, BIG], [BIG, BIG]]))
-    assert_fails_as_the_reference(
-        target, contributors, rewards,
-        ValidationError, "rewards overflow the value-to-go at k=1; keep their sum below 1.8e308",
-    )
-    ordinary = RewardSchedule(AB, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert _outcome(_reference_first_failure, target, contributors, ordinary) is None
-    assert_matches_the_oracle(target, contributors, ordinary)
+    assert _outcome(_reference_failure, target, contributors) is None
+    for big in (0.49 * REWARD_LIMIT, 1.0):
+        rewards = RewardSchedule(AB, np.array([[big, 0.0], [big, 1.0]]))
+        assert_matches_the_oracle(target, contributors, rewards)
+        assert bound_value(synthesize(target, contributors, rewards), target) == -2 * big
 
 
 @settings(max_examples=200, deadline=None)
@@ -840,11 +806,11 @@ def test_a_dead_state_without_mass_hides_no_overflow():
     target_zero_share=st.sampled_from([0.0, 0.3, 0.7]),
     big=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([BIG, -BIG])), max_size=4),
 )
-def test_failures_name_the_dead_initial_state_or_the_first_step_the_pass_meets(
+def test_failures_name_the_dead_initial_state_whatever_the_rewards(
     d, horizon, size, seed, target_zero_share, big
 ):
-    # zeroed target entries leave +inf scores and dead states; huge rewards
-    # at two neighbouring steps overflow the earlier one's value-to-go
+    # zeroed target entries leave +inf scores and dead states; rewards near
+    # the limit at up to four steps are never read before the dead state is named
     space = StateSpace(tuple(f"s{i}" for i in range(d)))
     rng = np.random.default_rng(seed)
     target = Behavior(
@@ -860,7 +826,7 @@ def test_failures_name_the_dead_initial_state_or_the_first_step_the_pass_meets(
     for step, reward in big:
         values[step % horizon] = reward
     rewards = RewardSchedule(space, values)
-    want = _outcome(_reference_first_failure, target, contributors, rewards)
+    want = _outcome(_reference_failure, target, contributors)
     if want is not None:
         assert _outcome(synthesize, target, contributors, rewards) == want
     elif not np.isinf(_kl_table(target, contributors)).any():  # no exclusions: bit identity
