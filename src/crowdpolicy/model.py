@@ -242,17 +242,19 @@ class Behavior(_KernelStack):
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
     once, as the read-only ``(N, d, d)`` array ``matrices``; ``kernels`` views
     its matrices, built on first read. The behavior also holds its sampling
-    tables (`simulate._tables`), its last draw, which `sample_trajectories` and
-    `monte_carlo_cost` share, and a synthesized agent its KL rows, read by
-    `evaluate_cost` for that target alone; none of these is compared, and a
-    pickle or copy starts without them.
+    tables (`simulate._tables`, CDFs once sampled), its last draw, which
+    `sample_trajectories` and `monte_carlo_cost` share, its most likely
+    trajectory, and a synthesized agent its KL rows, read by `evaluate_cost`
+    for that target alone; none of these is compared, and a pickle or copy
+    starts without them.
     """
 
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`, on read
     matrices: np.ndarray = field(init=False, repr=False)
     _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
-    _sampling = None  # (log pmf, raveled log kernels, their CDFs); set by `simulate._tables` alone
+    _sampling = None  # (log pmf, log kernels[, CDFs once drawn]); set in `simulate` alone
+    _best = None  # its most likely `Trajectory`; set by `simulate.most_likely_trajectory` alone
     _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone
 
     def __post_init__(self) -> None:

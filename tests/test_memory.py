@@ -17,7 +17,9 @@ the filter report excludes is read step by step, never copied whole, and
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
 keeps no target or reward schedule alive. Its sampling tables, the logs and
-guarded CDFs of its initial pmf and kernels, take ``(2N * d * d + 2d) * 8`` bytes.
+guarded CDFs of its initial pmf and kernels, take ``(2N * d * d + 2d) * 8`` bytes;
+a behavior only ever used as a target holds the logs alone. A behavior holding
+its most likely path is freed as soon as it is dropped.
 
 A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
 more than the agent without them, never a view into the pool's table, and they
@@ -35,6 +37,7 @@ from crowdpolicy import (
     evaluate_cost,
     generate_random_scenario,
     monte_carlo_cost,
+    most_likely_trajectory,
     sample_trajectories,
     synthesize,
 )
@@ -155,6 +158,7 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
     d = target.space.size
     tables = sum(table.nbytes for table in policy._sampling)
     assert tables == (2 * horizon * d * d + 2 * d) * 8 == 128_320
+    assert sum(table.nbytes for table in target._sampling) == (horizon * d * d + d) * 8
     assert paths.nbytes + flat.nbytes <= retained < 2 * (paths.nbytes + flat.nbytes)
 
 
@@ -170,6 +174,21 @@ def test_the_held_draw_keeps_no_target_or_rewards_alive():
     del target, rewards
     gc.collect()
     assert [ref() for ref in dropped] == [None, None]
+
+
+def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():
+    scenario = generate_random_scenario(5, 6, 4, 2, sparsity=0.3)
+    target, rewards = scenario.target, scenario.reward_profile()
+    policy = copy.copy(target)
+    del scenario
+    monte_carlo_cost(policy, target, rewards, 100, 3)
+    sample_trajectories(policy, 100, 3, target)
+    best = most_likely_trajectory(policy)
+    assert policy._best is best and policy._drawn is not None
+    dropped = weakref.ref(policy)
+    del policy
+    assert dropped() is None  # by reference count alone: the held state makes no cycle
+    assert best == most_likely_trajectory(copy.copy(target))
 
 
 def test_an_agent_retains_only_its_n_by_d_kl_rows_more():

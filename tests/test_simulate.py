@@ -1,12 +1,14 @@
 """Sampling, most-likely routes, and Monte Carlo estimation."""
 
 import copy
+import dataclasses
 import functools
 import math
 import operator
 import pickle
 import sys
 import threading
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -465,27 +467,39 @@ def test_tables_are_built_once_per_behavior_across_all_three_calls(monkeypatch):
         _calls(policy, target, rewards, count, call_seed, ["route", "estimate", "sample"])
     # one log of the initial pmf and one of the stacked kernels per behavior
     assert [arr.shape for arr in logs] == [(5,), (4 * 5 * 5,)] * 2
-    assert [arr.shape for arr in cdfs] == [(5,), (4, 5, 5)] * 2
-    assert policy._sampling is not None and target._sampling is not None
+    # CDFs for the sampled policy alone: the target is never drawn from
+    assert [arr.shape for arr in cdfs] == [(5,), (4, 5, 5)]
+    assert cdfs[0] is policy.initial.probs and cdfs[1] is policy.matrices
+    assert len(policy._sampling) == 4 and len(target._sampling) == 2
+
+
+def _assert_read_only(tables):
+    for arr in tables:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
 
 
 def test_held_tables_are_read_only_and_hold_the_logs_and_cdfs():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     policy = copy.copy(policy)
-    most_likely_trajectory(policy)
+    most_likely_trajectory(policy)  # reads the logs alone: no CDFs before a draw
+    logs = policy._sampling
+    assert [arr.shape for arr in logs] == [(5,), (100,)]
+    assert np.array_equal(logs[0], log_pmf(policy.initial.probs))
+    assert np.array_equal(logs[1], log_pmf(policy.matrices).ravel())
+    _assert_read_only(logs)
+    monte_carlo_cost(policy, target, rewards, count, seed)  # the first draw adds the CDFs
     tables = policy._sampling
     assert [arr.shape for arr in tables] == [(5,), (100,), (5,), (4, 5, 5)]
-    assert np.array_equal(tables[0], log_pmf(policy.initial.probs))
-    assert np.array_equal(tables[1], log_pmf(policy.matrices).ravel())
+    assert tables[0] is logs[0] and tables[1] is logs[1]
     assert np.array_equal(tables[2], simulate._guarded_cumulative(policy.initial.probs))
     assert np.array_equal(tables[3], simulate._guarded_cumulative(policy.matrices))
-    for arr in tables:
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = 0.0
-    monte_carlo_cost(policy, target, rewards, count, seed)
+    _assert_read_only(tables)
     sample_trajectories(policy, count, seed, target)
+    sample_trajectories(policy, count, seed + 1, target)
     assert policy._sampling is tables
+    assert len(target._sampling) == 2
 
 
 def test_pickles_and_copies_start_without_the_held_tables():
@@ -517,6 +531,148 @@ def test_warm_tables_give_a_fresh_copys_bytes(case, order):
     ]
     assert _calls(policy, target, rewards, count, seed, order) == cold
     assert policy._sampling is tables[0] and target._sampling is tables[1]
+
+
+# ---------------------------------------------------------------------------
+# the slotted Trajectory, built slot by slot
+# ---------------------------------------------------------------------------
+
+LABELS = {"int": (0, 1, 2, 3), "str": ("a", "b", "c", "d"), "mixed": ("a", 1, "b", 2)}
+
+
+def _init_built(policy, count, seed, target=None):
+    """The batch of the held draw, each trajectory built through `Trajectory.__init__`."""
+    paths, flat = simulate._draw(policy, count, seed)
+    sums = [
+        _sum_in_path_order(simulate._path_log_terms(each, paths, flat)).tolist()
+        for each in (policy, target)
+        if each is not None
+    ]
+    log_t = sums[1] if target is not None else [None] * count
+    labels = policy.space.labels
+    return [
+        Trajectory(tuple(labels[i] for i in column), p, t)
+        for column, p, t in zip(paths.T.tolist(), sums[0], log_t)
+    ]
+
+
+def _field_types(traj):
+    return [type(traj.log_prob_policy), type(traj.log_prob_target), *map(type, traj.states)]
+
+
+@pytest.mark.parametrize("labels", sorted(LABELS))
+@pytest.mark.parametrize("count", [1, 1000])
+@pytest.mark.parametrize("with_target", [False, True])
+def test_the_slot_by_slot_batch_equals_the_init_built_one(labels, count, with_target):
+    # the builder skips __init__, which is safe only while nothing runs after it
+    assert not hasattr(Trajectory, "__post_init__")
+    space = StateSpace(LABELS[labels])
+    rng = np.random.default_rng(count)
+    policy = _random_behavior(space, 3, rng, 0.3)
+    target = _random_behavior(space, 3, rng, 0.3) if with_target else None
+    for seed in (0, 7, 2**40):
+        batch = sample_trajectories(policy, count, seed, target)
+        want = _init_built(policy, count, seed, target)
+        assert len(batch) == len(want) == count
+        for got, expected in zip(batch, want):
+            assert type(got) is Trajectory
+            assert got == expected and repr(got) == repr(expected)
+            assert _field_types(got) == _field_types(expected)
+        assert with_target or all(traj.log_prob_target is None for traj in batch)
+
+
+def _built_and_twin(with_target):
+    """A trajectory from the slot-by-slot builder, and its `__init__`-built twin."""
+    policy, target, *_ = _held_draw_cases()["finite"]
+    built = sample_trajectories(copy.copy(policy), 5, 3, target if with_target else None)[2]
+    return built, Trajectory(built.states, built.log_prob_policy, built.log_prob_target)
+
+
+@pytest.mark.parametrize("with_target", [False, True])
+def test_a_built_trajectory_compares_hashes_and_prints_as_its_twin(with_target):
+    built, twin = _built_and_twin(with_target)
+    assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+    assert (built.log_prob_target is None) is not with_target
+    assert built != Trajectory(built.states, built.log_prob_policy - 1.0, built.log_prob_target)
+    assert [f.name for f in fields(Trajectory)] == list(Trajectory.__slots__)
+
+
+@pytest.mark.parametrize("with_target", [False, True])
+def test_a_built_trajectory_round_trips_through_pickle_copy_and_replace(with_target):
+    built, twin = _built_and_twin(with_target)
+    restored = [pickle.loads(pickle.dumps(built, protocol)) for protocol in range(6)]
+    restored += [copy.copy(built), copy.deepcopy(built), dataclasses.replace(built)]
+    for each in restored:
+        assert type(each) is Trajectory
+        assert each == twin and repr(each) == repr(twin) and hash(each) == hash(twin)
+    as_dict = dataclasses.asdict(built)
+    assert as_dict == {
+        "states": twin.states,
+        "log_prob_policy": twin.log_prob_policy,
+        "log_prob_target": twin.log_prob_target,
+    }
+    assert Trajectory(**as_dict) == twin
+    replaced = dataclasses.replace(built, log_prob_target=0.5)
+    assert replaced == Trajectory(twin.states, twin.log_prob_policy, 0.5)
+
+
+def test_a_built_trajectory_stays_frozen_and_holds_no_dict():
+    built, twin = _built_and_twin(True)
+    for name in ("states", "log_prob_policy", "log_prob_target"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, name)
+    # a name that is no field has no slot either; the frozen check of a slotted
+    # dataclass raises TypeError for it on some Python versions (3.11 among them)
+    with pytest.raises((AttributeError, TypeError)):
+        built.extra = None
+    with pytest.raises((AttributeError, TypeError)):
+        del built.extra
+    assert built == twin
+    # the two public differences the slots make
+    assert not hasattr(built, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(built)
+
+
+# ---------------------------------------------------------------------------
+# the held most likely path
+# ---------------------------------------------------------------------------
+
+
+def test_a_warm_most_likely_path_is_the_held_object():
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy = copy.copy(policy)
+    best = most_likely_trajectory(policy)
+    assert policy._best is best
+    _calls(policy, target, rewards, count, seed, ["sample", "estimate"])
+    assert most_likely_trajectory(policy) is best
+    fresh = most_likely_trajectory(copy.copy(policy))
+    assert fresh is not best
+    assert fresh == best and repr(fresh) == repr(best)
+
+
+def test_the_most_likely_path_is_computed_once_per_behavior(monkeypatch):
+    policy, *_ = _held_draw_cases()["finite"]
+    policy, twin = copy.copy(policy), copy.copy(policy)
+    computed = _counting(monkeypatch, "_path_log_terms")
+    routes = [most_likely_trajectory(each) for each in (policy, policy, twin, policy, twin)]
+    assert computed == [policy, twin]
+    assert routes[0] is routes[1] is routes[3] and routes[2] is routes[4]
+
+
+def test_pickles_and_copies_start_without_the_held_path():
+    policy, *_ = _held_draw_cases()["finite"]
+    policy = copy.copy(policy)
+    best = most_likely_trajectory(policy)
+    assert "_best" not in {f.name for f in fields(Behavior)}
+    for restored in (
+        pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
+    ):
+        assert restored._best is None
+        assert restored == policy
+        assert most_likely_trajectory(restored) == best
 
 
 @settings(max_examples=200, deadline=None)
