@@ -254,8 +254,6 @@ def cmd_simulate(
     policy = _policy(args, scenario)
     try:
         estimate = monte_carlo_cost(policy, scenario.target, rewards, args.count, args.seed)
-    except ValidationError:
-        raise
     except ValueError as exc:  # a sampled path the target cannot produce
         raise InfeasibleError(str(exc)) from None
     trajectories = sample_trajectories(policy, args.count, args.seed, scenario.target)

@@ -5,8 +5,9 @@ mismatches, NaN inputs). A pool, reward schedule or policy given with a target m
 state space and horizon, else the error names the part: ``contributors and target use
 different state spaces`` or ``reward horizon 1 != target horizon 2``. A reward schedule whose
 per-step largest magnitudes, summed over the steps, reach ``model.REWARD_LIMIT`` is refused
-when it is built, with a ``ValueError`` naming the step, so no route meets an overflowed
-reward sum. The classes below mark conditions the command line maps to dedicated exit codes.
+when it is built, with a ``ValueError`` naming the step; every route answers every schedule
+admitted. The classes below mark conditions the command line maps to dedicated exit codes;
+``ValidationError`` comes only from reading files.
 """
 
 
@@ -24,11 +25,6 @@ class InfeasibleError(CrowdPolicyError):
 
 class OracleGuardError(CrowdPolicyError):
     """An exhaustive oracle refused an instance that is too large."""
-
-
-def _reward_overflow(where: str) -> ValidationError:
-    """The error for finite sampled costs whose sum over many paths leaves the finite floats."""
-    return ValidationError(f"rewards overflow the {where}; keep their sum below 1.8e308")
 
 
 __all__ = ["CrowdPolicyError", "ValidationError", "InfeasibleError", "OracleGuardError"]

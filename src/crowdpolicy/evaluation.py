@@ -98,9 +98,10 @@ def trajectory_enumeration_cost(
     """Brute-force cost by summing over every trajectory the policy can produce.
 
     Walks all state sequences x_0..x_N with positive policy probability and
-    accumulates, per step, probability times log transition ratio and
-    probability times reward. The initial factor is shared between policy and
-    target by convention and never enters the divergence. Kept free of
+    accumulates step k's log transition ratio and reward as it reaches x_k,
+    each weighed by the probability of the prefix x_0..x_k, as the marginals
+    of `evaluate_cost` weigh it. The initial factor is shared between policy
+    and target by convention and never enters the divergence. Kept free of
     marginal propagation on purpose so it can serve as an independent check
     of `evaluate_cost`.
 
@@ -118,28 +119,20 @@ def trajectory_enumeration_cost(
     kl_steps = np.zeros(n)
     reward_steps = np.zeros(n)
 
-    def visit(idx: int, prev: int, prob: float, ratios: list[float], rews: list[float]) -> None:
-        if idx == n:
-            for k in range(n):
-                kl_steps[k] += prob * ratios[k]
-                reward_steps[k] += prob * rews[k]
-            return
+    def visit(idx: int, prev: int, prob: float) -> None:
         row = policy.matrices[idx, prev]
-        for nxt in range(d):
-            if row[nxt] == 0.0:
-                continue
+        for nxt in np.flatnonzero(row):
             # a target-zero factor makes this step's divergence +inf but the
-            # trajectory still happens and still collects reward
-            ratios.append(pol_logs[idx, prev, nxt] - tgt_logs[idx, prev, nxt])
-            rews.append(rewards.values[idx, nxt])
-            visit(idx + 1, nxt, prob * row[nxt], ratios, rews)
-            ratios.pop()
-            rews.pop()
+            # trajectory still happens and still collects reward; the positive
+            # prefix times the factor's own term never makes 0 * inf
+            ratio = pol_logs[idx, prev, nxt] - tgt_logs[idx, prev, nxt]
+            kl_steps[idx] += prob * (row[nxt] * ratio)
+            reward_steps[idx] += prob * (row[nxt] * rewards.values[idx, nxt])
+            if idx + 1 < n and prob * row[nxt] > 0.0:  # an underflowed prefix is not extended
+                visit(idx + 1, nxt, prob * row[nxt])
 
-    for x0 in range(d):
-        p0 = policy.initial.probs[x0]
-        if p0 > 0:
-            visit(0, x0, float(p0), [], [])
+    for x0 in np.flatnonzero(policy.initial.probs):
+        visit(0, x0, float(policy.initial.probs[x0]))
 
     per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
     kl_part = float(kl_steps.sum())

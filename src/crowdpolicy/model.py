@@ -1,9 +1,9 @@
 """Finite-state probability primitives.
 
 State spaces, probability vectors, row-stochastic transition kernels, Markov
-behaviors, reward schedules, and simplex weight vectors, together with the
-three operations everything else is built from: KL divergence between pmfs,
-expected value under a pmf, and vertex argmin over the simplex.
+behaviors, reward schedules, and simplex weight vectors, with the array routines the
+other modules build on (row-wise KL, log pmfs, forward marginals) and three single-pmf
+operations no library routine calls: `kl_divergence`, `expected_value`, `simplex_argmin`.
 
 Conventions used throughout the package:
 

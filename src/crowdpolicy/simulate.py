@@ -29,7 +29,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import _reward_overflow
 from .model import Behavior, Label, RewardSchedule, _check_compatible, _set, log_pmf
 from .scenario import _atomic_write_text, _csv_text
 
@@ -207,7 +206,6 @@ class MonteCarloEstimate:
     count: int
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed mean or spread is reported below
 def monte_carlo_cost(
     policy: Behavior,
     target: Behavior,
@@ -221,13 +219,14 @@ def monte_carlo_cost(
     of policy to target transition probabilities minus the rewards collected;
     the initial factor is excluded, matching `evaluate_cost`. The estimate is
     the sample mean; the standard error uses the unbiased sample variance.
+    Once a path cost reaches ``2**480``, every cost is scaled by ``2**-544``
+    first, exactly, so each admitted schedule (its path costs stay below
+    half the largest float) gets a finite mean and standard error.
 
     Raises:
         ValueError: if a sampled trajectory has target probability zero (the
             cost integrand is undefined there); the offending trajectory is
             named.
-        ValidationError: if the sampled costs, each finite, overflow their
-            mean or standard error; the path count is named.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
     paths, flat = _draw(policy, count, seed)
@@ -245,10 +244,10 @@ def monte_carlo_cost(
     costs = np.subtract(log_p, log_t, out=log_p)  # in place: the terms are this call's own
     costs -= collected
     z = _sum_in_path_order(costs)
-    estimate = float(z.mean())
-    stderr = float(z.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-    if not (math.isfinite(estimate) and math.isfinite(stderr)):  # summed over many paths
-        raise _reward_overflow(f"estimate over {count} sampled paths")
+    scale = 1.0 if np.abs(z).max() < 2.0**480 else 2.0**-544  # 1.0 keeps the unscaled bits
+    z *= scale
+    estimate = float(z.mean()) / scale
+    stderr = float(z.std(ddof=1) / math.sqrt(count)) / scale if count > 1 else 0.0
     return MonteCarloEstimate(estimate, stderr, count)
 
 

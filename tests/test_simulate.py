@@ -10,6 +10,7 @@ import sys
 import threading
 import weakref
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crowdpolicy.simulate as simulate
-from crowdpolicy.errors import ValidationError
 from crowdpolicy.evaluation import evaluate_cost
 from crowdpolicy.model import (
     REWARD_LIMIT,
@@ -205,19 +205,53 @@ def test_path_costs_near_the_limit_stay_finite_in_step_order(sign):
     assert estimate == MonteCarloEstimate(-a, 0.0, 4)
 
 
+def _exact_estimate(policy, rewards, count, seed):
+    """Exact (mean, standard error, largest |cost|) of a batch's path costs, policy as its own target.
+
+    Its log ratios are then 0, so each cost is minus the rewards its sampled
+    states collect, summed as fractions; only the results are rounded.
+    """
+    labels = policy.space.labels
+    costs = [
+        -sum(Fraction(rewards.values[k, labels.index(x)]) for k, x in enumerate(t.states[1:]))
+        for t in sample_trajectories(policy, count, seed)
+    ]
+    mean = sum(costs) / count
+    squared = sum((c - mean) ** 2 for c in costs) / (count - 1) / count if count > 1 else 0
+    stderr = math.sqrt(float(squared / 2**1024)) * 2.0**512  # squared may pass the largest float
+    return float(mean), stderr, float(max(map(abs, costs)))
+
+
+def assert_exact_estimate(policy, rewards, count, seed):
+    """The estimate and standard error equal the exact ones within rounding of the largest cost."""
+    got = monte_carlo_cost(policy, policy, rewards, count, seed)
+    mean, stderr, peak = _exact_estimate(policy, rewards, count, seed)
+    assert got.count == count and math.isfinite(got.estimate) and math.isfinite(got.stderr)
+    assert abs(got.estimate - mean) <= 1e-15 * peak and abs(got.stderr - stderr) <= 1e-15 * peak
+    return got
+
+
+@pytest.mark.parametrize("count", [2, 3, 7, 50, 1000])
 @pytest.mark.parametrize("reward", [JUST_BELOW, -JUST_BELOW])
-def test_overflowing_mean_of_finite_path_costs_is_a_validation_error(reward):
-    # each path's cost is finite, and so is the sum of two; the sum of three,
-    # taken for the mean, is not
+def test_a_mean_past_the_largest_float_unscaled_is_answered(reward, count):
+    # each path's cost is finite, and so is the sum of two; the sum of three
+    # or more, taken for the mean, is not, so the costs are scaled first
     single = StateSpace(("x",))
     point = behavior(single, [1.0], [[1.0]])
     rewards = RewardSchedule(single, np.array([[reward]]))
-    assert monte_carlo_cost(point, point, rewards, count=2, seed=0).estimate == -reward
-    with pytest.raises(ValidationError) as err:
-        monte_carlo_cost(point, point, rewards, count=3, seed=0)
-    assert str(err.value) == (
-        "rewards overflow the estimate over 3 sampled paths; keep their sum below 1.8e308"
-    )
+    got = assert_exact_estimate(point, rewards, count, seed=0)
+    if count == 2:  # answered unscaled before; scaling by a power of two keeps these bits
+        assert got == MonteCarloEstimate(-reward, 0.0, 2)
+
+
+def test_a_spread_whose_squares_pass_the_largest_float_is_answered():
+    # path costs 0 and -1e160: their squared deviations, about 1e320, are not
+    # floats, so the standard error is taken on scaled costs
+    space = StateSpace(("a", "b"))
+    uniform = behavior(space, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+    rewards = RewardSchedule(space, np.array([[0.0, 1e160]]))
+    got = assert_exact_estimate(uniform, rewards, 10, seed=0)
+    assert got.stderr > 1e159
 
 
 def test_dead_trajectories_name_the_earliest_step_before_the_lowest_path():
@@ -238,11 +272,11 @@ def test_dead_trajectories_name_the_earliest_step_before_the_lowest_path():
 
 
 @pytest.mark.parametrize("seed, k", [(17, 2), (1, 3)])
-def test_paths_near_the_limit_overflow_only_the_estimate_over_all_paths(seed, k):
+def test_paths_near_the_limit_give_the_exact_estimate_over_all_paths(seed, k):
     # each step in b adds 0.3 of the limit to a path's cost, so every path's
     # cost stays finite from whichever step it enters b (the earliest is k - 1;
     # at seed 17 only the last path enters at step 1, at seed 1 none does);
-    # only the paths' mean and spread overflow
+    # the paths' mean and spread, unscaled, would overflow
     space = StateSpace(("a", "b"))
     step = [[0.5, 0.5], [0.0, 1.0]]
     policy = behavior(space, [1.0, 0.0], step, step, step)
@@ -250,19 +284,15 @@ def test_paths_near_the_limit_overflow_only_the_estimate_over_all_paths(seed, k)
     entered = [t.states.index("b") for t in sample_trajectories(policy, 4, seed) if "b" in t.states]
     assert min(entered) + 1 == k
     assert seed != 17 or entered[-1] < min(entered[:-1])
-    with pytest.raises(ValidationError) as err:
-        monte_carlo_cost(policy, policy, rewards, count=4, seed=seed)
-    assert str(err.value) == (
-        "rewards overflow the estimate over 4 sampled paths; keep their sum below 1.8e308"
-    )
+    assert_exact_estimate(policy, rewards, 4, seed)
 
 
 @pytest.mark.parametrize("target_zero_share, huge", [(0.0, False), (0.5, False), (0.0, True)])
 def test_one_draw_equals_the_two_public_calls(target_zero_share, huge):
     # the CLI's route, the estimate and then the trajectories from the draw the
     # behavior holds, gives what each call gives on a fresh copy: the same
-    # trajectories, estimate and first error (a dead path, or rewards near
-    # the limit overflowing the estimate over the paths)
+    # trajectories, estimate and first error (a dead path), also with rewards
+    # near the limit, whose estimate is taken on scaled path costs
     space = StateSpace(tuple(f"s{i}" for i in range(5)))
     rng = np.random.default_rng(3)
     policy = _random_behavior(space, 4, rng, 0.3)
@@ -293,7 +323,7 @@ def _result(call, *args):
 
 
 def _held_draw_cases():
-    """(policy, target, rewards, count, seed) with a finite estimate, a dead path, an overflow."""
+    """(policy, target, rewards, count, seed): a finite estimate, a dead path, a scaled estimate."""
     space = StateSpace(tuple(f"s{i}" for i in range(5)))
     rng = np.random.default_rng(3)
     policy, target = _random_behavior(space, 4, rng, 0.3), _random_behavior(space, 4, rng, 0.0)
@@ -305,8 +335,8 @@ def _held_draw_cases():
     step = [[0.5, 0.5], [0.0, 1.0]]
     climber = behavior(two, [1.0, 0.0], step, step, step)
     near = RewardSchedule(two, np.tile([0.0, -0.3 * REWARD_LIMIT], (3, 1)))
-    overflow = (climber, climber, near, 4, 17)  # the estimate over the paths overflows
-    return {"finite": finite, "dead": dead, "overflow": overflow}
+    scaled = (climber, climber, near, 4, 17)  # unscaled, the estimate over the paths overflows
+    return {"finite": finite, "dead": dead, "scaled": scaled}
 
 
 def _calls(policy, target, rewards, count, seed, order):
@@ -330,7 +360,7 @@ def _counting(monkeypatch, name):
 
 
 @pytest.mark.parametrize("order", [("sample", "estimate"), ("estimate", "sample")])
-@pytest.mark.parametrize("case", ["finite", "dead", "overflow"])
+@pytest.mark.parametrize("case", ["finite", "dead", "scaled"])
 def test_warm_calls_equal_cold_ones_to_the_byte(case, order, monkeypatch):
     policy, target, rewards, count, seed = _held_draw_cases()[case]
     cold = [
@@ -342,7 +372,7 @@ def test_warm_calls_equal_cold_ones_to_the_byte(case, order, monkeypatch):
     assert warm == cold and again == cold
     assert len(draws) == 1
     estimate = cold[order.index("estimate")]
-    error = {"finite": None, "dead": "ValueError", "overflow": "ValidationError"}[case]
+    error = {"finite": None, "dead": "ValueError", "scaled": None}[case]
     assert estimate.startswith("MonteCarloEstimate(") if error is None else estimate[0] == error
 
 
@@ -518,7 +548,7 @@ def test_pickles_and_copies_start_without_the_held_tables():
 @pytest.mark.parametrize(
     "order", [("sample", "estimate", "route"), ("route", "estimate", "sample")]
 )
-@pytest.mark.parametrize("case", ["finite", "dead", "overflow"])
+@pytest.mark.parametrize("case", ["finite", "dead", "scaled"])
 def test_warm_tables_give_a_fresh_copys_bytes(case, order):
     # the tables are warm from another seed's draw, so only they are reused
     policy, target, rewards, count, seed = _held_draw_cases()[case]
@@ -815,6 +845,30 @@ def test_sampling_and_monte_carlo_equal_the_reference(
     target = _random_behavior(space, horizon, rng, target_zero_share)
     rewards = RewardSchedule(space, rng.normal(size=(horizon, d)))
     assert_matches_reference(policy, target, rewards, count, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    horizon=st.integers(1, 4),
+    count=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.one_of(st.integers(0, 479), st.sampled_from([470, 478, 479])),
+)
+def test_estimates_below_the_scaling_threshold_keep_the_unscaled_bits(
+    d, horizon, count, seed, exponent
+):
+    # every path cost below 2**480 is not scaled: the estimate and standard
+    # error are the plain z.mean() and z.std(ddof=1) / sqrt(count) of the
+    # reference, to the byte, up to rewards a hair below the threshold
+    space = StateSpace(tuple(range(d)))
+    rng = np.random.default_rng(seed)
+    policy = _random_behavior(space, horizon, rng, 0.3)
+    target = _random_behavior(space, horizon, rng, 0.0)
+    step = 0.99 * 2.0**exponent / horizon  # the log ratios add far less than the rest
+    rewards = RewardSchedule(space, rng.uniform(-step, step, (horizon, d)))
+    got = _outcome(monte_carlo_cost, policy, target, rewards, count, seed)
+    assert repr(got) == repr(_outcome(_reference_monte_carlo, policy, target, rewards, count, seed))
 
 
 def _reference_guarded_cumulative(rows):
