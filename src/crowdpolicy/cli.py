@@ -90,12 +90,6 @@ def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]
     }
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _flags(args: argparse.Namespace) -> dict:
     """Flag set embedded in reports; --out is deliberately omitted."""
     keep = ("scenario", "reward_profile", "policy", "seed", "count", "mode",
@@ -141,7 +135,8 @@ def _policy(args: argparse.Namespace, scenario: Scenario) -> Behavior:
 def _finish(args: argparse.Namespace, report: dict, started: float) -> None:
     """Write report.json and timing.json under --out when the command has one."""
     if getattr(args, "out", None) is not None:
-        out = _out_dir(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         _atomic_write_text(out / "report.json", _dump_json(report))
         timing = {"seconds": time.perf_counter() - started}
         _atomic_write_text(out / "timing.json", _dump_json(timing))
@@ -258,7 +253,8 @@ def cmd_simulate(
         raise InfeasibleError(str(exc)) from None
     trajectories = sample_trajectories(policy, args.count, args.seed, scenario.target)
     exact = evaluate_cost(policy, scenario.target, rewards)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_trajectories_csv(trajectories, out / "trajectories.csv")
     report.update(
         monte_carlo={
@@ -396,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         started = time.perf_counter()
         scenario, rewards, report = _inputs(args)

@@ -242,7 +242,7 @@ class Behavior(_KernelStack):
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
     once, as the read-only ``(N, d, d)`` array ``matrices``; ``kernels`` views
     its matrices, built on first read. The behavior also holds its sampling
-    tables (`simulate._tables`, CDFs once sampled), its last draw, which
+    tables (`simulate._tables`, guide tables once sampled), its last draw, which
     `sample_trajectories` and `monte_carlo_cost` share, its most likely
     trajectory, and a synthesized agent its KL rows, read by `evaluate_cost`
     for that target alone; none of these is compared, and a pickle or copy
@@ -253,7 +253,7 @@ class Behavior(_KernelStack):
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`, on read
     matrices: np.ndarray = field(init=False, repr=False)
     _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
-    _sampling = None  # (log pmf, log kernels[, CDFs once drawn]); set in `simulate` alone
+    _sampling = None  # (log pmf, log kernels[, guide tables once drawn]); set in `simulate` alone
     _best = None  # its most likely `Trajectory`; set by `simulate.most_likely_trajectory` alone
     _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone
 
@@ -340,10 +340,7 @@ class WeightVector(_FrozenValue):
     @property
     def is_vertex(self) -> bool:
         """True when exactly one entry is 1.0 and the rest are exactly 0.0."""
-        return (
-            np.count_nonzero(self.weights == 1.0) == 1
-            and np.count_nonzero(self.weights) == 1
-        )
+        return np.count_nonzero(self.weights) == 1 and 1.0 in self.weights
 
     @classmethod
     def vertex(cls, size: int, index: int) -> "WeightVector":

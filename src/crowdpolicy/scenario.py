@@ -81,20 +81,14 @@ class Scenario(_FrozenValue):
 
     def reward_profile(self, name: str | None = None) -> RewardSchedule:
         """Profile by name, or the sole profile when the scenario has only one."""
-        if name is None:
-            if len(self.rewards) == 1:
-                return next(iter(self.rewards.values()))
-            raise ValueError(
-                "scenario has several reward profiles, name one of: "
-                + ", ".join(sorted(self.rewards))
-            )
-        try:
+        if name is None and len(self.rewards) == 1:
+            return next(iter(self.rewards.values()))
+        if name in self.rewards:
             return self.rewards[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown reward profile {name!r}, scenario has: "
-                + ", ".join(sorted(self.rewards))
-            ) from None
+        known = ", ".join(sorted(self.rewards))
+        if name is None:
+            raise ValueError(f"scenario has several reward profiles, name one of: {known}")
+        raise ValueError(f"unknown reward profile {name!r}, scenario has: {known}")
 
 
 def demo_scenario_path() -> Path:

@@ -2,19 +2,17 @@
 
 All randomness flows from NumPy's Philox4x64 counter-based generator seeded
 with the caller's integer seed, the same contract `generate_random_scenario`
-uses, so identical seeds reproduce identical batches on any platform. Batches
-are sampled with one uniform draw per trajectory per step via inverse CDF:
-each draw takes the first entry of its guarded CDF row above the uniform.
-
-A batch is held step-major, one (N + 1, count) index array, with one flat
-index (N, count) of every path's step in a raveled (N, d, d) kernel stack.
-A behavior holds its log tables, built on first use, its guarded CDFs, built
-on its first draw, and its last draw for a plain-int (seed, count), all
-read-only: `sample_trajectories` and `monte_carlo_cost` with that seed and
-count share one draw. Log factors are one `take` of the held logs through the
-flat index, summed row by row in path order, so each total equals the scalar
-chain-rule sum. `Trajectory` has slots, and a batch is built slot by slot with
-no `__init__` frame per path; a behavior also holds its most likely path.
+uses, so identical seeds reproduce identical batches on any platform. Each
+path takes one uniform a step, and the first entry of its guarded CDF row
+above it, found through a guide table (`_sample_paths`). A batch is held
+step-major, one (N + 1, count) index array, with one flat index (N, count) of
+every path's step in a raveled (N, d, d) kernel stack. A behavior holds, all
+read-only, its log tables, built on first use, its guide tables, built on its
+first draw, its most likely path, and its last draw for a plain-int (seed,
+count), which `sample_trajectories` and `monte_carlo_cost` share. Log factors
+are one `take` of the held logs through the flat index, summed row by row in
+path order, so each total equals the scalar chain-rule sum. `Trajectory` has
+slots, and a batch is built slot by slot with no `__init__` frame per path.
 """
 
 from __future__ import annotations
@@ -48,46 +46,78 @@ class Trajectory:
     log_prob_target: float | None = None
 
 
-def _guarded_cumulative(rows: np.ndarray) -> np.ndarray:
-    """CDF along the last axis, with the tail pinned to 1 at each row's last positive entry.
-
-    Pinning keeps inverse-CDF lookups from ever landing on a zero-probability
-    state when floating-point row sums fall a hair short of 1.
-    """
-    cums = np.cumsum(rows, axis=-1)
-    last_positive = rows.shape[-1] - 1 - np.argmax((rows > 0)[..., ::-1], axis=-1)
-    cums[np.arange(rows.shape[-1]) >= last_positive[..., None]] = 1.0
-    return cums
-
-
 def _tables(behavior: Behavior) -> tuple[np.ndarray, ...]:
-    """The behavior's held (log pmf, raveled log kernels), plus their CDFs once it was drawn."""
+    """The behavior's held (log pmf, raveled log kernels), plus its `_guide_tables` once drawn."""
     if behavior._sampling is None:  # one assignment: threads racing here build equal tables
         logs = log_pmf(behavior.initial.probs), log_pmf(behavior.matrices.ravel())
         _set(behavior, _sampling=logs)
     return behavior._sampling
 
 
-def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``count`` i.i.d. index paths of shape (count, N+1).
+def _guide_tables(behavior: Behavior) -> tuple[np.ndarray, ...]:
+    """(starts, states, cdfs, guide): each row's positive entries, and a guide into them.
 
-    The paths are filled step-major, one contiguous (N + 1, count) array read
-    back through its transpose. Each draw picks the first entry of its guarded
-    CDF row above the uniform: the entries ``<= u`` form a prefix, since a row
-    never decreases before its last positive entry (even where rounding takes
-    it above 1) and is pinned to 1.0 > u from there on.
+    Row 0 is the initial pmf, row ``1 + k*d + x`` step k's row from state x.
+    Row r's entries are ``starts[r]:starts[r + 1]`` of ``states`` (indices)
+    and ``cdfs`` (CDF values, the last pinned to 1.0). ``guide[r, b]`` counts
+    those ``<= b/M``, for M = ``guide.shape[1]`` the power of two in (2d, 4d].
     """
-    n = policy.horizon
-    paths = np.empty((n + 1, count), dtype=np.int64)
+    d = behavior.space.size
+    rows = np.concatenate((behavior.initial.probs[None], behavior.matrices.reshape(-1, d)))
+    positive = rows > 0
+    starts = np.concatenate(([0], np.cumsum(np.count_nonzero(positive, axis=1))))
+    states = np.broadcast_to(np.arange(d, dtype=np.min_scalar_type(d - 1)), rows.shape)[positive]
+    ranks = (np.arange(starts[-1]) - np.repeat(starts[:-1], np.diff(starts))).astype(states.dtype)
+    cdfs = np.cumsum(rows, axis=1, out=rows)[positive]
+    cdfs[starts[1:] - 1] = 1.0
+    m = 2 << d.bit_length()
+    # c <= b/M exactly when ceil(c*M) <= b, M a power of two; entry j's cell c_j fills
+    # guide[r, c_(j-1):c_j] (from 0 for a row's first) with j's rank: cells never fall, end at M
+    cells = np.multiply(cdfs, m, out=rows.reshape(-1)[: cdfs.size])  # in the dead `rows` buffer
+    np.minimum(np.ceil(cells, out=cells), m, out=cells)
+    steps = cells.astype(np.intp)
+    np.subtract(steps[1:], cells[:-1], out=steps[1:], casting="unsafe")
+    steps[starts[1:-1]] += m  # a row's first entry counts from cell 0, not the last row's M
+    del rows, positive, cells
+    return starts, states, cdfs, np.repeat(ranks, steps).reshape(-1, m)
+
+
+def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample ``count`` i.i.d. index paths of shape (count, N+1), one ``rng.random(count)`` a step.
+
+    The paths are filled step-major, one (N + 1, count) array read back
+    through its transpose. A draw takes the first entry above its uniform
+    ``u`` in its guarded CDF row (the cumulative sum, pinned to 1.0 from the
+    last positive entry on). The entries ``<= u`` form a prefix, since a row
+    never decreases before its last positive entry (even where rounding takes
+    it above 1) and is 1.0 > u from there on. The first above ``u`` is a
+    positive entry, as a zero entry repeats the value before it or the pinned
+    1.0, and it comes after the ``guide[r, floor(u*M)]`` positive entries
+    ``<= floor(u*M)/M <= u``. A draw starts there and looks at the next two;
+    only if both are ``<= u`` does it count the row's entries ``<= u``. So
+    each path is, bit for bit, the one a search of the whole row gives.
+    """
+    d = policy.space.size
     tables = _tables(policy)
-    if len(tables) == 2:  # first draw: a behavior that is only ever a target holds no CDFs
-        cdfs = _guarded_cumulative(policy.initial.probs), _guarded_cumulative(policy.matrices)
-        tables = _set(policy, _sampling=(*tables, *cdfs))._sampling
-    cum0, cums = tables[2:]
-    paths[0] = np.searchsorted(cum0, rng.random(count), side="right")
-    for idx in range(n):
+    if len(tables) == 2:  # first draw: a behavior that is only ever a target holds logs alone
+        tables = _set(policy, _sampling=(*tables, *_guide_tables(policy)))._sampling
+    starts, states, cdfs, guide = tables[2:]
+    m = guide.shape[1]
+    paths = np.empty((policy.horizon + 1, count), dtype=np.int64)
+    rows = np.zeros(count, dtype=np.int64)  # the initial pmf's row
+    for idx in range(policy.horizon + 1):
         u = rng.random(count)
-        paths[idx + 1] = (np.take(cums[idx], paths[idx], axis=0) > u[:, None]).argmax(axis=1)
+        first = starts.take(rows)
+        at = first + guide.take(rows * m + (u * m).astype(np.intp))
+        for _ in range(2):  # the bucket's next entries, enough for nearly every draw
+            at += cdfs.take(at) <= u
+        rest = np.flatnonzero(cdfs.take(at) <= u)
+        if rest.size:  # a crowded bucket: count the whole row's entries <= u
+            first, end = first[rest], starts.take(rows[rest] + 1)
+            span = np.minimum(first[:, None] + np.arange((end - first).max()), end[:, None] - 1)
+            at[rest] = first + np.count_nonzero(cdfs.take(span) <= u[rest, None], axis=1)
+        paths[idx] = states.take(at)
+        rows = paths[idx] + (1 + idx * d)  # step idx's row from each path's state
     return paths.T
 
 
@@ -187,12 +217,11 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     for idx in range(n - 1, -1, -1):
         best[idx] = (log_kernels[idx] + best[idx + 1]).max(axis=1)
 
-    path = np.empty(n + 1, dtype=np.int64)
-    path[0] = np.argmax(log_initial + best[0])
+    path = [np.argmax(log_initial + best[0])]
     for idx in range(n):
-        path[idx + 1] = np.argmax(log_kernels[idx][path[idx]] + best[idx + 1])
+        path.append(np.argmax(log_kernels[idx, path[-1]] + best[idx + 1]))
     states = tuple(policy.space.labels[i] for i in path)
-    column = path[:, None]
+    column = np.array(path, dtype=np.int64)[:, None]
     log_prob = _sum_in_path_order(_path_log_terms(policy, column, _flat_steps(column, d)))[0]
     return _set(policy, _best=Trajectory(states, float(log_prob)))._best  # one assignment
 
@@ -240,14 +269,16 @@ def monte_carlo_cost(
             f"sampled trajectory {labels} has target probability 0 at step "
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
-    collected = rewards.values[np.arange(rewards.horizon)[:, None], paths[1:]]
     costs = np.subtract(log_p, log_t, out=log_p)  # in place: the terms are this call's own
-    costs -= collected
+    costs -= rewards.values[np.arange(rewards.horizon)[:, None], paths[1:]]  # rewards collected
     z = _sum_in_path_order(costs)
     scale = 1.0 if np.abs(z).max() < 2.0**480 else 2.0**-544  # 1.0 keeps the unscaled bits
-    z *= scale
-    estimate = float(z.mean()) / scale
-    stderr = float(z.std(ddof=1) / math.sqrt(count)) / scale if count > 1 else 0.0
+    scaled = z * scale
+    estimate = float(scaled.mean()) / scale
+    if scale != 1.0:  # add back the exact remainders the scale flushes from costs below 2**-478
+        estimate += float((z - scaled / scale).mean())
+    # the stderr needs no such remainder: a tiny deviation exists only beside a cost >= 2**480
+    stderr = float(scaled.std(ddof=1) / math.sqrt(count)) / scale if count > 1 else 0.0
     return MonteCarloEstimate(estimate, stderr, count)
 
 
@@ -259,27 +290,22 @@ def write_trajectories_csv(trajectories: Iterable[Trajectory], path: str | Path)
     """Write trajectories as CSV: index, one state column per step, log-probs.
 
     Columns: ``trajectory`` (0-based draw index), ``x_0`` .. ``x_N`` (state
-    labels), ``log_prob_policy``, ``log_prob_target`` (blank when unknown).
-    Floats use shortest round-trip formatting. The whole batch is checked
-    and rendered before ``path`` is touched, then written atomically, so a
-    rejected batch leaves an existing file as it was.
+    labels), ``log_prob_policy``, ``log_prob_target`` (blank when unknown:
+    csv writes None blank, and a float as its shortest round-trip repr). The
+    whole batch is checked and rendered before ``path`` is touched, then
+    written atomically, so a rejected batch leaves an existing file as it was.
     """
-    trajectories = list(trajectories)
-    if not trajectories:
+    batch = list(trajectories)
+    if not batch:
         raise ValueError("nothing to write: empty trajectory list")
-    n = len(trajectories[0].states) - 1
-    if any(len(traj.states) != n + 1 for traj in trajectories):
+    width = len(batch[0].states)
+    if any(len(t.states) != width for t in batch):
         raise ValueError("trajectories have inconsistent lengths")
-    header = ["trajectory", *(f"x_{k}" for k in range(n + 1)),
-              "log_prob_policy", "log_prob_target"]
+    first, _, *last = TRAJECTORY_CSV_COLUMNS
+    header = [first, *(f"x_{k}" for k in range(width)), *last]
     rows = (
-        [
-            i,
-            *(str(s) for s in traj.states),
-            repr(traj.log_prob_policy),
-            "" if traj.log_prob_target is None else repr(traj.log_prob_target),
-        ]
-        for i, traj in enumerate(trajectories)
+        [i, *map(str, t.states), t.log_prob_policy, t.log_prob_target]
+        for i, t in enumerate(batch)
     )
     _atomic_write_text(path, _csv_text(header, rows))
 

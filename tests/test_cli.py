@@ -4,9 +4,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -728,6 +730,30 @@ def test_installed_console_script_runs():
     )
     assert proc.returncode == 0
     assert "scenario OK" in proc.stdout
+
+
+#: CI's installed-package step.
+CHECK_INSTALLED = Path(__file__).resolve().parents[1] / "ci" / "check_installed_package.sh"
+
+
+def test_the_installed_package_check_passes_with_a_console_script_on_path(tmp_path):
+    # the script runs only what is installed, so it needs a console script and
+    # a `python` that imports the package without PYTHONPATH; the console
+    # script's own directory goes first on PATH, so a venv's pair is used.
+    # README's "Installation" shows a shim that lets it run on a source tree
+    exe = shutil.which("crowdpolicy")
+    if exe is None:
+        pytest.skip("console script not on PATH (package not installed)")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PATH"] = os.path.dirname(exe) + os.pathsep + env.get("PATH", "")
+    python = shutil.which("python", path=env["PATH"])
+    if python is None or subprocess.run([python, "-c", "import crowdpolicy"], env=env).returncode:
+        pytest.skip("no `python` on PATH that imports the installed package")
+    proc = subprocess.run(
+        ["bash", str(CHECK_INSTALLED), str(tmp_path)],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
 def test_entry_exits_with_the_code_main_returns(monkeypatch, capsys):

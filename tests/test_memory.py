@@ -16,9 +16,17 @@ the filter report excludes is read step by step, never copied whole, and
 
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
-keeps no target or reward schedule alive. Its sampling tables, the logs and
-guarded CDFs of its initial pmf and kernels, take ``(2N * d * d + 2d) * 8`` bytes;
-a behavior only ever used as a target holds the logs alone. A behavior holding
+keeps no target or reward schedule alive. Its sampling tables are the logs of
+its initial pmf and kernels, ``(N * d * d + d) * 8`` bytes, and its guide tables
+over their R = N * d + 1 rows: ``(R + 1) * 8`` bytes of row starts, 9 bytes
+for each of the P positive entries (a one-byte state index and its CDF value
+at d <= 256), and an R by M one-byte guide, M the power of two in (2d, 4d].
+Building the guide holds, besides the tables it keeps (about 1.6 kernel
+stacks on a dense d=256 behavior), one float and one index array per positive
+entry: at d=256 its peak stays below 4 times the kernel stack, where an
+(N, d, M, d) one-byte comparison array would take 128 times, and a per-entry
+(row, state) index pair with its cell arithmetic would take over 7 times. A
+behavior only ever used as a target holds the logs alone. A behavior holding
 its most likely path is freed as soon as it is dropped.
 
 A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
@@ -42,6 +50,7 @@ from crowdpolicy import (
     synthesize,
 )
 from crowdpolicy.model import Behavior, kl_rows
+from crowdpolicy.simulate import _guide_tables
 from crowdpolicy.synthesis import ContributorSet, _kl_table
 
 D, HORIZON, CONTRIBUTORS = 64, 16, 12
@@ -156,10 +165,30 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
     assert key == (19, count)
     assert paths.nbytes + flat.nbytes == (2 * horizon + 1) * count * 8
     d = target.space.size
+    rows, buckets = horizon * d + 1, 2 << d.bit_length()
+    positive = np.count_nonzero(target.initial.probs) + np.count_nonzero(target.matrices)
+    logs = (horizon * d * d + d) * 8
     tables = sum(table.nbytes for table in policy._sampling)
-    assert tables == (2 * horizon * d * d + 2 * d) * 8 == 128_320
-    assert sum(table.nbytes for table in target._sampling) == (horizon * d * d + d) * 8
+    assert (rows, buckets, positive) == (401, 64, 8020)  # the workload's target has no zero
+    assert tables == logs + (rows + 1) * 8 + positive * (1 + 8) + rows * buckets == 165_220
+    assert sum(table.nbytes for table in target._sampling) == logs
     assert paths.nbytes + flat.nbytes <= retained < 2 * (paths.nbytes + flat.nbytes)
+
+
+def test_building_the_guide_holds_no_per_bucket_comparison_array():
+    policy = generate_random_scenario(7, 256, 2, 1, sparsity=0.3).target
+    _guide_tables(generate_random_scenario(7, 4, 2, 1).target)  # lazy imports stay out
+    tracemalloc.start()
+    try:
+        baseline, _ = tracemalloc.get_traced_memory()
+        guide = _guide_tables(policy)[-1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert guide.shape == (2 * 256 + 1, 1024) and guide.dtype == np.uint8
+    # an (N, d, M, d) one-byte array alone would take 2 * 256 * 1024 * 256 B, 128 stacks; the
+    # build holds its tables, about 1.6 stacks, and one float and one index per entry
+    assert peak - baseline < 4 * policy.matrices.nbytes
 
 
 def test_the_held_draw_keeps_no_target_or_rewards_alive():

@@ -254,6 +254,20 @@ def test_a_spread_whose_squares_pass_the_largest_float_is_answered():
     assert got.stderr > 1e159
 
 
+def test_costs_the_scale_flushes_are_added_back():
+    # the paths end in a, b and c: costs -2**500, 2**500 and -1e-300; once
+    # scaled by 2**-544 the last is zero and the two others cancel exactly, so
+    # the estimate is the mean of the remainders the scale flushed
+    space = StateSpace(("a", "b", "c"))
+    third = [1 / 3] * 3
+    uniform = behavior(space, third, [third] * 3)
+    rewards = RewardSchedule(space, np.array([[2.0**500, -(2.0**500), 1e-300]]))
+    assert [t.states[1] for t in sample_trajectories(uniform, 3, 32)] == ["a", "b", "c"]
+    got = monte_carlo_cost(uniform, uniform, rewards, 3, 32)
+    assert got == MonteCarloEstimate(-3.3333333333333334e-301, 1.8898929486316305e150, 3)
+    assert got.estimate == _exact_estimate(uniform, rewards, 3, 32)[0]
+
+
 def test_dead_trajectories_name_the_earliest_step_before_the_lowest_path():
     # a -> b dies at step 1 and a -> a -> b at step 2; at seed 17 paths 0-2
     # die at step 2 and path 3 at step 1, so path 3 is named
@@ -484,23 +498,22 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
 
 
 # ---------------------------------------------------------------------------
-# the held sampling tables: log pmf, log kernels and guarded CDFs, built once
+# the held sampling tables: log pmf, log kernels and guide tables, built once
 # ---------------------------------------------------------------------------
 
 
 def test_tables_are_built_once_per_behavior_across_all_three_calls(monkeypatch):
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     policy, target = copy.copy(policy), copy.copy(target)
-    logs, cdfs = _counting(monkeypatch, "log_pmf"), _counting(monkeypatch, "_guarded_cumulative")
+    logs, guides = _counting(monkeypatch, "log_pmf"), _counting(monkeypatch, "_guide_tables")
     for call_seed in (seed, seed, seed + 1):  # held draw, then a new one
         _calls(policy, target, rewards, count, call_seed, ["sample", "estimate", "route"])
         _calls(policy, target, rewards, count, call_seed, ["route", "estimate", "sample"])
     # one log of the initial pmf and one of the stacked kernels per behavior
     assert [arr.shape for arr in logs] == [(5,), (4 * 5 * 5,)] * 2
-    # CDFs for the sampled policy alone: the target is never drawn from
-    assert [arr.shape for arr in cdfs] == [(5,), (4, 5, 5)]
-    assert cdfs[0] is policy.initial.probs and cdfs[1] is policy.matrices
-    assert len(policy._sampling) == 4 and len(target._sampling) == 2
+    # guide tables for the sampled policy alone: the target is never drawn from
+    assert len(guides) == 1 and guides[0] is policy
+    assert len(policy._sampling) == 6 and len(target._sampling) == 2
 
 
 def _assert_read_only(tables):
@@ -513,18 +526,31 @@ def _assert_read_only(tables):
 def test_held_tables_are_read_only_and_hold_the_logs_and_cdfs():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     policy = copy.copy(policy)
-    most_likely_trajectory(policy)  # reads the logs alone: no CDFs before a draw
+    most_likely_trajectory(policy)  # reads the logs alone: no guide tables before a draw
     logs = policy._sampling
     assert [arr.shape for arr in logs] == [(5,), (100,)]
     assert np.array_equal(logs[0], log_pmf(policy.initial.probs))
     assert np.array_equal(logs[1], log_pmf(policy.matrices).ravel())
     _assert_read_only(logs)
-    monte_carlo_cost(policy, target, rewards, count, seed)  # the first draw adds the CDFs
+    monte_carlo_cost(policy, target, rewards, count, seed)  # the first draw adds the guide
     tables = policy._sampling
-    assert [arr.shape for arr in tables] == [(5,), (100,), (5,), (4, 5, 5)]
     assert tables[0] is logs[0] and tables[1] is logs[1]
-    assert np.array_equal(tables[2], simulate._guarded_cumulative(policy.initial.probs))
-    assert np.array_equal(tables[3], simulate._guarded_cumulative(policy.matrices))
+    # row 0 is the initial pmf, row 1 + 5k + x step k's row from x; 16 buckets a row
+    rows = np.concatenate([policy.initial.probs[None], policy.matrices.reshape(20, 5)])
+    positive = rows > 0
+    size = int(positive.sum())
+    assert [(arr.shape, arr.dtype) for arr in tables[2:]] == [
+        ((22,), np.int64), ((size,), np.uint8), ((size,), np.float64), ((21, 16), np.uint8)
+    ]
+    starts, states, cdfs, guide = tables[2:]
+    assert starts.tolist() == [0, *np.cumsum(positive.sum(axis=1)).tolist()]
+    assert states.tolist() == np.nonzero(positive)[1].tolist()
+    assert cdfs.tolist() == _reference_guarded_cumulative(rows)[positive].tolist()
+    want = [
+        [int((cdfs[starts[r]:starts[r + 1]] <= b / 16).sum()) for b in range(16)]
+        for r in range(21)
+    ]
+    assert guide.tolist() == want
     _assert_read_only(tables)
     sample_trajectories(policy, count, seed, target)
     sample_trajectories(policy, count, seed + 1, target)
@@ -990,6 +1016,90 @@ def test_sampled_paths_equal_the_per_step_reference_at_workload_scale(d, scripte
     assert got.shape == (count, horizon + 1)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+    assert (policy.initial.probs[got[:, 0]] > 0).all()
+    assert (policy.matrices[np.arange(horizon), got[:, :-1], got[:, 1:]] > 0).all()
+
+
+def _buckets(d):
+    """M, the guide's buckets a row at state count d: the power of two in (2d, 4d]."""
+    return 2 << d.bit_length()
+
+
+def _tiled(d, horizon, row):
+    """A behavior whose initial pmf and every kernel row is ``row``."""
+    space = StateSpace(tuple(range(d)))
+    kernel = np.tile(np.asarray(row, dtype=float), (d, 1))
+    return Behavior(
+        StatePMF(space, np.asarray(row, dtype=float)),
+        tuple(TransitionKernel(space, kernel) for _ in range(horizon)),
+    )
+
+
+def _crowded(d, front):
+    """A row of the ``front`` entries, then one entry holding the rest, then zeros."""
+    row = np.zeros(d)
+    row[: len(front)] = front
+    row[len(front)] = 1.0 - sum(front)
+    return row
+
+
+def _edges(d):
+    """Each bucket's lower edge b/M at state count d, the float just below it, and LAST_UNIFORM."""
+    bounds = [b / _buckets(d) for b in range(_buckets(d))]
+    return bounds + [float(np.nextafter(b, 0.0)) for b in bounds] + [LAST_UNIFORM]
+
+
+def _guide_cases():
+    """(policy, uniforms): rows and uniforms at each edge of the guide draw."""
+    rng = np.random.default_rng(26)
+    tiny = _crowded(64, [1e-7] * 60)  # 60 entries in bucket 0, then the large one
+    halves = _crowded(64, [0.5] + [1e-9] * 60)  # 60 entries in the bucket above 0.5
+    deep = [u for k in range(62) for u in (k * 1e-7, float(np.nextafter(k * 1e-7, 0.0)))]
+    beside = [0.5 + k * 1e-9 for k in range(-2, 62)] + [float(np.nextafter(0.5, 0.0))]
+    one_hot = np.eye(7)[rng.permutation(7)]  # one positive entry in every row: an all-zero guide
+    mixed = _random_rows(rng, (3, 7, 7), 0.5)
+    mixed[:, ::2] = np.eye(7)[::2]  # every other row has one positive entry, the rest several
+    space7 = StateSpace(tuple(range(7)))
+    return {
+        "bucket edges d=5": (_random_behavior(StateSpace(tuple(range(5))), 3, rng, 0.3), _edges(5)),
+        "bucket edges d=20": (
+            _random_behavior(StateSpace(tuple(range(20))), 3, rng, 0.3), _edges(20)
+        ),
+        "60 tiny, then one large": (_tiled(64, 3, tiny), deep + _edges(64)),
+        "0.5, 60 tiny, then the rest": (_tiled(64, 3, halves), beside + _edges(64)),
+        "one positive entry a row": (
+            Behavior(
+                StatePMF(space7, one_hot[0]),
+                tuple(TransitionKernel(space7, one_hot) for _ in range(3)),
+            ),
+            _edges(7),
+        ),
+        "one-entry and many-entry rows": (
+            Behavior(
+                StatePMF(space7, np.eye(7)[3]),
+                tuple(TransitionKernel(space7, kernel) for kernel in mixed),
+            ),
+            _edges(7),
+        ),
+        "d=1": (_tiled(1, 4, [1.0]), _edges(1)),
+        "d=256": (_random_behavior(StateSpace(tuple(range(256))), 2, rng, 0.5), _edges(256)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_guide_cases()))
+@pytest.mark.parametrize("source", ["edges", "philox"])
+def test_guide_draws_equal_the_per_step_reference(case, source):
+    # each scripted uniform lands on a bucket's lower edge b/M, just below it,
+    # at LAST_UNIFORM, or deep in a crowded bucket, where the draw outruns its
+    # two looks and counts the whole row
+    policy, uniforms = _guide_cases()[case]
+    count = 3 * len(uniforms) + 1  # each step deals every uniform, to other paths each time
+    scripted = uniforms if source == "edges" else None
+    got = _sample_paths(policy, count, _uniform_source(26, scripted))
+    want = _reference_sample_paths(policy, count, _uniform_source(26, scripted))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    horizon = policy.horizon
     assert (policy.initial.probs[got[:, 0]] > 0).all()
     assert (policy.matrices[np.arange(horizon), got[:, :-1], got[:, 1:]] > 0).all()
 
