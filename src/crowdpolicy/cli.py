@@ -224,21 +224,12 @@ def cmd_oracle(
     result = pure_schedule_oracle(scenario.target, pool, rewards, mode)
     report.update(
         bound_value=bound,
-        oracle={
-            "mode": args.mode,
-            "cost": result.cost,
-            "schedule": result.schedule,
-            "contributor_ids": pool.ids,
-        },
+        oracle={**asdict(result), "mode": args.mode, "contributor_ids": pool.ids},
         gap_oracle_minus_bound=result.cost - bound,
     )
     if args.grid_resolution is not None:
         grid = simplex_grid_oracle(scenario.target, pool, rewards, args.grid_resolution)
-        report["grid"] = {
-            "resolution": args.grid_resolution,
-            "cost": grid.cost,
-            "weights": grid.weights,
-        }
+        report["grid"] = {**asdict(grid), "resolution": args.grid_resolution}
     sys.stdout.write(_dump_json(report))
     return report
 
@@ -257,12 +248,7 @@ def cmd_simulate(
     out.mkdir(parents=True, exist_ok=True)
     write_trajectories_csv(trajectories, out / "trajectories.csv")
     report.update(
-        monte_carlo={
-            "estimate": estimate.estimate,
-            "stderr": estimate.stderr,
-            "count": estimate.count,
-            "seed": args.seed,
-        },
+        monte_carlo={**asdict(estimate), "seed": args.seed},
         exact_cost=asdict(exact),
         outputs={"trajectories": "trajectories.csv"},
     )

@@ -303,9 +303,10 @@ def _atomic_write_text(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    tmp.touch(exist_ok=False)  # created exclusively, with mode 0o666 less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mode 0o666 less the umask
     try:
-        tmp.write_bytes(text.encode("utf-8"))
+        with open(fd, "wb") as file:
+            file.write(text.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -465,17 +466,22 @@ def generate_random_scenario(
 ) -> Scenario:
     """Draw a reproducible random scenario.
 
+    Every row is a flat Dirichlet draw as ``Generator.dirichlet(ones(d))``
+    makes it: ``d`` standard exponentials, summed left to right and scaled by
+    ``1.0 / total``; then ``1e-6`` is added and the row divided by its sum.
     Target rows (and the initial pmf) are strictly positive, so any
     contributor row has finite KL divergence to its target row and the
-    admissibility filter retains everything. Contributor rows are Dirichlet
-    draws, optionally sparsified entrywise with probability ``sparsity`` (at
-    least one entry always survives) and renormalized.
+    admissibility filter retains everything. Contributor rows are optionally
+    sparsified entrywise with probability ``sparsity``, by ``d`` uniforms
+    drawn after the row's exponentials (a row that would lose every entry
+    keeps its largest), and renormalized.
 
     Randomness comes from NumPy's Philox4x64 counter-based generator seeded
     with ``seed``; the sequence of draws (initial pmf, target kernels in step
     then row order, contributor kernels in contributor/step/row order, reward
     profile last) is fixed, so identical arguments give identical scenarios
-    on any platform.
+    on any platform under one NumPy release (NEP 19 lets the stream of
+    ``Generator``'s methods change between releases).
     """
     if d < 1 or horizon < 1 or contributors < 1:
         raise ValueError("d, horizon, and contributors must all be >= 1")
@@ -486,26 +492,35 @@ def generate_random_scenario(
         raise ValueError("reward_range must satisfy lo <= hi")
     rng = np.random.Generator(np.random.Philox(seed))
 
-    def positive_pmf() -> np.ndarray:
-        v = rng.dirichlet(np.ones(d)) + 1e-6  # floor keeps every entry positive
-        return v / v.sum()
+    def pmf_rows(rows: np.ndarray, sparsity: float = 0.0) -> None:
+        # in place, in blocks of 256 rows, drawn and normalised as the docstring says
+        for block in np.split(rows, range(256, len(rows), 256)):
+            if sparsity > 0.0:  # each row's exponentials, then its uniforms
+                drop = np.empty(block.shape)
+                for row, uniforms in zip(block, drop):
+                    rng.standard_exponential(out=row)
+                    rng.random(out=uniforms)
+            else:
+                rng.standard_exponential(out=block)
+            block *= 1.0 / block.cumsum(axis=1)[:, -1:]  # Dirichlet's left-to-right sum
+            block += 1e-6  # the floor keeps every entry positive
+            block /= block.sum(axis=1, keepdims=True)
+            if sparsity > 0.0:
+                drop = drop < sparsity
+                kept = drop.all(axis=1)  # such a row keeps its largest entry
+                drop[kept, block[kept].argmax(axis=1)] = False
+                block[drop] = 0.0
+                block /= block.sum(axis=1, keepdims=True)
 
     space = StateSpace(tuple(range(d)))
-    initial = StatePMF(space, positive_pmf())
+    initial = np.empty(d)
+    pmf_rows(initial.reshape(1, d))
     target = np.empty((horizon, d, d))
-    for row in target.reshape(-1, d):  # step then row order
-        row[:] = positive_pmf()
+    pmf_rows(target.reshape(-1, d))  # step then row order
     pool = _mapped_empty((contributors, horizon, d, d))
-    for row in pool.reshape(-1, d):  # contributor, step, row order
-        row[:] = positive_pmf()
-        if sparsity > 0.0:
-            drop = rng.random(d) < sparsity
-            if drop.all():
-                drop[int(np.argmax(row))] = False
-            row[drop] = 0.0
-            row /= row.sum()
+    pmf_rows(pool.reshape(-1, d), sparsity)  # contributor, step, row order
     # every row is a positive pmf or a renormalised part of one, so it is valid as drawn
-    target = Behavior._of(initial, target)
+    target = Behavior._of(StatePMF(space, initial), target)
     pool = ContributorSet._of(space, pool, tuple(f"c{i + 1}" for i in range(contributors)))
 
     rewards = RewardSchedule(space, rng.uniform(lo, hi, size=(horizon, d)))

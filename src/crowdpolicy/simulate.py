@@ -270,7 +270,8 @@ def monte_carlo_cost(
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
     costs = np.subtract(log_p, log_t, out=log_p)  # in place: the terms are this call's own
-    costs -= rewards.values[np.arange(rewards.horizon)[:, None], paths[1:]]  # rewards collected
+    steps = np.arange(rewards.horizon)[:, None] * rewards.space.size
+    costs -= rewards.values.take(paths[1:] + steps)  # rewards collected, in one flat gather
     z = _sum_in_path_order(costs)
     scale = 1.0 if np.abs(z).max() < 2.0**480 else 2.0**-544  # 1.0 keeps the unscaled bits
     scaled = z * scale

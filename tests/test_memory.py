@@ -2,8 +2,8 @@
 
 Measured with `tracemalloc` on the size of the benchmark's shared pool (d=64,
 N=16, S=12: 6.29 MB of kernels). `tracemalloc` counts NumPy's heap buffers but
-not the anonymous memory map a generated pool lives in, so generation may put
-on the heap only the target and temporaries, well under a quarter of a pool:
+not the anonymous memory map a generated pool lives in, so generation, sparse
+or dense, may put on the heap only the target and temporaries, well under a quarter of a pool:
 a pool built on the heap, or per-kernel copies held next to the pool, would
 pass a whole pool. A `synthesize` that copied the pool per call would
 allocate more than one pool.
@@ -72,6 +72,20 @@ def test_pool_is_held_once_and_never_copied_per_request():
     assert scenario.contributors.matrices.nbytes == POOL_BYTES
     assert generation_peak <= 0.25 * POOL_BYTES
     assert synthesis_peak - baseline < POOL_BYTES
+
+
+def test_a_dense_pool_is_generated_with_no_pool_sized_temporary():
+    # the sparsity=0 twin of the generation peak above: dense rows are drawn
+    # whole-array, and normalised in blocks of rows, not in one pool-sized pass
+    generate_random_scenario(0, 2, 1, 1)  # lazy imports stay out of the trace
+    tracemalloc.start()
+    try:
+        scenario = generate_random_scenario(11, D, HORIZON, CONTRIBUTORS)
+        _, generation_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert scenario.contributors.matrices.nbytes == POOL_BYTES
+    assert generation_peak <= 0.25 * POOL_BYTES
 
 
 def test_held_table_is_small_warm_calls_allocate_less_and_no_target_is_kept_alive():

@@ -636,6 +636,91 @@ def test_generator_bytes_match_the_per_kernel_reference(sparsity):
         _assert_one_locked_store(scenario.contributors)
 
 
+def _reference_generate_random_scenario(
+    seed, d, horizon, contributors, sparsity=0.0, reward_range=(-1.0, 1.0), name=None
+):
+    """The row-by-row generator: one ``rng.dirichlet`` call, and one ``rng.random`` call, a row."""
+    lo, hi = float(reward_range[0]), float(reward_range[1])
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def positive_pmf():
+        v = rng.dirichlet(np.ones(d)) + 1e-6
+        return v / v.sum()
+
+    space = StateSpace(tuple(range(d)))
+    initial = StatePMF(space, positive_pmf())
+    target = np.empty((horizon, d, d))
+    for row in target.reshape(-1, d):
+        row[:] = positive_pmf()
+    pool = np.empty((contributors, horizon, d, d))
+    for row in pool.reshape(-1, d):
+        row[:] = positive_pmf()
+        if sparsity > 0.0:
+            drop = rng.random(d) < sparsity
+            if drop.all():
+                drop[int(np.argmax(row))] = False
+            row[drop] = 0.0
+            row /= row.sum()
+    rewards = RewardSchedule(space, rng.uniform(lo, hi, size=(horizon, d)))
+    metadata = {"generator": {
+        "algorithm": "philox4x64", "seed": int(seed), "d": d, "horizon": horizon,
+        "contributors": contributors, "sparsity": sparsity, "reward_range": [lo, hi],
+    }}
+    ids = tuple(f"c{i + 1}" for i in range(contributors))
+    return Scenario(name or f"random-{seed}", space, Behavior._of(initial, target),
+                    ContributorSet._of(space, pool, ids), {"default": rewards}, metadata)
+
+
+def _generated(scenario):
+    """Everything a generated scenario holds: name, metadata and the bytes of every array."""
+    arrays = (scenario.target.initial.probs, scenario.target.matrices,
+              scenario.contributors.matrices, scenario.rewards["default"].values)
+    return (scenario.name, json.dumps(scenario.metadata), scenario.contributors.ids,
+            *((a.shape, a.tobytes()) for a in arrays))
+
+
+_rewards_ranges = st.lists(
+    st.floats(-1e300, 1e300, allow_subnormal=True), min_size=2, max_size=2
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from([0, 2**63 - 1]) | st.integers(0, 2**63 - 1),
+    d=st.integers(1, 70),
+    horizon=st.integers(1, 4),
+    contributors=st.integers(1, 3),
+    sparsity=st.sampled_from([0.0, -0.0, 1e-9, 0.3, 0.999]),
+    reward_range=_rewards_ranges,
+)
+def test_the_batched_generator_writes_the_row_by_row_bytes(
+    seed, d, horizon, contributors, sparsity, reward_range
+):
+    args = seed, d, horizon, contributors, sparsity, tuple(reward_range)
+    assert _generated(generate_random_scenario(*args)) == _generated(
+        _reference_generate_random_scenario(*args)
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, d, horizon, contributors",
+    [(5, 64, 16, 12), (2**63 - 1, 64, 16, 12), (5, 20, 20, 8), (2**63 - 1, 20, 20, 8)],
+)
+@pytest.mark.parametrize("sparsity", [0.0, 0.3])
+def test_the_benchmark_shapes_are_generated_with_the_row_by_row_bytes(
+    seed, d, horizon, contributors, sparsity
+):
+    # the shared-pool (d=64, N=16, S=12) and monte-carlo (d=20, N=20, S=8)
+    # pools, at the benchmark's sparsity and dense: each spans many 256-row blocks
+    args = seed, d, horizon, contributors, sparsity
+    scenario = generate_random_scenario(*args, name="shape")
+    assert _generated(scenario) == _generated(
+        _reference_generate_random_scenario(*args, name="shape")
+    )
+    _assert_one_locked_store(scenario.target)
+    _assert_one_locked_store(scenario.contributors)
+
+
 def test_every_kernel_is_a_view_of_one_locked_array(tmp_path):
     scenario = generate_random_scenario(seed=3, d=4, horizon=3, contributors=3, sparsity=0.3)
     save_scenario(scenario, tmp_path / "s.json")
@@ -870,6 +955,49 @@ def test_a_concurrent_writers_temporary_file_is_neither_overwritten_nor_renamed(
     umask = os.umask(0)
     os.umask(umask)
     assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask  # as for any new file
+
+
+def _fixed_temporary_name(monkeypatch, path):
+    """Make `_atomic_write_text` pick one known temporary name for ``path``; return it."""
+    monkeypatch.setattr("crowdpolicy.scenario.os.urandom", lambda size: bytes(size))
+    return path.with_name(f"{path.name}.{bytes(8).hex()}.tmp")
+
+
+def test_a_temporary_name_that_exists_fails_and_is_left_alone(tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"old bytes\n")
+    theirs = _fixed_temporary_name(monkeypatch, path)
+    theirs.write_bytes(b"another writer's file")
+    with pytest.raises(FileExistsError):
+        _atomic_write_text(path, "new text\n")
+    assert path.read_bytes() == b"old bytes\n"
+    assert theirs.read_bytes() == b"another writer's file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, theirs.name])
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077, 0o002])
+def test_a_written_file_has_mode_0o666_less_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        _atomic_write_text(tmp_path / "fresh.json", "text\n")
+        (tmp_path / "kept.json").write_bytes(b"old")
+        _atomic_write_text(tmp_path / "kept.json", "text\n")  # a replaced file is new too
+    finally:
+        os.umask(old)
+    for name in ("fresh.json", "kept.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o666 & ~umask
+        assert (tmp_path / name).read_bytes() == b"text\n"
+
+
+def test_a_failed_write_leaves_no_temporary_behind(tmp_path, monkeypatch):
+    path = tmp_path / "p.json"
+    path.write_bytes(b"old bytes\n")
+    tmp = _fixed_temporary_name(monkeypatch, path)
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate fails once the temporary exists
+        _atomic_write_text(path, "valid text, then \ud800")
+    assert path.read_bytes() == b"old bytes\n"
+    assert not tmp.exists()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_concurrent_writers_never_expose_a_partial_file(tmp_path):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import decimal
 import functools
 import math
 import operator
@@ -10,6 +11,7 @@ import sys
 import threading
 import weakref
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +268,66 @@ def test_costs_the_scale_flushes_are_added_back():
     got = monte_carlo_cost(uniform, uniform, rewards, 3, 32)
     assert got == MonteCarloEstimate(-3.3333333333333334e-301, 1.8898929486316305e150, 3)
     assert got.estimate == _exact_estimate(uniform, rewards, 3, 32)[0]
+
+
+def _decimal_estimate(policy, target, rewards, count, seed):
+    """The mean and standard error of a held draw's costs at 60 digits, with their scales.
+
+    The terms are the floats `monte_carlo_cost` reads, each taken exactly by
+    `Decimal`: every path's log factors under both behaviours, through
+    `_path_log_terms` over the held `_draw`, and the rewards its states
+    collect. The scales are the mean of each path's sum of absolute terms,
+    A_i, and ``sqrt(sum(A_i**2) / (count * (count - 1)))`` for the error.
+    """
+    paths, flat = simulate._draw(policy, count, seed)
+    log_p, log_t = (simulate._path_log_terms(each, paths, flat)[1:] for each in (policy, target))
+    collected = rewards.values[np.arange(policy.horizon)[:, None], paths[1:]]
+    with decimal.localcontext() as context:
+        context.prec = 60
+        costs, sizes = [], []
+        for p, t, r in zip(log_p.T.tolist(), log_t.T.tolist(), collected.T.tolist()):  # a path
+            costs.append(sum(map(Decimal, p)) - sum(map(Decimal, t)) - sum(map(Decimal, r)))
+            sizes.append(sum(abs(Decimal(term)) for term in (*p, *t, *r)))
+        mean = sum(costs) / count
+        stderr = (sum((c - mean) ** 2 for c in costs) / (count - 1) / count).sqrt()
+        spread = (sum(a * a for a in sizes) / (count - 1) / count).sqrt()
+        return mean, stderr, sum(sizes) / count, spread
+
+
+def _monte_carlo_case(case):
+    if case == "monte-carlo shape":  # perfbench's d=20, N=20, S=8 workload, 1,000 paths
+        scenario = generate_random_scenario(5, 20, 20, 8, sparsity=0.3)
+        rewards = scenario.reward_profile()
+        agent = synthesize(scenario.target, scenario.contributors, rewards).agent
+        return agent, scenario.target, rewards, 1000, 7
+    # past the scaling threshold: the repro of the flushed remainders above
+    space = StateSpace(("a", "b", "c"))
+    uniform = behavior(space, [1 / 3] * 3, [[1 / 3] * 3] * 3)
+    rewards = RewardSchedule(space, np.array([[2.0**500, -(2.0**500), 1e-300]]))
+    return uniform, uniform, rewards, 3, 32
+
+
+@pytest.mark.parametrize("case", ["monte-carlo shape", "past the scaling threshold"])
+def test_the_estimate_is_within_its_rounding_bound_of_a_60_digit_sum(case):
+    # Bounds, in ulps of the scales (u * scale <= ulp(scale), u = 2**-53):
+    # - mean: each path's cost rounds N + 1 times (a log ratio and a reward a
+    #   step, then N - 1 additions), each by at most u * A_i; NumPy's pairwise
+    #   mean adds at most ceil(log2(count)) + 20 more (eight accumulators over
+    #   blocks of at most 128), and the division one: N + ceil(log2(count)) + 22;
+    # - standard error: each deviation z_i - mean errs by at most twice the
+    #   mean's bound in units of u * A_i (|z_i - mean| <= A_i + mean(A)), and the
+    #   squares, their sum, two square roots and two divisions add at most
+    #   ceil(log2(count)) + 26 of the result: 2 * mean bound + ceil(log2(count)) + 26.
+    # The scale 2**-544 and its remainders past the threshold err by at most
+    # count * 2**-530, far below one ulp of a scale past 2**480.
+    policy, target, rewards, count, seed = _monte_carlo_case(case)
+    got = monte_carlo_cost(policy, target, rewards, count, seed)
+    mean, stderr, mean_scale, spread = _decimal_estimate(policy, target, rewards, count, seed)
+    steps = math.ceil(math.log2(count))
+    mean_bound = policy.horizon + steps + 22
+    assert abs(Decimal(got.estimate) - mean) <= mean_bound * Decimal(math.ulp(float(mean_scale)))
+    stderr_bound = 2 * mean_bound + steps + 26
+    assert abs(Decimal(got.stderr) - stderr) <= stderr_bound * Decimal(math.ulp(float(spread)))
 
 
 def test_dead_trajectories_name_the_earliest_step_before_the_lowest_path():
