@@ -10,8 +10,8 @@
 # `pip install ".[test]"`; README's "Installation" shows how to run it
 # against a source tree through a venv and a console-script shim.
 set -eo pipefail
-# the saved-scenario pin lives in the checkout's tests; only that file is read
-pins="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/tests/test_scenario.py"
+# the sha256 pins live in the checkout's tests; only those two files are read
+tests="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)/tests"
 cd "${1:?usage: check_installed_package.sh WORKDIR}"
 unset PYTHONPATH
 # a NumPy RuntimeWarning that leaks out of the library fails this
@@ -113,17 +113,28 @@ python -c 'import json, sys; sys.exit(json.load(open("near-orc/report.json"))["g
 # overflow, and the estimate is exact with a zero spread
 crowdpolicy simulate --scenario near-limit.json --policy near-syn/policy.json --count 50 --seed 1 --out near-sim
 python -c 'import json, sys; r = json.load(open("near-sim/report.json")); sys.exit(r["monte_carlo"]["estimate"] != r["exact_cost"]["total"] or r["monte_carlo"]["stderr"] != 0.0)'
-# the installed generator saves the scenario tests/test_scenario.py pins, to
-# the byte, on every leg, the NumPy floor too: rows are standard exponentials
-# normalised as Generator.dirichlet does, and NumPy keeps a Generator method's
-# stream fixed within a release (NEP 19), so a release that moved it fails here
-python - "$pins" <<'PY'
-import ast, hashlib, sys
+# the installed package writes, to the byte, what two tests pin, on every leg,
+# the NumPy floor too: the generated scenario SAVED_SHA256["scenario"] in
+# tests/test_scenario.py pins (rows are standard exponentials normalised as
+# Generator.dirichlet does), and the demo trajectories TRAJECTORIES_SHA256 in
+# tests/test_cli.py pins (a draw takes its uniforms in one
+# rng.random((N + 1, count)) call, the stream of one rng.random(count) a step).
+# NumPy keeps a Generator method's stream fixed within a release (NEP 19), so
+# a release that moved either stream fails here
+crowdpolicy simulate --scenario "$demo" --reward-profile favor-node-2 --policy syn/policy.json --count 500 --seed 7 --out sim500
+python - "$tests" <<'PY'
+import ast, hashlib, os, sys
 import crowdpolicy as cp
-tree = ast.parse(open(sys.argv[1], encoding="utf-8").read())
-pins = next(ast.literal_eval(node.value) for node in tree.body
-            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "SAVED_SHA256")
+
+def pin(name, file):
+    tree = ast.parse(open(os.path.join(sys.argv[1], file), encoding="utf-8").read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == name)
+
 cp.save_scenario(cp.generate_random_scenario(seed=5, d=7, horizon=4, contributors=3, sparsity=0.3), "pinned.json")
-digest = hashlib.sha256(open("pinned.json", "rb").read()).hexdigest()
-sys.exit(None if digest == pins["scenario"] else f"pinned.json: sha256 {digest} != {pins['scenario']}")
+for path, want in (("pinned.json", pin("SAVED_SHA256", "test_scenario.py")["scenario"]),
+                   ("sim500/trajectories.csv", pin("TRAJECTORIES_SHA256", "test_cli.py"))):
+    digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    if digest != want:
+        sys.exit(f"{path}: sha256 {digest} != {want}")
 PY

@@ -242,8 +242,8 @@ class Behavior(_KernelStack):
     k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
     once, as the read-only ``(N, d, d)`` array ``matrices``; ``kernels`` views
     its matrices, built on first read. The behavior also holds its sampling
-    tables (`simulate._tables`, guide tables once sampled), its last draw, which
-    `sample_trajectories` and `monte_carlo_cost` share, its most likely
+    tables (`simulate._tables`, guide tables once sampled), its last draw and its
+    log terms, which `sample_trajectories` and `monte_carlo_cost` share, its most likely
     trajectory, and a synthesized agent its KL rows, read by `evaluate_cost`
     for that target alone; none of these is compared, and a pickle or copy
     starts without them.
@@ -252,7 +252,7 @@ class Behavior(_KernelStack):
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`, on read
     matrices: np.ndarray = field(init=False, repr=False)
-    _drawn = None  # ((seed, count), paths, flat index), read-only; set by `simulate._draw` alone
+    _drawn = None  # ((seed, count), paths, target weakref, log terms); set by `simulate._draw`
     _sampling = None  # (log pmf, log kernels[, guide tables once drawn]); set in `simulate` alone
     _best = None  # its most likely `Trajectory`; set by `simulate.most_likely_trajectory` alone
     _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone

@@ -2,17 +2,17 @@
 
 All randomness flows from NumPy's Philox4x64 counter-based generator seeded
 with the caller's integer seed, the same contract `generate_random_scenario`
-uses, so identical seeds reproduce identical batches on any platform. Each
-path takes one uniform a step, and the first entry of its guarded CDF row
-above it, found through a guide table (`_sample_paths`). A batch is held
-step-major, one (N + 1, count) index array, with one flat index (N, count) of
-every path's step in a raveled (N, d, d) kernel stack. A behavior holds, all
-read-only, its log tables, built on first use, its guide tables, built on its
-first draw, its most likely path, and its last draw for a plain-int (seed,
-count), which `sample_trajectories` and `monte_carlo_cost` share. Log factors
-are one `take` of the held logs through the flat index, summed row by row in
-path order, so each total equals the scalar chain-rule sum. `Trajectory` has
-slots, and a batch is built slot by slot with no `__init__` frame per path.
+uses, so identical seeds reproduce identical batches on any platform. A draw
+takes its uniforms in one ``rng.random((N + 1, count))`` call, row k step k's,
+and each path the first entry of its guarded CDF row above its uniform, found
+through a guide table (`_sample_paths`). A behavior holds, all read-only, its
+log tables, its guide tables once drawn, its most likely path, and its last
+draw for a plain-int (seed, count): the (N + 1, count) paths and its own and
+its last target's log factors, which `sample_trajectories` and
+`monte_carlo_cost` share. Log factors are gathered through one flat step index
+and summed row by row in path order, so each total equals the scalar chain-rule
+sum. `Trajectory` has slots, and a batch is built slot by slot with no
+`__init__` frame per path.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -83,19 +84,19 @@ def _guide_tables(behavior: Behavior) -> tuple[np.ndarray, ...]:
 
 
 def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample ``count`` i.i.d. index paths of shape (count, N+1), one ``rng.random(count)`` a step.
+    """Sample ``count`` i.i.d. index paths, (count, N+1), from one ``rng.random((N+1, count))``.
 
-    The paths are filled step-major, one (N + 1, count) array read back
-    through its transpose. A draw takes the first entry above its uniform
-    ``u`` in its guarded CDF row (the cumulative sum, pinned to 1.0 from the
-    last positive entry on). The entries ``<= u`` form a prefix, since a row
-    never decreases before its last positive entry (even where rounding takes
-    it above 1) and is 1.0 > u from there on. The first above ``u`` is a
-    positive entry, as a zero entry repeats the value before it or the pinned
-    1.0, and it comes after the ``guide[r, floor(u*M)]`` positive entries
-    ``<= floor(u*M)/M <= u``. A draw starts there and looks at the next two;
-    only if both are ``<= u`` does it count the row's entries ``<= u``. So
-    each path is, bit for bit, the one a search of the whole row gives.
+    Row k of those uniforms is step k's, the stream of one ``rng.random(count)`` a step. The
+    paths fill one step-major (N + 1, count) array, returned transposed, which first holds each
+    draw's bucket ``floor(u*M)`` (exact: M is a power of two). A draw takes the first entry
+    above its uniform ``u`` in its guarded CDF row (the cumulative sum, pinned to 1.0 from the
+    last positive entry on). The entries ``<= u`` form a prefix, since a row never decreases
+    before its last positive entry (even where rounding takes it above 1) and is 1.0 > u from
+    there on. The first above ``u`` is a positive entry, as a zero entry repeats the value
+    before it or the pinned 1.0, and it comes after the ``guide[r, floor(u*M)]`` positive
+    entries ``<= floor(u*M)/M <= u``. A draw starts there and steps past up to three entries
+    ``<= u``; only if a fourth follows does it count the row's entries ``<= u``. So each path
+    is, bit for bit, the one a search of the whole row gives.
     """
     d = policy.space.size
     tables = _tables(policy)
@@ -103,17 +104,17 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
         tables = _set(policy, _sampling=(*tables, *_guide_tables(policy)))._sampling
     starts, states, cdfs, guide = tables[2:]
     m = guide.shape[1]
-    paths = np.empty((policy.horizon + 1, count), dtype=np.int64)
+    uniforms = rng.random((policy.horizon + 1, count))
+    paths = np.multiply(uniforms, m, out=np.empty(uniforms.shape, np.int64), casting="unsafe")
     rows = np.zeros(count, dtype=np.int64)  # the initial pmf's row
-    for idx in range(policy.horizon + 1):
-        u = rng.random(count)
-        first = starts.take(rows)
-        at = first + guide.take(rows * m + (u * m).astype(np.intp))
-        for _ in range(2):  # the bucket's next entries, enough for nearly every draw
+    for idx, u in enumerate(uniforms):
+        at = starts.take(rows) + guide.take(rows * m + paths[idx])
+        for _ in range(3):  # the bucket's next entries, enough for nearly every draw
             at += cdfs.take(at) <= u
-        rest = np.flatnonzero(cdfs.take(at) <= u)
-        if rest.size:  # a crowded bucket: count the whole row's entries <= u
-            first, end = first[rest], starts.take(rows[rest] + 1)
+        below = cdfs.take(at) <= u
+        if np.count_nonzero(below):  # a crowded bucket: count the whole row's entries <= u
+            rest = np.flatnonzero(below)
+            first, end = starts.take(rows[rest]), starts.take(rows[rest] + 1)
             span = np.minimum(first[:, None] + np.arange((end - first).max()), end[:, None] - 1)
             at[rest] = first + np.count_nonzero(cdfs.take(span) <= u[rest, None], axis=1)
         paths[idx] = states.take(at)
@@ -121,33 +122,35 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
     return paths.T
 
 
-def _draw(policy: Behavior, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One seed's step-major paths, (N + 1, count), and `_flat_steps` index; held read-only."""
+def _draw(policy: Behavior, count: int, seed: int, target: Behavior | None = None) -> tuple:
+    """Step-major paths, (N + 1, count), and the policy's and the target's (or None) log terms.
+
+    A plain-int (seed, count) holds, read-only, the paths and one `_path_log_terms` array:
+    the policy's and the last target's, held by weak reference, or the policy's alone.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     key = (seed, count) if type(seed) is int and type(count) is int else None
     held = policy._drawn
-    if held is not None and held[0] == key:
-        return held[1], held[2]
-    paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
-    flat = _flat_steps(paths, policy.space.size)
-    if key is not None:
-        _set(policy, _drawn=(key, paths, flat))  # one assignment: safe across threads
-    return paths, flat
+    if held is None or held[0] != key:
+        held = (key, _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T)
+    if len(held) == 2 or (target is not None and held[2]() is not target):
+        behaviors = (policy,) if target is None else (policy, target)
+        held = (key, held[1], weakref.ref(behaviors[-1]), _path_log_terms(behaviors, held[1]))
+    if key is not None and held is not policy._drawn:
+        _set(policy, _drawn=held)  # one assignment: safe across threads
+    return held[1], held[3][0], None if target is None else held[3][-1]
 
 
-def _flat_steps(paths: np.ndarray, d: int) -> np.ndarray:
-    """(N, count): ``(k*d + x_k)*d + x_{k+1}``, path i's step k in a raveled (N, d, d) stack."""
-    steps = np.arange(paths.shape[0] - 1)[:, None]
-    return (steps * d + paths[:-1]) * d + paths[1:]
-
-
-def _path_log_terms(behavior: Behavior, paths: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Log factors of step-major paths, (N + 1, count): initial, then per step; -inf: impossible."""
-    log_initial, log_steps = _tables(behavior)[:2]
-    terms = np.empty(paths.shape)
-    terms[0] = log_initial.take(paths[0])
-    log_steps.take(flat, out=terms[1:], mode="clip")  # unbuffered; flat is always in range
+def _path_log_terms(behaviors: tuple[Behavior, ...], paths: np.ndarray) -> np.ndarray:
+    """Log factors of step-major paths, (behaviors, N + 1, count): initial, then per step."""
+    d = behaviors[0].space.size  # a path's step k: entry (k*d + x_k)*d + x_(k+1) of the logs
+    flat = (np.arange(paths.shape[0] - 1)[:, None] * d + paths[:-1]) * d + paths[1:]
+    terms = np.empty((len(behaviors), *paths.shape))
+    for behavior, out in zip(behaviors, terms):
+        log_initial, log_steps = _tables(behavior)[:2]
+        out[0] = log_initial.take(paths[0])
+        log_steps.take(flat, out=out[1:], mode="clip")  # unbuffered; flat is always in range
     return terms
 
 
@@ -176,9 +179,8 @@ def sample_trajectories(
     """
     if target is not None:
         _check_compatible(target, policy=policy)
-    paths, flat = _draw(policy, count, seed)
-    behaviors = (policy,) if target is None else (policy, target)
-    sums = (_sum_in_path_order(_path_log_terms(each, paths, flat)).tolist() for each in behaviors)
+    paths, *terms = _draw(policy, count, seed, target)
+    sums = (_sum_in_path_order(each).tolist() for each in terms if each is not None)
     states = zip(*np.array(policy.space.labels, dtype=object)[paths].tolist())  # one tuple per path
     return _trajectories(paths.shape[1], states, *sums)
 
@@ -221,8 +223,7 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     for idx in range(n):
         path.append(np.argmax(log_kernels[idx, path[-1]] + best[idx + 1]))
     states = tuple(policy.space.labels[i] for i in path)
-    column = np.array(path, dtype=np.int64)[:, None]
-    log_prob = _sum_in_path_order(_path_log_terms(policy, column, _flat_steps(column, d)))[0]
+    log_prob = _sum_in_path_order(_path_log_terms((policy,), np.array(path)[:, None])[0])[0]
     return _set(policy, _best=Trajectory(states, float(log_prob)))._best  # one assignment
 
 
@@ -258,21 +259,20 @@ def monte_carlo_cost(
             named.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
-    paths, flat = _draw(policy, count, seed)
-    log_p, log_t = (_path_log_terms(each, paths, flat)[1:] for each in (policy, target))
+    paths, log_p, log_t = _draw(policy, count, seed, target)
     count = paths.shape[1]
-    dead = np.isneginf(log_t)
-    if dead.any():
-        idx = int(np.argmax(dead.any(axis=1)))  # earliest step, then lowest path
-        labels = tuple(rewards.space.labels[i] for i in paths[:, np.argmax(dead[idx])])
+    costs = np.subtract(log_p[1:], log_t[1:])
+    steps = np.arange(rewards.horizon)[:, None] * rewards.space.size
+    costs -= rewards.values.take(paths[1:] + steps)  # rewards collected, in one flat gather
+    z = _sum_in_path_order(costs)
+    dead = np.flatnonzero(np.isposinf(z))  # policy terms are finite: +inf needs a -inf target term
+    if dead.size:
+        idx, col = np.argwhere(np.isneginf(log_t[1:, dead]))[0]  # earliest step, then lowest path
+        labels = tuple(rewards.space.labels[i] for i in paths[:, dead[col]])
         raise ValueError(
             f"sampled trajectory {labels} has target probability 0 at step "
             f"{idx + 1}; the cost is undefined for this policy/target pair"
         )
-    costs = np.subtract(log_p, log_t, out=log_p)  # in place: the terms are this call's own
-    steps = np.arange(rewards.horizon)[:, None] * rewards.space.size
-    costs -= rewards.values.take(paths[1:] + steps)  # rewards collected, in one flat gather
-    z = _sum_in_path_order(costs)
     scale = 1.0 if np.abs(z).max() < 2.0**480 else 2.0**-544  # 1.0 keeps the unscaled bits
     scaled = z * scale
     estimate = float(scaled.mean()) / scale

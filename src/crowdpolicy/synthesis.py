@@ -119,10 +119,11 @@ class ContributorSet(_KernelStack):
         return self.kernels[i][_index(k, self.horizon, "step k", 1)]
 
     def subset(self, indices: list[int]) -> "ContributorSet":
-        """The contributors at ``indices``, in that order, in a read-only stack of their own."""
+        """The contributors at ``indices``, in that order: all, in order, share the pool's stack."""
         if len(indices) == 0:
             raise ValueError("contributor set must not be empty")
-        matrices = np.take(self.matrices, indices, axis=0)
+        whole = list(indices) == list(range(self.size))  # any other selection copies its rows
+        matrices = self.matrices if whole else np.take(self.matrices, indices, axis=0)
         return ContributorSet._of(self.space, matrices, tuple(self.ids[i] for i in indices))
 
 

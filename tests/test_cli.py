@@ -28,6 +28,10 @@ from crowdpolicy.cli import main
 
 DEMO = str(demo_scenario_path())
 
+#: sha256 of ``trajectories.csv`` from ``simulate`` on the demo's favor-node-2 agent,
+#: ``--count 500 --seed 7``; ci/check_installed_package.sh reads it from here.
+TRAJECTORIES_SHA256 = "162c68511562fcf65bdc894d20e8abc75f2da7759d9b16c8e59260adcd707f66"
+
 #: Finite rewards for the demo whose largest magnitudes, summed forward, reach the limit at k=2.
 PAST_THE_LIMIT = [[5e307] * 6, [5e307] * 6, [-5e307] * 6, [0.0] * 6]
 
@@ -523,7 +527,7 @@ def test_simulate_outputs(tmp_path, capsys):
     # pinned from the row-by-row sampler that the gathered log-probability
     # table replaced: the batch and the estimate must not move by a bit
     digest = hashlib.sha256((out / "trajectories.csv").read_bytes()).hexdigest()
-    assert digest == "162c68511562fcf65bdc894d20e8abc75f2da7759d9b16c8e59260adcd707f66"
+    assert digest == TRAJECTORIES_SHA256
     assert report["monte_carlo"] == {
         "count": 500,
         "estimate": -25.23089661903004,

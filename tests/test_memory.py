@@ -15,8 +15,9 @@ the filter report excludes is read step by step, never copied whole, and
 `kl_rows` holds one float temporary the size of its input.
 
 A behavior holds one sampled draw, the last: after draws under many seeds it
-retains ``(2N + 1) * count * 8`` bytes, not one draw per seed, and the draw
-keeps no target or reward schedule alive. Its sampling tables are the logs of
+retains ``3 * (N + 1) * count * 8`` bytes, its paths and its own and its
+target's log terms, not one draw per seed, and the draw and its terms keep no
+target or reward schedule alive. Its sampling tables are the logs of
 its initial pmf and kernels, ``(N * d * d + d) * 8`` bytes, and its guide tables
 over their R = N * d + 1 rows: ``(R + 1) * 8`` bytes of row starts, 9 bytes
 for each of the P positive entries (a one-byte state index and its CDF value
@@ -175,9 +176,10 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
         retained = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    key, paths, flat = policy._drawn
+    key, paths, _, terms = policy._drawn
     assert key == (19, count)
-    assert paths.nbytes + flat.nbytes == (2 * horizon + 1) * count * 8
+    held = paths.nbytes + terms.nbytes
+    assert held == 3 * (horizon + 1) * count * 8 == 504_000
     d = target.space.size
     rows, buckets = horizon * d + 1, 2 << d.bit_length()
     positive = np.count_nonzero(target.initial.probs) + np.count_nonzero(target.matrices)
@@ -186,7 +188,7 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
     assert (rows, buckets, positive) == (401, 64, 8020)  # the workload's target has no zero
     assert tables == logs + (rows + 1) * 8 + positive * (1 + 8) + rows * buckets == 165_220
     assert sum(table.nbytes for table in target._sampling) == logs
-    assert paths.nbytes + flat.nbytes <= retained < 2 * (paths.nbytes + flat.nbytes)
+    assert held <= retained < 2 * held
 
 
 def test_building_the_guide_holds_no_per_bucket_comparison_array():
@@ -212,11 +214,13 @@ def test_the_held_draw_keeps_no_target_or_rewards_alive():
     del scenario
     monte_carlo_cost(policy, target, rewards, 100, 3)
     sample_trajectories(policy, 100, 3, target)
-    assert policy._drawn[0] == (3, 100)
+    key, _, held, terms = policy._drawn
+    assert key == (3, 100) and held() is target and terms.shape == (2, 5, 100)
     dropped = weakref.ref(target), weakref.ref(rewards)
     del target, rewards
     gc.collect()
     assert [ref() for ref in dropped] == [None, None]
+    assert held() is None and policy._drawn[3] is terms
 
 
 def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():

@@ -274,13 +274,13 @@ def _decimal_estimate(policy, target, rewards, count, seed):
     """The mean and standard error of a held draw's costs at 60 digits, with their scales.
 
     The terms are the floats `monte_carlo_cost` reads, each taken exactly by
-    `Decimal`: every path's log factors under both behaviours, through
-    `_path_log_terms` over the held `_draw`, and the rewards its states
-    collect. The scales are the mean of each path's sum of absolute terms,
-    A_i, and ``sqrt(sum(A_i**2) / (count * (count - 1)))`` for the error.
+    `Decimal`: every path's log factors under both behaviours, as the held
+    `_draw` holds them, and the rewards its states collect. The scales are
+    the mean of each path's sum of absolute terms, A_i, and
+    ``sqrt(sum(A_i**2) / (count * (count - 1)))`` for the error.
     """
-    paths, flat = simulate._draw(policy, count, seed)
-    log_p, log_t = (simulate._path_log_terms(each, paths, flat)[1:] for each in (policy, target))
+    paths, log_p, log_t = simulate._draw(policy, count, seed, target)
+    log_p, log_t = log_p[1:], log_t[1:]
     collected = rewards.values[np.arange(policy.horizon)[:, None], paths[1:]]
     with decimal.localcontext() as context:
         context.prec = 60
@@ -501,10 +501,11 @@ def test_only_plain_int_seeds_and_counts_are_held():
 def test_held_arrays_are_read_only():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     monte_carlo_cost(policy, target, rewards, count, seed)
-    key, paths, flat = policy._drawn
-    assert key == (seed, count)
-    assert paths.shape == (policy.horizon + 1, count) and flat.shape == (policy.horizon, count)
-    for arr in (paths, flat):
+    key, paths, ref, terms = policy._drawn
+    assert key == (seed, count) and ref() is target
+    assert paths.shape == (policy.horizon + 1, count)
+    assert terms.shape == (2, policy.horizon + 1, count)  # the policy's, then the target's
+    for arr in (paths, terms):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0
@@ -557,6 +558,47 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
         sys.setswitchinterval(interval)
     assert wrong == []
     assert policy._drawn[0] in {(seed, count) for seed in seeds}
+
+
+def test_each_behaviors_log_terms_are_gathered_once_per_seed(monkeypatch):
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy, target = copy.copy(policy), copy.copy(target)
+    want = _calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
+    alone = _result(sample_trajectories, copy.copy(policy), count, seed)
+    gathered = _counting(monkeypatch, "_path_log_terms")
+    draws = _counting(monkeypatch, "_sample_paths")
+    got = _calls(policy, target, rewards, count, seed, ["sample", "estimate", "sample"])
+    assert got == [*want, want[0]]
+    assert _result(sample_trajectories, policy, count, seed) == alone  # the policy's held terms
+    assert gathered == [(policy, target)] and len(draws) == 1
+    terms = weakref.ref(policy._drawn[3])
+    _calls(policy, target, rewards, count, seed + 1, ["estimate"])  # a new seed drops them
+    assert terms() is None
+    assert gathered == [(policy, target)] * 2 and len(draws) == 2
+
+
+def test_an_equal_but_distinct_target_gets_its_own_terms(monkeypatch):
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy, twin = copy.copy(policy), copy.copy(target)
+    assert twin == target and twin is not target
+    want = _calls(copy.copy(policy), twin, rewards, count, seed, ["sample", "estimate"])
+    _calls(policy, target, rewards, count, seed, ["sample", "estimate"])
+    gathered = _counting(monkeypatch, "_path_log_terms")
+    draws = _counting(monkeypatch, "_sample_paths")
+    assert _calls(policy, twin, rewards, count, seed, ["sample", "estimate"]) == want
+    assert gathered == [(policy, twin)] and draws == []  # the held paths, new terms
+    assert policy._drawn[2]() is twin
+
+
+def test_terms_held_without_a_target_are_gathered_again_for_one(monkeypatch):
+    policy, target, rewards, count, seed = _held_draw_cases()["finite"]
+    policy = copy.copy(policy)
+    want = _calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
+    sample_trajectories(policy, count, seed)
+    assert policy._drawn[2]() is policy and policy._drawn[3].shape[0] == 1
+    gathered = _counting(monkeypatch, "_path_log_terms")
+    assert _calls(policy, target, rewards, count, seed, ["sample", "estimate"]) == want
+    assert gathered == [(policy, target)]
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +702,8 @@ LABELS = {"int": (0, 1, 2, 3), "str": ("a", "b", "c", "d"), "mixed": ("a", 1, "b
 
 def _init_built(policy, count, seed, target=None):
     """The batch of the held draw, each trajectory built through `Trajectory.__init__`."""
-    paths, flat = simulate._draw(policy, count, seed)
-    sums = [
-        _sum_in_path_order(simulate._path_log_terms(each, paths, flat)).tolist()
-        for each in (policy, target)
-        if each is not None
-    ]
+    paths, *terms = simulate._draw(policy, count, seed, target)
+    sums = [_sum_in_path_order(each).tolist() for each in terms if each is not None]
     log_t = sums[1] if target is not None else [None] * count
     labels = policy.space.labels
     return [
@@ -776,7 +814,7 @@ def test_the_most_likely_path_is_computed_once_per_behavior(monkeypatch):
     policy, twin = copy.copy(policy), copy.copy(policy)
     computed = _counting(monkeypatch, "_path_log_terms")
     routes = [most_likely_trajectory(each) for each in (policy, policy, twin, policy, twin)]
-    assert computed == [policy, twin]
+    assert computed == [(policy,), (twin,)]
     assert routes[0] is routes[1] is routes[3] and routes[2] is routes[4]
 
 
@@ -985,15 +1023,51 @@ def _reference_sample_paths(policy, count, rng):
 
 
 class _ScriptedUniforms:
-    """Stands in for a Generator: ``random(count)`` deals out the given uniforms in turn, cycling."""
+    """Stands in for a Generator: ``random(shape)`` deals out the given uniforms in turn, cycling.
+
+    A shape is filled row-major, as a Generator fills it, so one ``random((steps, count))``
+    deals what ``steps`` calls of ``random(count)`` deal, row k holding call k's.
+    """
 
     def __init__(self, values):
         self.values, self.dealt = np.asarray(values, dtype=float), 0
 
-    def random(self, count):
-        picked = self.values[(self.dealt + np.arange(count)) % self.values.size]
-        self.dealt += count
-        return picked
+    def random(self, shape):
+        size = math.prod(np.atleast_1d(shape).tolist())
+        picked = self.values[(self.dealt + np.arange(size)) % self.values.size]
+        self.dealt += size
+        return picked.reshape(shape)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 999, 1000, 1001])
+def test_one_uniform_call_deals_the_stream_of_one_call_a_step(seed, count):
+    # the draw's stream contract (NEP 19): a Generator fills an array in C order, so
+    # one (N + 1, count) call deals, row by row, what N + 1 calls of `count` dealt,
+    # and leaves the generator where they left it
+    steps = 21  # the monte-carlo workload's N + 1
+    whole, per_step = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+    block = whole.random((steps, count))
+    assert block.shape == (steps, count)
+    assert block.tobytes() == b"".join(per_step.random(count).tobytes() for _ in range(steps))
+    assert whole.random(5).tobytes() == per_step.random(5).tobytes()
+
+
+def test_a_draw_takes_all_its_uniforms_in_one_call():
+    policy, *_ = _held_draw_cases()["finite"]
+
+    class Recording:
+        def __init__(self):
+            self.rng, self.shapes = np.random.Generator(np.random.Philox(5)), []
+
+        def random(self, shape):
+            self.shapes.append(shape)
+            return self.rng.random(shape)
+
+    source = Recording()
+    got = _sample_paths(policy, 50, source)
+    assert source.shapes == [(policy.horizon + 1, 50)]
+    assert np.array_equal(got, _reference_sample_paths(policy, 50, _uniform_source(5, None)))
 
 
 def _uniform_source(seed, scripted):
@@ -1153,7 +1227,7 @@ def _guide_cases():
 def test_guide_draws_equal_the_per_step_reference(case, source):
     # each scripted uniform lands on a bucket's lower edge b/M, just below it,
     # at LAST_UNIFORM, or deep in a crowded bucket, where the draw outruns its
-    # two looks and counts the whole row
+    # three looks and counts the whole row
     policy, uniforms = _guide_cases()[case]
     count = 3 * len(uniforms) + 1  # each step deals every uniform, to other paths each time
     scripted = uniforms if source == "edges" else None

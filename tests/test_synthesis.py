@@ -962,6 +962,27 @@ def test_a_subset_of_a_warm_pool_starts_cold():
     assert _kl_table(target, part) is not _kl_table(target, contributors)
 
 
+def test_the_whole_pool_in_order_shares_its_stack_and_any_other_subset_copies():
+    # the untimed oracle check and a filter that excludes nothing select every contributor in
+    # order: that subset shares the pool's read-only stack, but not its held KL table
+    target, contributors, rewards = _three_state(6, size=4, zero_share=0.0)
+    assert_warm_equals_cold(target, contributors, rewards)  # the pool now holds a table
+    retained, report = filter_contributors(target, contributors)
+    assert report.exclusions == ()
+    for whole in (contributors.subset([0, 1, 2, 3]), contributors.subset(np.arange(4)), retained):
+        assert whole.matrices is contributors.matrices
+        with pytest.raises(ValueError, match="read-only"):
+            whole.matrices[0, 0, 0, 0] = 0.5
+        assert whole._held is None and "kernels" not in vars(whole)
+        assert whole == contributors and whole.ids == contributors.ids
+        assert_warm_equals_cold(target, whole, rewards)
+        assert _kl_table(target, whole) is not _kl_table(target, contributors)
+    for indices in ([2, 0], [0, 1, 2], [1, 2, 3], [3, 2, 1, 0]):
+        part = contributors.subset(indices)
+        assert not np.shares_memory(part.matrices, contributors.matrices)
+        assert part.matrices.tobytes() == contributors.matrices[indices].tobytes()
+
+
 def test_repeated_calls_on_a_pool_with_a_violator_equal_cold_calls():
     target = Behavior(
         StatePMF(AB, np.array([1.0, 0.0])),
