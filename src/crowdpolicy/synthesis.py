@@ -282,12 +282,11 @@ def synthesize(
 
     to_go = np.zeros((n + 1, d))  # to_go[idx + 1] is the bonus r_hat[idx]; zero past k = N
     r_bar = np.empty((n, d))
-    expected = np.empty((n, s, d))  # rows @ r_bar per step, contributor-major like `kl`
-    work = np.empty((n, s, d))  # scored - expected: the scores, contributor-major
+    work = np.empty((n, s, d))  # scored - rows @ r_bar: the scores, contributor-major like `kl`
     for idx in range(n - 1, -1, -1):
         np.add(rewards.values[idx], to_go[idx + 1], out=r_bar[idx])
-        np.matmul(contributors.matrices[:, idx], r_bar[idx], out=expected[idx])
-        np.subtract(scored[:, idx], expected[idx], out=work[idx])
+        np.matmul(contributors.matrices[:, idx], r_bar[idx], out=work[idx])
+        np.subtract(scored[:, idx], work[idx], out=work[idx])
         np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive[idx])  # dead: stays 0
 
     scores = np.ascontiguousarray(work.transpose(0, 2, 1))

@@ -1,9 +1,11 @@
 """Tests for exact cost evaluation and the independent oracles."""
 
 import copy
+import decimal
 import itertools
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -32,7 +34,12 @@ from crowdpolicy.model import (
     WeightVector,
     kl_rows,
 )
-from crowdpolicy.scenario import Scenario, generate_random_scenario
+from crowdpolicy.scenario import (
+    Scenario,
+    demo_scenario_path,
+    generate_random_scenario,
+    load_scenario,
+)
 from crowdpolicy.simulate import monte_carlo_cost
 from crowdpolicy.synthesis import ContributorSet, bound_value, synthesize
 
@@ -483,6 +490,99 @@ def test_bound_value_matches_its_per_step_loop(d, start):
             warnings.simplefilter("error")
             got = bound_value(synthesized, target)
         assert got == _reference_bound_value(synthesized, target)
+
+
+def _decimal_cost(agent, target, rewards, r_hat):
+    """The agent's exact cost at 60 digits, the sum of its terms' sizes, and the carried sizes.
+
+    Every float the routes read is taken exactly by `Decimal`, whose `ln` is
+    correctly rounded, so only the 60-digit sums round. Each positive agent
+    entry p at (step, state) x -> y, weighed by the state's exact marginal m,
+    has size ``m * p * (1 + |ln p| + |ln q| + |r|)``, q the target entry and
+    r the reward: a log of a rounded ratio errs by a rounding of 1 nat, not of
+    the log. ``carried`` sums ``m * p * |r_hat|``, the value-to-go that
+    `bound_value` subtracts in the scores and adds back. A row's KL is clamped
+    at 0 as `kl_rows` clamps it, which matters only for rows off 1.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 60
+        agent_rows, target_rows = (
+            [[[Decimal(p) for p in row] for row in step] for step in m.tolist()]
+            for m in (agent.matrices, target.matrices)
+        )
+        values, to_go = (
+            [[Decimal(v) for v in step] for step in m.tolist()] for m in (rewards.values, r_hat)
+        )
+        mu = [Decimal(m) for m in agent.initial.probs.tolist()]
+        cost = size = carried = Decimal(0)
+        for k, (rows, targets) in enumerate(zip(agent_rows, target_rows)):
+            following = [Decimal(0)] * len(mu)
+            for x, m in enumerate(mu):
+                if m == 0:  # unreachable states cost nothing
+                    continue
+                kl = Decimal(0)
+                for y, (p, q) in enumerate(zip(rows[x], targets[x])):
+                    if p == 0:
+                        continue
+                    assert q > 0, (k, x, y)  # a synthesized agent keeps the target's support
+                    log_p, log_q, r = p.ln(), q.ln(), values[k][y]
+                    kl += p * (log_p - log_q)
+                    cost -= m * p * r
+                    size += m * p * (1 + abs(log_p) + abs(log_q) + abs(r))
+                    carried += m * p * abs(to_go[k][y])
+                    following[y] += m * p
+                cost += m * max(kl, Decimal(0))
+            mu = following
+        return cost, size, carried
+
+
+def _decimal_ulp(x):
+    """One ulp of the double nearest ``x`` > 0 as a Decimal; ``x`` may pass the largest float."""
+    _, exponent = math.frexp(float(x / 4))
+    return Decimal(2) ** (exponent + 2 - 53)
+
+
+def _exact_cost_cases():
+    """(name, target, pool, rewards): the demo, random instances, and the reward domain's edges."""
+    demo = load_scenario(demo_scenario_path())
+    for profile in ("favor-node-2", "favor-node-3"):
+        yield f"demo {profile}", demo.target, demo.contributors, demo.rewards[profile]
+    for seed in range(200):
+        scenario = generate_random_scenario(seed, d=4, horizon=5, contributors=3)
+        rewards = scenario.reward_profile()
+        yield f"random seed={seed}", scenario.target, scenario.contributors, rewards
+    # subnormal target entries, rows off 1 within PROB_TOL, rewards near the limit, d=N=S=1
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        for d in (1, 2, 3):
+            for share in (0.5, 0.999, 1.0 - 2.0**-50):
+                target, pool, values = _domain_instance(rng, d, d, d, share)
+                rewards = RewardSchedule(target.space, values)
+                yield f"edge seed={seed} d=N=S={d} share={share}", target, pool, rewards
+
+
+def test_evaluate_cost_and_bound_value_are_within_their_rounding_bound_of_a_60_digit_sum():
+    # Bound, in ulps of the size A (u * A <= ulp(A), u = 2**-53). Marginals are
+    # sums of non-negative products, so step k's err by at most k * d * u
+    # relative; a row's KL and reward parts add d + 2 roundings, the dot with
+    # the marginals d, the forward sum over steps N, and kl_part - reward_part
+    # one: N * d + 2 * d + N + 3. The bound rounds r + r_hat once, dots its
+    # rows with r_hat again (d) and adds the two: N * d + 3 * d + N + 5 in
+    # ulps of A + 2 * carried. Both are at most (N + 3) * (d + 2).
+    for name, target, pool, rewards in _exact_cost_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = synthesize(target, pool, rewards)
+            got = {
+                "evaluate_cost": evaluate_cost(policy.agent, target, rewards).total,
+                "bound_value": bound_value(policy, target),
+            }
+        cost, size, carried = _decimal_cost(policy.agent, target, rewards, policy.r_hat)
+        scales = {"evaluate_cost": size, "bound_value": size + 2 * carried}
+        bound = (target.horizon + 3) * (target.space.size + 2)
+        for route, value in got.items():
+            error = float(abs(Decimal(value) - cost) / _decimal_ulp(scales[route]))
+            assert error <= bound, (name, route, value, cost)
 
 
 # ---------------------------------------------------------------------------

@@ -831,6 +831,17 @@ def test_pickles_and_copies_start_without_the_held_path():
         assert most_likely_trajectory(restored) == best
 
 
+def test_the_demo_batch_and_most_likely_path_round_trip_through_pickle_and_deepcopy(demo):
+    # a frozen slotted dataclass pickles through dataclasses' own state
+    # helpers, which differ between Python versions: both builders are held here
+    agent = synthesize(demo.target, demo.contributors, demo.rewards["favor-node-2"]).agent
+    batch = sample_trajectories(agent, 50, 1, demo.target)
+    best = most_likely_trajectory(agent)
+    for value in (batch, best):
+        for restored in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert restored == value and repr(restored) == repr(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     count=st.sampled_from([1, 2, 8, 9, 1000]),
