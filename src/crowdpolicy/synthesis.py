@@ -15,10 +15,10 @@ carried one step back as a value-to-go bonus added to the raw reward, and the
 procedure repeats over the whole pool. A row scores +inf where its KL is +inf
 or where it puts mass on a state dead at the next step, a (k, state) where
 every row scores +inf. Dead states depend only on the KL table's +inf pattern
-and the pool's support, so they are found once, before the pass, when the
-filter report shows a violation. Only a dead state the initial pmf puts mass
-on makes the problem infeasible; the agent never reaches the others, which
-keep a zero bonus and take the lowest index.
+and the pool's support; when the filter report shows a violation, the pass
+finds them step by step as it scores, whatever the rewards. Only a dead state
+the initial pmf puts mass on makes the problem infeasible; the agent never
+reaches the others, which keep a zero bonus and take the lowest index.
 
 Per step, the backward pass does one product of the pool's rows with reward
 plus bonus and one subtraction from the KL table, into buffers that hold
@@ -269,25 +269,23 @@ def synthesize(
     kl = _kl_table(target, contributors)
     report = _filter(contributors, kl)
     n, d, s = target.horizon, target.space.size, contributors.size
-    scored, alive = kl, (True,) * n  # a pool with no +inf KL has no dead state
-    if report.exclusions:  # the dead states, before any reward is read
-        scored, alive = kl.copy(), np.ones((n + 1, d), dtype=bool)  # alive[N]: past k = N
-        for idx in range(n - 1, -1, -1):
-            scored[:, idx][(contributors.matrices[:, idx] > 0) @ ~alive[idx + 1]] = np.inf
-            alive[idx] = (scored[:, idx] < np.inf).any(axis=0)
-        stuck = (target.initial.probs > 0) & ~alive[0]
-        if stuck.any():  # the agent starts there; a dead state it never reaches costs nothing
-            state = target.space.label(int(stuck.argmax()))
-            raise InfeasibleError(f"every contributor score is +inf at k=1, state={state!r}")
-
+    alive = np.ones(d, dtype=bool)  # past k = N; a pool with no +inf KL has no dead state
     to_go = np.zeros((n + 1, d))  # to_go[idx + 1] is the bonus r_hat[idx]; zero past k = N
     r_bar = np.empty((n, d))
-    work = np.empty((n, s, d))  # scored - rows @ r_bar: the scores, contributor-major like `kl`
+    work = np.empty((n, s, d))  # kl - rows @ r_bar: the scores, contributor-major like `kl`
     for idx in range(n - 1, -1, -1):
+        rows = contributors.matrices[:, idx]
         np.add(rewards.values[idx], to_go[idx + 1], out=r_bar[idx])
-        np.matmul(contributors.matrices[:, idx], r_bar[idx], out=work[idx])
-        np.subtract(scored[:, idx], work[idx], out=work[idx])
-        np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive[idx])  # dead: stays 0
+        np.matmul(rows, r_bar[idx], out=work[idx])
+        np.subtract(kl[:, idx], work[idx], out=work[idx])
+        if report.exclusions:  # +inf on rows with mass on a state dead at the next step
+            work[idx][(rows[..., ~alive] > 0).any(axis=-1)] = np.inf
+            alive = (work[idx] < np.inf).any(axis=0)
+        np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive)  # dead: stays 0
+    stuck = (target.initial.probs > 0) & ~alive
+    if stuck.any():  # the agent starts there; a dead state it never reaches costs nothing
+        state = target.space.label(int(stuck.argmax()))
+        raise InfeasibleError(f"every contributor score is +inf at k=1, state={state!r}")
 
     scores = np.ascontiguousarray(work.transpose(0, 2, 1))
     selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index

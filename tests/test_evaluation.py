@@ -585,6 +585,138 @@ def test_evaluate_cost_and_bound_value_are_within_their_rounding_bound_of_a_60_d
             assert error <= bound, (name, route, value, cost)
 
 
+def _decimal_scores(target, pool, rewards):
+    """The per-(step, state) backward DP at 60 digits: scores, value-to-go, sizes, row sums.
+
+    ``scores[k][x][i]`` is contributor i's row-x KL at step k + 1 (clamped at
+    0 as `kl_rows` clamps it; +inf off the target's support) minus its dot
+    with the reward plus ``r_hat[k]``, which is zero past the horizon and
+    otherwise the negated least score of the next step, zero where every
+    score is +inf. ``sizes[k][x][i]`` sums ``p * (1 + |ln p| + |ln q| + |r| + |r_hat|)``
+    over the row's positive entries p, q the target entry, r the reward.
+    """
+    n, d = target.horizon, target.space.size
+    with decimal.localcontext() as context:
+        context.prec = 60
+        pool_rows = [
+            [[[Decimal(p) for p in row] for row in step] for step in stack]
+            for stack in pool.matrices.tolist()
+        ]
+        log_q = [  # ln q, None off the target's support
+            [[Decimal(q).ln() if q > 0 else None for q in row] for row in step]
+            for step in target.matrices.tolist()
+        ]
+        values = [[Decimal(v) for v in step] for step in rewards.values.tolist()]
+        scores, r_hat, sizes, sums = [None] * n, [None] * n, [None] * n, [None] * n
+        to_go = [Decimal(0)] * d
+        for k in range(n - 1, -1, -1):
+            r_hat[k] = to_go
+            scores[k], sizes[k], sums[k] = [], [], []
+            for x in range(d):
+                row_scores, row_sizes, row_sums = [], [], []
+                for stack in pool_rows:
+                    kl = reward = size = total = Decimal(0)
+                    for p, q, v, g in zip(stack[k][x], log_q[k][x], values[k], to_go):
+                        if p == 0:
+                            continue
+                        if q is None:
+                            kl = Decimal("Infinity")
+                            continue
+                        log_p = p.ln()
+                        kl += p * (log_p - q)
+                        reward += p * (v + g)
+                        size += p * (1 + abs(log_p) + abs(q) + abs(v) + abs(g))
+                        total += p
+                    row_scores.append(max(kl, Decimal(0)) - reward)
+                    row_sizes.append(size)
+                    row_sums.append(total)
+                scores[k].append(row_scores)
+                sizes[k].append(row_sizes)
+                sums[k].append(row_sums)
+            least = [min(row) for row in scores[k]]
+            to_go = [-m if m < Decimal("Infinity") else Decimal(0) for m in least]  # dead: 0
+        return scores, r_hat, sizes, sums
+
+
+def _near_tie_cases():
+    """(name, target, pool, rewards): three contributors a few ulps apart in every entry.
+
+    Their scores differ in the last few bits, so the float argmin is not
+    always the exact one; each row stays within ``PROB_TOL`` of a sum of 1.
+    """
+    space = StateSpace(tuple(range(3)))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        target = Behavior(
+            StatePMF(space, rng.dirichlet(np.ones(3))),
+            tuple(TransitionKernel(space, m) for m in rng.dirichlet(np.ones(3), size=(3, 3))),
+        )
+        base = rng.dirichlet(np.ones(3), size=(3, 3))
+        stacks = []
+        for _ in range(3):
+            nudged = base + rng.integers(-4, 5, base.shape) * np.spacing(base)
+            stacks.append(tuple(TransitionKernel(space, m) for m in nudged))
+        pool = ContributorSet(space, tuple(stacks), ("c0", "c1", "c2"))
+        rewards = RewardSchedule(space, rng.uniform(-1.0, 1.0, (3, 3)))
+        yield f"near-tie seed={seed}", target, pool, rewards
+
+
+def test_synthesize_r_hat_and_scores_are_within_their_rounding_bound_of_a_60_digit_dp():
+    # Bound, per score, in ulps of its size A (u * A <= ulp(A), u = 2**-53).
+    # A KL row rounds each ratio (1 nat of u), log and product, and its d - 1
+    # sums: d + 2 roundings of its part of A. Reward plus bonus rounds once,
+    # the dot with the row d times, and the subtraction once: d + 4 in all,
+    # fresh at each step. The bonus carries the next step's error: a score's
+    # row dots it, so it adds the row's exact sum times the largest error of
+    # r_hat over the arrival states, and r_hat errs by at most the largest
+    # error of the next step's scores from that state, since a least element
+    # moves no more than its inputs. A float argmin that is not the Decimal
+    # argmin must pick a score within the two scores' bounds of the least,
+    # and the agent's exact cost then exceeds the 60-digit optimum by at most
+    # those gaps, weighed by its marginals.
+    with decimal.localcontext() as context:
+        context.prec = 60  # the checks' own sums round no coarser than the DP's
+        cases = itertools.chain(_exact_cost_cases(), _near_tie_cases())
+        for name, target, pool, rewards in cases:
+            n, d, s = target.horizon, target.space.size, pool.size
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                policy = synthesize(target, pool, rewards)
+            exact, r_hat, sizes, sums = _decimal_scores(target, pool, rewards)
+            carried = [Decimal(0)] * d  # r_hat's bound, per arrival state; zero past the horizon
+            gaps = Decimal(0)
+            for k in range(n - 1, -1, -1):
+                for y in range(d):
+                    error = abs(Decimal(float(policy.r_hat[k, y])) - r_hat[k][y])
+                    assert error <= carried[y], (name, k, y, error, carried[y])
+                bounds = [
+                    [(d + 4) * _decimal_ulp(size) + total * max(carried) for size, total in row]
+                    for row in (zip(sizes[k][x], sums[k][x]) for x in range(d))
+                ]
+                worst = Decimal(0)
+                for x in range(d):
+                    for i in range(s):
+                        got, want = float(policy.scores[k, x, i]), exact[k][x][i]
+                        if math.isinf(got) or want == Decimal("Infinity"):
+                            assert got == want, (name, k, x, i)
+                            continue
+                        assert abs(Decimal(got) - want) <= bounds[x][i], (name, k, x, i, got, want)
+                    chosen = int(policy.selected[k, x])
+                    best = exact[k][x].index(min(exact[k][x]))
+                    if chosen != best:  # a near-tie: the two exact scores lie within the two bounds
+                        gap = exact[k][x][chosen] - exact[k][x][best]
+                        assert gap <= bounds[x][chosen] + bounds[x][best], (name, k, x, gap)
+                        worst = max(worst, gap)
+                gaps += worst
+                carried = [max(b for b in bounds[y]) for y in range(d)]
+            cost, size, _ = _decimal_cost(policy.agent, target, rewards, policy.r_hat)
+            mu = target.initial.probs.tolist()
+            optimum = sum(Decimal(m) * min(exact[0][x]) for x, m in enumerate(mu) if m > 0)
+            slack = size * Decimal(10) ** -50  # the 60-digit sums' own rounding
+            excess = cost - optimum  # the marginals' mass is within 1e-6 of 1
+            assert -slack <= excess <= gaps * (1 + Decimal(10) ** -6) + slack, (name, cost, optimum)
+
+
 # ---------------------------------------------------------------------------
 # log-sum inequality
 # ---------------------------------------------------------------------------

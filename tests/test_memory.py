@@ -11,8 +11,10 @@ allocate more than one pool.
 The pool holds one KL table, for the last target it was scored against: at
 most ``POOL_BYTES / D`` bytes, a warm call allocates less than the cold call
 that built it, and the table keeps no target alive. A pool with contributors
-the filter report excludes is read step by step, never copied whole, and
-`kl_rows` holds one float temporary the size of its input.
+the filter report excludes is read step by step, never copied whole: a warm
+call that looks for dead states peaks within a quarter of one KL table of a
+warm call on the same pool that has none to look for. `kl_rows` holds one
+float temporary the size of its input.
 
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``3 * (N + 1) * count * 8`` bytes, its paths and its own and its
@@ -147,6 +149,25 @@ def test_a_pool_with_excluded_contributors_is_read_step_by_step_never_copied_who
     retained = synthesize(target, contributors, rewards).filter_report.retained_ids
     assert CONTRIBUTORS // 2 <= len(retained) < CONTRIBUTORS
     assert peak < POOL_BYTES // 4
+
+
+def test_a_warm_call_with_dead_state_checks_holds_no_copy_of_the_kl_table():
+    # one k=4 target entry zeroed: 9 of the 12 contributors are excluded, so the
+    # sweep checks for dead states; a copy of the held table would add a whole one
+    scenario = generate_random_scenario(5, D, HORIZON, CONTRIBUTORS, sparsity=0.3)
+    matrices = np.array(scenario.target.matrices)
+    matrices[3, 0, 6] = 0.0
+    matrices[3, 0] /= matrices[3, 0].sum()
+    zeroed = Behavior._of(scenario.target.initial, matrices)
+    contributors, rewards = scenario.contributors, scenario.reward_profile()
+    peaks = {}
+    for name, target in (("twin", scenario.target), ("zeroed", zeroed)):
+        synthesize(target, contributors, rewards)  # cold: builds the held table
+        peaks[name] = _peak_of(synthesize, target, contributors, rewards)
+    assert len(synthesize(zeroed, contributors, rewards).filter_report.exclusions) == 9
+    kl_bytes = _kl_table(zeroed, contributors).nbytes
+    assert kl_bytes == CONTRIBUTORS * HORIZON * D * 8 == 98_304
+    assert peaks["zeroed"] - peaks["twin"] < kl_bytes // 4
 
 
 def test_kl_rows_holds_one_float_temporary():

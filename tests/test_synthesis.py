@@ -34,6 +34,7 @@ from crowdpolicy.model import (
     StatePMF,
     StateSpace,
     TransitionKernel,
+    _check_compatible,
     kl_rows,
     simplex_argmin,
 )
@@ -44,7 +45,9 @@ from crowdpolicy.synthesis import (
     Exclusion,
     FilterReport,
     SynthesizedPolicy,
+    _filter,
     _kl_table,
+    _with_kl,
     bound_value,
     filter_contributors,
     synthesize,
@@ -835,6 +838,120 @@ def test_failures_name_the_dead_initial_state_whatever_the_rewards(
         assert isinstance(synthesize(target, contributors, rewards), SynthesizedPolicy)
     else:
         assert_matches_the_oracle(target, contributors, rewards)
+
+
+# ---------------------------------------------------------------------------
+# dead states found inside the one backward sweep, against a separate pass
+# ---------------------------------------------------------------------------
+
+
+def _two_pass_synthesize(target, contributors, rewards):
+    """Reference: `synthesize` as it ran with a dead-state pass before the score sweep.
+
+    The pass marks +inf, on a copy of the KL table, every row with mass on a
+    state dead at the next step, by a boolean product with the ``(N + 1, d)``
+    alive table, and names a dead initial state before any reward is read;
+    the sweep then scores the marked copy.
+    """
+    _check_compatible(target, contributors=contributors, rewards=rewards)
+    kl = _kl_table(target, contributors)
+    report = _filter(contributors, kl)
+    n, d, s = target.horizon, target.space.size, contributors.size
+    scored, alive = kl, (True,) * n  # a pool with no +inf KL has no dead state
+    if report.exclusions:  # the dead states, before any reward is read
+        scored, alive = kl.copy(), np.ones((n + 1, d), dtype=bool)  # alive[N]: past k = N
+        for idx in range(n - 1, -1, -1):
+            scored[:, idx][(contributors.matrices[:, idx] > 0) @ ~alive[idx + 1]] = np.inf
+            alive[idx] = (scored[:, idx] < np.inf).any(axis=0)
+        stuck = (target.initial.probs > 0) & ~alive[0]
+        if stuck.any():  # the agent starts there; a dead state it never reaches costs nothing
+            state = target.space.label(int(stuck.argmax()))
+            raise InfeasibleError(f"every contributor score is +inf at k=1, state={state!r}")
+
+    to_go = np.zeros((n + 1, d))  # to_go[idx + 1] is the bonus r_hat[idx]; zero past k = N
+    r_bar = np.empty((n, d))
+    work = np.empty((n, s, d))  # scored - rows @ r_bar: the scores, contributor-major like `kl`
+    for idx in range(n - 1, -1, -1):
+        np.add(rewards.values[idx], to_go[idx + 1], out=r_bar[idx])
+        np.matmul(contributors.matrices[:, idx], r_bar[idx], out=work[idx])
+        np.subtract(scored[:, idx], work[idx], out=work[idx])
+        np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive[idx])  # dead: stays 0
+
+    scores = np.ascontiguousarray(work.transpose(0, 2, 1))
+    selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index
+    agent_rows = contributors.matrices[selected, np.arange(n)[:, None], np.arange(d)]
+    weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
+    agent = _with_kl(target, agent_rows, np.take_along_axis(kl, selected[None], axis=0)[0])
+    for arr in (scores, selected, weights, to_go, r_bar):
+        arr.setflags(write=False)
+    return SynthesizedPolicy(
+        space=target.space,
+        contributor_ids=contributors.ids,
+        scores=scores,
+        selected=selected,
+        weights=weights,
+        agent=agent,
+        r_hat=to_go[1:],
+        r_bar=r_bar,
+        filter_report=report,
+    )
+
+
+def assert_matches_two_passes(target, contributors, rewards):
+    """Bit identity with `_two_pass_synthesize`: every output, held KL rows too, or the error."""
+    got = _outcome(synthesize, target, contributors, rewards)
+    want = _outcome(_two_pass_synthesize, target, _cold(contributors), rewards)
+    assert_bit_identical(got, want)
+    if not isinstance(want, tuple):
+        assert _bits(got.agent._kl[1]) == _bits(want.agent._kl[1])
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    horizon=st.integers(1, 4),
+    size=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    target_zero_share=st.sampled_from([0.3, 0.7]),
+    big=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([BIG, -BIG])), max_size=4),
+)
+def test_synthesize_equals_the_two_pass_reference(
+    d, horizon, size, kinds, seed, target_zero_share, big
+):
+    # zeroed target entries make +inf KL and dead states: random contributors
+    # make dead initial states, and leaky ones dead states the agent never
+    # reaches; rewards near the limit at up to four steps make the sums large
+    target, contributors, rewards = _oracle_instance(
+        seed, d, horizon, size, kinds, target_zero_share, 1.0
+    )
+    values = np.array(rewards.values)
+    for step, reward in big:
+        values[step % horizon] = reward
+    assert_matches_two_passes(target, contributors, RewardSchedule(target.space, values))
+
+
+def _one_zeroed_entry(seed=5, d=64, horizon=16, size=12):
+    """A generated pool and its target with the k=4 entry (0, 6) zeroed and its row renormalised."""
+    scenario = generate_random_scenario(seed, d, horizon, size, sparsity=0.3)
+    matrices = np.array(scenario.target.matrices)
+    matrices[3, 0, 6] = 0.0
+    matrices[3, 0] /= matrices[3, 0].sum()
+    target = Behavior._of(scenario.target.initial, matrices)
+    return target, scenario.contributors, scenario.reward_profile()
+
+
+def test_a_pool_with_one_zeroed_target_entry_equals_the_two_pass_reference():
+    # the shared-pool shape; 9 of the 12 contributors put mass where the target has none
+    target, contributors, rewards = _one_zeroed_entry()
+    for _ in range(2):  # cold, then warm
+        policy = assert_matches_two_passes(target, contributors, rewards)
+        assert len(policy.filter_report.exclusions) == 9
+    for big in (BIG, -BIG):
+        values = np.array(rewards.values)
+        values[0] = big
+        assert_matches_two_passes(target, contributors, RewardSchedule(target.space, values))
 
 
 # ---------------------------------------------------------------------------
