@@ -589,11 +589,11 @@ def _decimal_scores(target, pool, rewards):
     """The per-(step, state) backward DP at 60 digits: scores, value-to-go, sizes, row sums.
 
     ``scores[k][x][i]`` is contributor i's row-x KL at step k + 1 (clamped at
-    0 as `kl_rows` clamps it; +inf off the target's support) minus its dot
-    with the reward plus ``r_hat[k]``, which is zero past the horizon and
-    otherwise the negated least score of the next step, zero where every
-    score is +inf. ``sizes[k][x][i]`` sums ``p * (1 + |ln p| + |ln q| + |r| + |r_hat|)``
-    over the row's positive entries p, q the target entry, r the reward.
+    0 as `kl_rows` clamps it) minus its dot with the reward plus ``r_hat[k]``,
+    which is zero past the horizon and otherwise the negated least score of
+    the next step. ``sizes[k][x][i]`` sums ``p * (1 + |ln p| + |ln q| + |r| + |r_hat|)``
+    over the row's positive entries p, q the target entry, r the reward. The
+    target has full support, so every score is finite.
     """
     n, d = target.horizon, target.space.size
     with decimal.localcontext() as context:
@@ -602,9 +602,8 @@ def _decimal_scores(target, pool, rewards):
             [[[Decimal(p) for p in row] for row in step] for step in stack]
             for stack in pool.matrices.tolist()
         ]
-        log_q = [  # ln q, None off the target's support
-            [[Decimal(q).ln() if q > 0 else None for q in row] for row in step]
-            for step in target.matrices.tolist()
+        log_q = [
+            [[Decimal(q).ln() for q in row] for row in step] for step in target.matrices.tolist()
         ]
         values = [[Decimal(v) for v in step] for step in rewards.values.tolist()]
         scores, r_hat, sizes, sums = [None] * n, [None] * n, [None] * n, [None] * n
@@ -619,9 +618,6 @@ def _decimal_scores(target, pool, rewards):
                     for p, q, v, g in zip(stack[k][x], log_q[k][x], values[k], to_go):
                         if p == 0:
                             continue
-                        if q is None:
-                            kl = Decimal("Infinity")
-                            continue
                         log_p = p.ln()
                         kl += p * (log_p - q)
                         reward += p * (v + g)
@@ -633,8 +629,7 @@ def _decimal_scores(target, pool, rewards):
                 scores[k].append(row_scores)
                 sizes[k].append(row_sizes)
                 sums[k].append(row_sums)
-            least = [min(row) for row in scores[k]]
-            to_go = [-m if m < Decimal("Infinity") else Decimal(0) for m in least]  # dead: 0
+            to_go = [-min(row) for row in scores[k]]
         return scores, r_hat, sizes, sums
 
 
@@ -696,10 +691,7 @@ def test_synthesize_r_hat_and_scores_are_within_their_rounding_bound_of_a_60_dig
                 worst = Decimal(0)
                 for x in range(d):
                     for i in range(s):
-                        got, want = float(policy.scores[k, x, i]), exact[k][x][i]
-                        if math.isinf(got) or want == Decimal("Infinity"):
-                            assert got == want, (name, k, x, i)
-                            continue
+                        got, want = policy.scores[k, x, i], exact[k][x][i]
                         assert abs(Decimal(got) - want) <= bounds[x][i], (name, k, x, i, got, want)
                     chosen = int(policy.selected[k, x])
                     best = exact[k][x].index(min(exact[k][x]))
@@ -708,7 +700,7 @@ def test_synthesize_r_hat_and_scores_are_within_their_rounding_bound_of_a_60_dig
                         assert gap <= bounds[x][chosen] + bounds[x][best], (name, k, x, gap)
                         worst = max(worst, gap)
                 gaps += worst
-                carried = [max(b for b in bounds[y]) for y in range(d)]
+                carried = [max(row) for row in bounds]
             cost, size, _ = _decimal_cost(policy.agent, target, rewards, policy.r_hat)
             mu = target.initial.probs.tolist()
             optimum = sum(Decimal(m) * min(exact[0][x]) for x, m in enumerate(mu) if m > 0)

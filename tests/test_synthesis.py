@@ -932,9 +932,9 @@ def test_synthesize_equals_the_two_pass_reference(
     assert_matches_two_passes(target, contributors, RewardSchedule(target.space, values))
 
 
-def _one_zeroed_entry(seed=5, d=64, horizon=16, size=12):
+def _one_zeroed_entry():
     """A generated pool and its target with the k=4 entry (0, 6) zeroed and its row renormalised."""
-    scenario = generate_random_scenario(seed, d, horizon, size, sparsity=0.3)
+    scenario = generate_random_scenario(5, 64, 16, 12, sparsity=0.3)
     matrices = np.array(scenario.target.matrices)
     matrices[3, 0, 6] = 0.0
     matrices[3, 0] /= matrices[3, 0].sum()
