@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InfeasibleError, OracleGuardError, ValidationError
 from .evaluation import evaluate_cost, pure_schedule_oracle, simplex_grid_oracle
-from .model import Behavior, RewardSchedule, _marginals
+from .model import Behavior, RewardSchedule
 from .scenario import (
     Scenario,
     _atomic_write_text,
@@ -169,8 +169,7 @@ def _solve(
     for name, matrix in zip(kernels, policy.agent.matrices):
         rows = [[label, *row] for label, row in zip(labels, matrix.tolist())]
         _atomic_write_text(out / name, _csv_text(["from", *labels], rows))
-    marginals = _marginals(policy.agent.initial.probs, policy.agent.matrices)  # k = 0..N
-    rows = [[k, *mu] for k, mu in enumerate(marginals.tolist())]
+    rows = [[k, *mu] for k, mu in enumerate(policy.agent._mu.tolist())]  # k = 0..N, held
     _atomic_write_text(out / outputs["marginals"], _csv_text(["k", *labels], rows))
     return policy, block
 
@@ -327,27 +326,24 @@ def build_parser() -> argparse.ArgumentParser:
         "divergence-guided switching.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)  # shared by the commands that read a profile
+    inputs.add_argument("--scenario", required=True, help="scenario JSON file")
+    inputs.add_argument("--reward-profile", help="profile name; a sole profile needs none")
 
     p = sub.add_parser("validate", help="parse and validate a scenario file")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.set_defaults(handler=cmd_validate)
 
-    p = sub.add_parser("synthesize", help="build the switched agent policy")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--reward-profile", dest="reward_profile", default=None)
+    p = sub.add_parser("synthesize", parents=[inputs], help="build the switched agent policy")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_synthesize)
 
-    p = sub.add_parser("evaluate", help="cost a policy file against a scenario")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("evaluate", parents=[inputs], help="cost a policy file against a scenario")
     p.add_argument("--policy", required=True, help="policy JSON file")
-    p.add_argument("--reward-profile", dest="reward_profile", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("oracle", help="compare the synthesized bound to schedule search")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--reward-profile", dest="reward_profile", default=None)
+    p = sub.add_parser("oracle", parents=[inputs], help="compare the bound to schedule search")
     p.add_argument(
         "--mode", choices=("per-time", "per-time-state"), default="per-time-state"
     )
@@ -358,10 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_oracle)
 
-    p = sub.add_parser("simulate", help="sample trajectories and estimate the cost")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("simulate", parents=[inputs], help="sample paths and estimate the cost")
     p.add_argument("--policy", required=True)
-    p.add_argument("--reward-profile", dest="reward_profile", default=None)
     p.add_argument("--count", type=_count_type, required=True)
     p.add_argument("--seed", type=_seed_type, required=True)
     p.add_argument("--out", required=True)

@@ -1,14 +1,14 @@
 """Exact cost evaluation and independent oracles.
 
-`evaluate_cost` computes the tracking cost of any agent behavior against a
-target from one forward pass, the state marginals of `model._marginals`,
-which `bound_value` and the CLI's ``marginals.csv`` read too: each step's KL
-and reward part is one row-wise product over them. A synthesized agent brings
-its KL rows for its own target object. The remaining functions are deliberately
-separate evidence routes used to check the synthesizer: brute-force trajectory
-enumeration, exhaustive or dynamic-programming search over pure contributor
-schedules, and a grid search over per-step mixture weights. The oracles refuse
-oversized instances instead of grinding.
+`evaluate_cost` computes the tracking cost of any agent behavior against a target
+from one forward pass, the state marginals of `model._marginals`, which the behavior
+holds once built (``Behavior._mu``) and `bound_value` and the CLI's ``marginals.csv``
+read too: each step's KL and reward part is one row-wise product over them. A
+synthesized agent brings its KL rows for its own target object. The remaining
+functions are deliberately separate evidence routes used to check the synthesizer:
+brute-force trajectory enumeration, exhaustive or dynamic-programming search over pure
+contributor schedules, and a grid search over per-step mixture weights. The oracles
+refuse oversized instances instead of grinding.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .model import (
     WeightVector,
     _check_compatible,
     _FrozenValue,
-    _marginals,
     kl_rows,
     log_pmf,
 )
@@ -82,7 +81,7 @@ def evaluate_cost(
         breaks absolute continuity.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
-    mu = _marginals(policy.initial.probs, policy.matrices)[:-1]  # the pmf each step leaves
+    mu = policy._mu[:-1]  # the pmf each step leaves, held on the policy
     held = policy._kl  # a synthesized agent's (weakref to its target, KL rows), else None
     kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
     kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))  # unreachable states cost nothing

@@ -215,8 +215,8 @@ class TransitionKernel(_FrozenValue):
 class _KernelStack(_FrozenValue):
     """Base of `Behavior` and `ContributorSet`, which store a read-only kernel stack alone.
 
-    Their ``kernels`` field, views of ``matrices`` nested like its leading axes, is
-    built on first read in one assignment (threads racing there get equal tuples).
+    Their ``kernels`` field, views of ``matrices`` nested like its leading axes, and a behavior's
+    ``_mu`` are built on first read, each in one assignment (racing threads build equal values).
     """
 
     def _stack(self, matrices: np.ndarray, **held: object):
@@ -225,6 +225,8 @@ class _KernelStack(_FrozenValue):
         return _set(self, matrices=matrices, **held)
 
     def __getattr__(self, name: str):
+        if name == "_mu":  # a behavior's (N + 1, d) `_marginals` from its own initial pmf
+            return _set(self, _mu=_marginals(self.initial.probs, self.matrices))._mu
         if name != "kernels":
             return object.__getattribute__(self, name)  # raises the standard AttributeError
         return _set(self, kernels=_kernel_views(self.space, self.matrices)).kernels
@@ -238,15 +240,15 @@ class _KernelStack(_FrozenValue):
 class Behavior(_KernelStack):
     """A finite-horizon Markov behavior: initial pmf plus one kernel per step.
 
-    ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for
-    k = 1..N, so ``horizon`` equals ``len(kernels)``. The kernels are stored
-    once, as the read-only ``(N, d, d)`` array ``matrices``; ``kernels`` views
-    its matrices, built on first read. The behavior also holds its sampling
-    tables (`simulate._tables`, guide tables once sampled), its last draw and its
-    log terms, which `sample_trajectories` and `monte_carlo_cost` share, its most likely
-    trajectory, and a synthesized agent its KL rows, read by `evaluate_cost`
-    for that target alone; none of these is compared, and a pickle or copy
-    starts without them.
+    ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for k = 1..N, so
+    ``horizon`` equals ``len(kernels)``. The kernels are stored once, as the read-only
+    ``(N, d, d)`` array ``matrices``; ``kernels`` views its matrices, built on first read.
+    The behavior also holds, once built: ``_mu``, its read-only ``(N + 1, d)`` state marginals
+    from its own initial pmf, read by `evaluate_cost`, `bound_value` and ``marginals.csv``;
+    its sampling tables (`simulate._tables`, guide tables once sampled); its last draw and
+    log terms, which `sample_trajectories` and `monte_carlo_cost` share; its most likely
+    trajectory; and a synthesized agent its KL rows, read by `evaluate_cost` for that
+    target alone. None of these is compared, and a pickle or copy starts without them.
     """
 
     initial: StatePMF

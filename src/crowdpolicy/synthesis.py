@@ -20,16 +20,16 @@ finds them step by step as it scores, whatever the rewards. Only a dead state
 the initial pmf puts mass on makes the problem infeasible; the agent never
 reaches the others, which keep a zero bonus and take the lowest index.
 
-Per step, the backward pass does one product of the pool's rows with reward
-plus bonus and one subtraction from the KL table, into buffers that hold
-every step; the reward schedule's own bound keeps them finite. After it, one
-argmin selects, and one gather from the pool copies each selected row
-verbatim into the agent's switched kernels. The KL part of the scores
-does not depend on the rewards, so it is tabulated once per (target, pool):
-the pool holds the read-only table of the last target it was scored against,
-and that one table feeds both the filter report and the recursion of every
-later call with the same target object; the agent keeps its own rows of it,
-which `evaluate_cost` reads instead of computing them for that target.
+Per step, the backward pass does one product of the pool's rows with reward plus
+bonus and one subtraction from the KL table, into buffers that hold every step; the
+reward schedule's own bound keeps them finite, and only a pool with an exclusion masks
+dead states. After it, one argmin selects, and one gather through a flat row index
+copies each selected row verbatim into the agent's switched kernels. The KL part of
+the scores does not depend on the rewards, so it is tabulated once per (target, pool):
+the pool holds the read-only table of the last target it was scored against and the
+filter report scanned off it once, and both serve every later call with the same target
+object; the agent keeps its own rows of the table, which `evaluate_cost` reads instead
+of computing them for that target.
 """
 
 from __future__ import annotations
@@ -65,18 +65,18 @@ class ContributorSet(_KernelStack):
     ``(S, N, d, d)`` array ``matrices``; ``kernels[i][k-1]`` is a view of
     ``matrices[i, k-1]``, built when ``kernels`` is first read.
 
-    The pool also holds one entry for `synthesize` and `filter_contributors`:
-    the last target it was scored against, by weak reference and matched by
-    identity, with that target's read-only ``(S, N, d)`` KL table. Both sides
-    are frozen over read-only arrays, so the entry never goes stale; it holds
-    no target alive, and a pickled or copied pool starts without it.
+    The pool also holds one entry for `synthesize` and `filter_contributors`: the last
+    target it was scored against, by weak reference and matched by identity, with that
+    target's read-only ``(S, N, d)`` KL table and the `FilterReport` read off it. Both
+    sides are frozen over read-only arrays, so the entry never goes stale; it holds no
+    target alive, and a pickled or copied pool starts without it.
     """
 
     space: StateSpace
     kernels: tuple[tuple[TransitionKernel, ...], ...] = field(compare=False)  # views, on read
     ids: tuple[str, ...]
     matrices: np.ndarray = field(init=False, repr=False)
-    _held = None  # (weakref to a target, its KL table); set by `_kl_table` alone
+    _held = None  # (weakref to a target, its KL table, its filter report); set by `_scored` alone
 
     def __post_init__(self) -> None:
         kernels = tuple(tuple(per_k) for per_k in self.kernels)
@@ -156,7 +156,7 @@ def filter_contributors(
         InfeasibleError: if no contributor survives.
     """
     _check_compatible(target, contributors=contributors)
-    report = _filter(contributors, _kl_table(target, contributors))
+    report = _scored(target, contributors)[2]
     if not report.retained_ids:
         raise InfeasibleError(
             "no admissible contributor: every contributor places mass where the target has none"
@@ -165,20 +165,25 @@ def filter_contributors(
 
 
 def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
-    """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), read-only.
+    """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), read-only."""
+    return _scored(target, contributors)[1]
 
-    Returns the table the pool holds when ``target`` is the very object it was
-    built for; otherwise builds it one step at a time and holds it instead.
+
+def _scored(target: Behavior, contributors: ContributorSet) -> tuple:
+    """The pool's entry (weakref to ``target``, its KL table, the `_filter` report read off it).
+
+    The held entry is returned when ``target`` is the very object it was built for; otherwise
+    the table is built one step at a time, scanned once, and held with its report instead.
     """
     held = contributors._held
-    if held is not None and held[0]() is target:
-        return held[1]
-    kl = np.empty((contributors.size, target.horizon, target.space.size))
-    for idx, target_rows in enumerate(target.matrices):
-        rows = contributors.matrices[:, idx]
-        kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
-    _set(contributors, _held=(weakref.ref(target), kl))  # one assignment: safe across threads
-    return kl
+    if held is None or held[0]() is not target:
+        kl = np.empty((contributors.size, target.horizon, target.space.size))
+        for idx, target_rows in enumerate(target.matrices):
+            rows = contributors.matrices[:, idx]
+            kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
+        held = (weakref.ref(target), kl, _filter(contributors, kl))
+        _set(contributors, _held=held)  # one assignment: safe across threads
+    return held
 
 
 def _with_kl(target: Behavior, rows: np.ndarray, kl: np.ndarray) -> Behavior:
@@ -266,10 +271,10 @@ def synthesize(
         InfeasibleError: naming a dead state the initial pmf puts mass on.
     """
     _check_compatible(target, contributors=contributors, rewards=rewards)
-    kl = _kl_table(target, contributors)
-    report = _filter(contributors, kl)
+    _, kl, report = _scored(target, contributors)
     n, d, s = target.horizon, target.space.size, contributors.size
     alive = np.ones(d, dtype=bool)  # past k = N; a pool with no +inf KL has no dead state
+    mask = True  # `alive` once a state may die; an all-True array costs a masked loop
     to_go = np.zeros((n + 1, d))  # to_go[idx + 1] is the bonus r_hat[idx]; zero past k = N
     r_bar = np.empty((n, d))
     work = np.empty((n, s, d))  # kl - rows @ r_bar: the scores, contributor-major like `kl`
@@ -280,8 +285,8 @@ def synthesize(
         np.subtract(kl[:, idx], work[idx], out=work[idx])
         if report.exclusions:  # +inf on rows with mass on a state dead at the next step
             work[idx][(rows[..., ~alive] > 0).any(axis=-1)] = np.inf
-            alive = (work[idx] < np.inf).any(axis=0)
-        np.negative(work[idx].min(axis=0), out=to_go[idx], where=alive)  # dead: stays 0
+            alive = mask = (work[idx] < np.inf).any(axis=0)
+        np.negative(work[idx].min(axis=0), out=to_go[idx], where=mask)  # dead: stays 0
     stuck = (target.initial.probs > 0) & ~alive
     if stuck.any():  # the agent starts there; a dead state it never reaches costs nothing
         state = target.space.label(int(stuck.argmax()))
@@ -289,8 +294,9 @@ def synthesize(
 
     scores = np.ascontiguousarray(work.transpose(0, 2, 1))
     selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index
-    agent_rows = contributors.matrices[selected, np.arange(n)[:, None], np.arange(d)]
-    weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
+    flat = (selected * n + np.arange(n)[:, None]) * d + np.arange(d)  # rows of the (S*N*d, d) pool
+    agent_rows = contributors.matrices.reshape(-1, d).take(flat, axis=0)
+    weights = np.eye(s).take(selected, axis=0)  # one-hot: a linear score's minimum is a vertex
     agent = _with_kl(target, agent_rows, np.take_along_axis(kl, selected[None], axis=0)[0])
     for arr in (scores, selected, weights, to_go, r_bar):
         arr.setflags(write=False)
@@ -318,10 +324,11 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     the exact cost of the synthesized behavior.
     """
     _check_compatible(target, policy=policy)
-    sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
-    matrices = policy.agent.matrices
-    mu = _marginals(target.initial.probs, matrices)[:-1]
-    steps = sel + np.matmul(matrices, policy.r_hat[..., None])[..., 0]
+    n, d, s = policy.scores.shape
+    sel = policy.scores.take(np.arange(n * d).reshape(n, d) * s + policy.selected)
+    agent, initial = policy.agent, target.initial  # held marginals start at the agent's own pmf
+    mu = (agent._mu if agent.initial is initial else _marginals(initial.probs, agent.matrices))[:-1]
+    steps = sel + np.matmul(agent.matrices, policy.r_hat[..., None])[..., 0]
     running = np.cumsum(np.vecdot(mu, np.where(mu > 0, steps, 0.0)))  # unreachable states: 0
     return float(running[-1])
 

@@ -4,6 +4,7 @@ import copy
 import decimal
 import itertools
 import math
+import pickle
 import warnings
 from decimal import Decimal
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdpolicy.cli import _pure_costs
+from crowdpolicy.cli import _pure_costs, _solve
 from crowdpolicy.errors import InfeasibleError, OracleGuardError
 from crowdpolicy.evaluation import (
     ORACLE_LIMIT,
@@ -32,13 +33,17 @@ from crowdpolicy.model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    _marginals,
     kl_rows,
 )
 from crowdpolicy.scenario import (
     Scenario,
+    _csv_text,
     demo_scenario_path,
     generate_random_scenario,
+    load_policy,
     load_scenario,
+    save_policy,
 )
 from crowdpolicy.simulate import monte_carlo_cost
 from crowdpolicy.synthesis import ContributorSet, bound_value, synthesize
@@ -492,7 +497,7 @@ def test_bound_value_matches_its_per_step_loop(d, start):
         assert got == _reference_bound_value(synthesized, target)
 
 
-def _decimal_cost(agent, target, rewards, r_hat):
+def _decimal_cost(agent, target, rewards, r_hat, clamp=True):
     """The agent's exact cost at 60 digits, the sum of its terms' sizes, and the carried sizes.
 
     Every float the routes read is taken exactly by `Decimal`, whose `ln` is
@@ -502,7 +507,8 @@ def _decimal_cost(agent, target, rewards, r_hat):
     r the reward: a log of a rounded ratio errs by a rounding of 1 nat, not of
     the log. ``carried`` sums ``m * p * |r_hat|``, the value-to-go that
     `bound_value` subtracts in the scores and adds back. A row's KL is clamped
-    at 0 as `kl_rows` clamps it, which matters only for rows off 1.
+    at 0 as `kl_rows` clamps it, which matters only for rows off 1; ``clamp=False``
+    keeps its sign, as the trajectory enumeration does.
     """
     with decimal.localcontext() as context:
         context.prec = 60
@@ -531,7 +537,7 @@ def _decimal_cost(agent, target, rewards, r_hat):
                     size += m * p * (1 + abs(log_p) + abs(log_q) + abs(r))
                     carried += m * p * abs(to_go[k][y])
                     following[y] += m * p
-                cost += m * max(kl, Decimal(0))
+                cost += m * (max(kl, Decimal(0)) if clamp else kl)
             mu = following
         return cost, size, carried
 
@@ -583,6 +589,28 @@ def test_evaluate_cost_and_bound_value_are_within_their_rounding_bound_of_a_60_d
         for route, value in got.items():
             error = float(abs(Decimal(value) - cost) / _decimal_ulp(scales[route]))
             assert error <= bound, (name, route, value, cost)
+
+
+def test_trajectory_enumeration_is_within_its_rounding_bound_of_a_60_digit_sum():
+    # Bound, in ulps of the size A (u * A <= ulp(A), u = 2**-53). Summed over
+    # the paths through it, a (step, state, next) entry's terms weigh the
+    # state's marginal, so the enumeration's terms have the absolute sum A
+    # too. A prefix probability at step k is a product of k floats (k - 1
+    # roundings); a log ratio errs by 3 roundings of |ln p| + |ln q| (each
+    # log within an ulp, then the difference), and p times it and the prefix
+    # times that add 2: at most N + 4 per term. Step k's running sum adds its
+    # M_k <= d ** (k + 1) terms one at a time, at most M_k - 1 roundings of A;
+    # the steps' sums, N - 1 each, and kl_part - reward_part, one. In all at
+    # most d ** (N + 1) + 2 * N + 4.
+    for name, target, pool, rewards in _exact_cost_cases():
+        policy = synthesize(target, pool, rewards)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = trajectory_enumeration_cost(policy.agent, target, rewards).total
+        cost, size, _ = _decimal_cost(policy.agent, target, rewards, policy.r_hat, clamp=False)
+        n, d = target.horizon, target.space.size
+        error = float(abs(Decimal(got) - cost) / _decimal_ulp(size))
+        assert error <= d ** (n + 1) + 2 * n + 4, (name, got, cost)
 
 
 def _decimal_scores(target, pool, rewards):
@@ -1192,3 +1220,111 @@ def test_held_rows_come_from_the_pool_table_when_a_lower_index_breaks_the_suppor
     assert policy.selection_table() == [["c1", "c0"], ["c1", "c1"]]
     assert assert_held_route_equals_the_recompute(target, pool, rewards)
     assert math.isfinite(evaluate_cost(policy.agent, target, rewards).kl_part)
+
+
+# ---------------------------------------------------------------------------
+# the marginals a behaviour holds: the held route against `_marginals`
+# ---------------------------------------------------------------------------
+
+
+def _marginals_route_cost(policy, target, rewards):
+    """`evaluate_cost` with the forward pass recomputed by `_marginals` on every call."""
+    mu = _marginals(policy.initial.probs, policy.matrices)[:-1]
+    held = policy._kl
+    kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
+    kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))
+    reward_steps = np.vecdot(mu, np.matmul(policy.matrices, rewards.values[..., None])[..., 0])
+    kl_part, reward_part = float(np.cumsum(kl_steps)[-1]), float(np.cumsum(reward_steps)[-1])
+    per_step = tuple(zip(kl_steps.tolist(), reward_steps.tolist()))
+    return CostBreakdown(kl_part - reward_part, kl_part, reward_part, per_step)
+
+
+def _marginals_route_bound(policy, target):
+    """`bound_value` with the forward pass recomputed from the target's initial pmf."""
+    sel = np.take_along_axis(policy.scores, policy.selected[..., None], axis=2)[..., 0]
+    matrices = policy.agent.matrices
+    mu = _marginals(target.initial.probs, matrices)[:-1]
+    steps = sel + np.matmul(matrices, policy.r_hat[..., None])[..., 0]
+    return float(np.cumsum(np.vecdot(mu, np.where(mu > 0, steps, 0.0)))[-1])
+
+
+def _marginal_instances():
+    """(name, target, pool, rewards): random instances, d = N = S = 1 among them."""
+    for d, horizon, size in ((1, 1, 1), (1, 3, 2), (2, 1, 1), (3, 4, 3), (6, 3, 4)):
+        for seed in range(6):
+            scenario = generate_random_scenario(seed, d, horizon, size, sparsity=0.3)
+            target, pool, rewards = scenario.target, scenario.contributors, scenario.reward_profile()
+            yield f"d={d} N={horizon} S={size} seed={seed}", target, pool, rewards
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 5):
+        target, pool, rewards = _held_instance(rng, d, 3, 3, 0.3, 0.3, 1.0)
+        yield f"sparse d={d}", target, pool, rewards
+
+
+def test_the_held_marginals_give_the_bits_of_the_marginals_route(tmp_path):
+    for name, target, pool, rewards in _marginal_instances():
+        try:
+            policy = synthesize(target, pool, rewards)
+        except InfeasibleError:
+            continue
+        agent = policy.agent
+        assert "_mu" not in vars(agent), name  # built on first read, not by synthesize
+        want = _marginals(agent.initial.probs, agent.matrices)
+        equal_pmf = StatePMF(target.space, target.initial.probs.copy())
+        other_pmf = StatePMF(target.space, np.full(target.space.size, 1.0 / target.space.size))
+        targets = {
+            "target": target,
+            "equal initial pmf": Behavior._of(equal_pmf, target.matrices),
+            "another initial pmf": Behavior._of(other_pmf, target.matrices),
+        }
+        for which, other in targets.items():
+            got = bound_value(policy, other)
+            assert repr(got) == repr(_marginals_route_bound(policy, other)), (name, which)
+            got = evaluate_cost(agent, other, rewards)
+            assert repr(got) == repr(_marginals_route_cost(agent, other, rewards)), (name, which)
+        assert agent._mu.tobytes() == want.tobytes() and agent._mu.shape == want.shape
+        scenario = Scenario("held", target.space, target, pool, {"p": rewards})
+        _solve(scenario, rewards, tmp_path)
+        labels = target.space.labels
+        text = _csv_text(["k", *labels], [[k, *mu] for k, mu in enumerate(want.tolist())])
+        assert (tmp_path / "marginals.csv").read_text(encoding="utf-8") == text, name
+
+
+def test_the_held_marginals_are_read_only_and_held_once():
+    scenario = generate_random_scenario(3, 4, 3, 2, sparsity=0.3)
+    policy = synthesize(scenario.target, scenario.contributors, scenario.reward_profile())
+    mu = policy.agent._mu
+    assert mu.shape == (4, 4) and mu.nbytes == (3 + 1) * 4 * 8
+    assert policy.agent._mu is mu
+    assert not mu.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mu[0, 0] = 0.5
+    evaluate_cost(policy.agent, scenario.target, scenario.reward_profile())
+    bound_value(policy, scenario.target)
+    assert policy.agent._mu is mu
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [
+        lambda agent, _: pickle.loads(pickle.dumps(agent)),
+        lambda agent, _: copy.copy(agent),
+        lambda agent, _: copy.deepcopy(agent),
+        lambda agent, directory: (
+            save_policy(agent, directory / "policy.json")
+            or load_policy(directory / "policy.json", agent.space)
+        ),
+    ],
+    ids=["pickle", "copy", "deepcopy", "policy-file"],
+)
+def test_a_pickled_copied_or_loaded_agent_starts_without_held_marginals(duplicate, tmp_path):
+    scenario = generate_random_scenario(4, 3, 3, 2, sparsity=0.3)
+    target, rewards = scenario.target, scenario.reward_profile()
+    policy = synthesize(target, scenario.contributors, rewards)
+    want = _cost(policy.agent, target, rewards)
+    assert "_mu" in vars(policy.agent)
+    twin = duplicate(policy.agent, tmp_path)
+    assert "_mu" not in vars(twin)
+    assert twin == policy.agent and repr(twin) == repr(policy.agent)
+    assert _cost(twin, target, rewards) == want
+    assert twin._mu.tobytes() == policy.agent._mu.tobytes()

@@ -34,7 +34,8 @@ its most likely path is freed as soon as it is dropped.
 
 A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
 more than the agent without them, never a view into the pool's table, and they
-keep no target alive.
+keep no target alive. Its marginals, held once read, are ``(N + 1) * d * 8``
+bytes, and an agent holding them is freed as soon as it is dropped.
 """
 
 import copy
@@ -45,6 +46,7 @@ import weakref
 import numpy as np
 
 from crowdpolicy import (
+    bound_value,
     evaluate_cost,
     generate_random_scenario,
     monte_carlo_cost,
@@ -257,6 +259,22 @@ def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():
     del policy
     assert dropped() is None  # by reference count alone: the held state makes no cycle
     assert best == most_likely_trajectory(copy.copy(target))
+
+
+def test_an_agent_holding_its_marginals_is_freed_once_dropped():
+    scenario = generate_random_scenario(5, 6, 4, 2, sparsity=0.3)
+    target, contributors, rewards = (
+        scenario.target, scenario.contributors, scenario.reward_profile()
+    )
+    del scenario
+    policy = synthesize(target, contributors, rewards)
+    bound_value(policy, target)
+    evaluate_cost(policy.agent, target, rewards)
+    mu = policy.agent._mu
+    assert vars(policy.agent)["_mu"] is mu and mu.nbytes == (4 + 1) * 6 * 8
+    dropped = weakref.ref(policy.agent)
+    del policy
+    assert dropped() is None  # by reference count alone: the held marginals make no cycle
 
 
 def test_an_agent_retains_only_its_n_by_d_kl_rows_more():

@@ -28,6 +28,34 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
+def test_package_source_never_switches_the_cyclic_gc():
+    # gc.disable, gc.freeze and gc.set_threshold act on the whole process, not on
+    # the library's own objects, so they are the caller's to use; importing one
+    # from gc, or reading one off the module under any name, counts
+    banned = {"disable", "freeze", "set_threshold"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        nodes = list(ast.walk(tree))
+        modules = {"gc"} | {
+            alias.asname
+            for node in nodes if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == "gc"
+        }
+        for node in nodes:
+            imported = isinstance(node, ast.ImportFrom) and node.module == "gc" and any(
+                alias.name in banned for alias in node.names
+            )
+            read = (
+                isinstance(node, ast.Attribute) and node.attr in banned
+                and isinstance(node.value, ast.Name) and node.value.id in modules
+            )
+            if imported or read:
+                found.append(f"{path.name}:{node.lineno}")
+    assert sorted(SOURCE.glob("*.py")), f"no source files under {SOURCE}"
+    assert found == []
+
+
 def test_every_dataclass_holding_an_array_is_a_frozen_value_with_no_eq_of_its_own():
     # one base decides equality and the locking of restored copies; a class
     # with its own __eq__, hand-written or generated by @dataclass, would

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdpolicy import evaluation
+from crowdpolicy import evaluation, synthesis
 from crowdpolicy.errors import InfeasibleError
 from crowdpolicy.evaluation import (
     evaluate_cost,
@@ -1154,6 +1154,30 @@ def test_the_held_table_is_read_only():
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0, 0] = 0.0
+
+
+def test_the_filter_report_is_scanned_once_per_target_and_pool(monkeypatch):
+    target, contributors, rewards = _three_state(7, size=4, zero_share=0.5)
+    scans = []
+    monkeypatch.setattr(synthesis, "_filter", lambda *args: scans.append(1) or _filter(*args))
+    policies = [synthesize(target, contributors, rewards) for _ in range(3)]
+    _, report = filter_contributors(target, contributors)
+    assert len(scans) == 1
+    assert all(policy.filter_report is report for policy in policies)
+    assert report.exclusions  # the seed leaves some contributor out
+    assert report == _filter(contributors, _kl_table(target, contributors))  # a fresh scan
+    synthesize(copy.copy(target), contributors, rewards)  # an equal copy is another target
+    assert len(scans) == 2
+    cold = (
+        pickle.loads(pickle.dumps(contributors)),
+        copy.copy(contributors),
+        copy.deepcopy(contributors),
+        contributors.subset(range(contributors.size)),
+    )
+    for pool in cold:
+        assert pool._held is None
+        assert synthesize(target, pool, rewards).filter_report == report
+    assert len(scans) == 2 + len(cold)
 
 
 def test_threads_sharing_one_pool_get_cold_answers():
