@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InfeasibleError, OracleGuardError, ValidationError
 from .evaluation import evaluate_cost, pure_schedule_oracle, simplex_grid_oracle
-from .model import Behavior, RewardSchedule
+from .model import Behavior, RewardSchedule, _mu
 from .scenario import (
     Scenario,
     _atomic_write_text,
@@ -54,7 +54,7 @@ from .simulate import (
     sample_trajectories,
     write_trajectories_csv,
 )
-from .synthesis import SynthesizedPolicy, _kl_table, _with_kl, bound_value, synthesize
+from .synthesis import SynthesizedPolicy, bound_value, synthesize
 
 PROG = "crowdpolicy"
 
@@ -85,8 +85,8 @@ def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]
     """Cost of each contributor's own kernels from the target's initial pmf."""
     target, pool = scenario.target, scenario.contributors
     return {
-        cid: evaluate_cost(_with_kl(target, own, kl), target, rewards).total
-        for cid, own, kl in zip(pool.ids, pool.matrices, _kl_table(target, pool))
+        cid: evaluate_cost(Behavior._of(target.initial, own), target, rewards).total
+        for cid, own in zip(pool.ids, pool.matrices)
     }
 
 
@@ -169,7 +169,7 @@ def _solve(
     for name, matrix in zip(kernels, policy.agent.matrices):
         rows = [[label, *row] for label, row in zip(labels, matrix.tolist())]
         _atomic_write_text(out / name, _csv_text(["from", *labels], rows))
-    rows = [[k, *mu] for k, mu in enumerate(policy.agent._mu.tolist())]  # k = 0..N, held
+    rows = [[k, *mu] for k, mu in enumerate(_mu(policy.agent).tolist())]  # k = 0..N, held
     _atomic_write_text(out / outputs["marginals"], _csv_text(["k", *labels], rows))
     return policy, block
 

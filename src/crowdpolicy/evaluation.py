@@ -1,10 +1,9 @@
 """Exact cost evaluation and independent oracles.
 
 `evaluate_cost` computes the tracking cost of any agent behavior against a target
-from one forward pass, the state marginals of `model._marginals`, which the behavior
-holds once built (``Behavior._mu``) and `bound_value` and the CLI's ``marginals.csv``
-read too: each step's KL and reward part is one row-wise product over them. A
-synthesized agent brings its KL rows for its own target object. The remaining
+from one forward pass over the state marginals `model._mu` holds, which `bound_value`
+and the CLI's ``marginals.csv`` read too: each step's KL and reward part is one
+row-wise product over them, the KL rows `_held` for that target. The remaining
 functions are deliberately separate evidence routes used to check the synthesizer:
 brute-force trajectory enumeration, exhaustive or dynamic-programming search over pure
 contributor schedules, and a grid search over per-step mixture weights. The oracles
@@ -28,6 +27,8 @@ from .model import (
     WeightVector,
     _check_compatible,
     _FrozenValue,
+    _held,
+    _mu,
     kl_rows,
     log_pmf,
 )
@@ -71,8 +72,8 @@ def evaluate_cost(
         policy: the behavior to evaluate; its own initial pmf seeds the
             forward marginals (transition factors alone enter the divergence,
             so a policy sharing the target's initial pmf is costed over
-            exactly the controllable part). A synthesized agent brings its KL
-            rows for the very target object it was built for, not a copy.
+            exactly the controllable part). Its KL rows are held for the very
+            target object given, not a copy; a synthesized agent brings them.
         target: the reference behavior.
         rewards: per-step reward vectors.
 
@@ -81,9 +82,8 @@ def evaluate_cost(
         breaks absolute continuity.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
-    mu = policy._mu[:-1]  # the pmf each step leaves, held on the policy
-    held = policy._kl  # a synthesized agent's (weakref to its target, KL rows), else None
-    kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
+    mu = _mu(policy)[:-1]  # the pmf each step leaves, held on the policy
+    kl = _held(policy, "_kl", (target,), lambda: kl_rows(policy.matrices, target.matrices))
     kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))  # unreachable states cost nothing
     reward_steps = np.vecdot(mu, np.matmul(policy.matrices, rewards.values[..., None])[..., 0])
     kl_part, reward_part = float(np.cumsum(kl_steps)[-1]), float(np.cumsum(reward_steps)[-1])
@@ -156,7 +156,7 @@ def logsum_bound_check(
         raise ValueError("components and target row must share one state space")
     mix = np.zeros(space.size)
     rhs = 0.0
-    for w, comp in zip(weights.weights, components):
+    for w, comp in zip(weights.weights.tolist(), components):  # plain floats: a float rhs
         mix = mix + w * comp.probs
         if w > 0:
             part = float(kl_rows(comp.probs, target_row.probs))

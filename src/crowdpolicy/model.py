@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import InitVar, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
@@ -80,13 +81,40 @@ def _as_probabilities(
 
 
 def _set(obj, **fields: object):
-    """Set fields of a frozen instance, no checks or copies; arrays, alone or in tuples, locked."""
+    """Set fields of a frozen instance, no checks or copies, locking arrays nested in tuples too."""
     for name, value in fields.items():
-        for part in value if isinstance(value, tuple) else (value,):
+        parts = [value]
+        for part in parts:  # grows as it goes, by each tuple's parts
             if isinstance(part, np.ndarray):
                 part.setflags(write=False)
+            elif isinstance(part, tuple):
+                parts.extend(part)
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _held(owner, name: str, key: tuple | None, build: Callable):
+    """``build()``, held on ``owner`` as ``name``: the same object while ``key`` comes back.
+
+    A plain ``int`` key part matches by value; any other part by identity, held by weak
+    reference, so an entry keeps nothing alive. An entry serves any key it extends: one held
+    for ``(a, b)`` serves ``(a,)``. ``key=None`` builds and holds nothing; ``key=()`` builds
+    once. The entry, ``(parts, value)``, is set in one `_set` assignment with its arrays locked
+    (racing threads each get an equal value); it is never compared, and a pickle or copy
+    starts without it.
+    """
+    if key is None:
+        return build()
+    entry = owner.__dict__.get(name)
+    if entry is not None and len(entry[0]) >= len(key):
+        for part, given in zip(entry[0], key):  # a plain loop: a hit costs no generator
+            if part != given if type(given) is int else type(part) is int or part() is not given:
+                break
+        else:
+            return entry[1]
+    value = build()
+    _set(owner, **{name: (tuple(p if type(p) is int else weakref.ref(p) for p in key), value)})
+    return value
 
 
 def _kernel_views(space: StateSpace, matrices: np.ndarray) -> tuple:
@@ -215,18 +243,16 @@ class TransitionKernel(_FrozenValue):
 class _KernelStack(_FrozenValue):
     """Base of `Behavior` and `ContributorSet`, which store a read-only kernel stack alone.
 
-    Their ``kernels`` field, views of ``matrices`` nested like its leading axes, and a behavior's
-    ``_mu`` are built on first read, each in one assignment (racing threads build equal values).
+    Their ``kernels`` field, views of ``matrices`` nested like its leading axes, is built on
+    first read, in one assignment; what the library derives from a stack and keeps is `_held`.
     """
 
-    def _stack(self, matrices: np.ndarray, **held: object):
-        """Hold validated ``matrices`` read-only, and ``held``, in place of any given kernels."""
+    def _stack(self, matrices: np.ndarray, **fields: object):
+        """Hold validated ``matrices`` read-only, and ``fields``, in place of any given kernels."""
         vars(self).pop("kernels", None)
-        return _set(self, matrices=matrices, **held)
+        return _set(self, matrices=matrices, **fields)
 
     def __getattr__(self, name: str):
-        if name == "_mu":  # a behavior's (N + 1, d) `_marginals` from its own initial pmf
-            return _set(self, _mu=_marginals(self.initial.probs, self.matrices))._mu
         if name != "kernels":
             return object.__getattribute__(self, name)  # raises the standard AttributeError
         return _set(self, kernels=_kernel_views(self.space, self.matrices)).kernels
@@ -243,21 +269,12 @@ class Behavior(_KernelStack):
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for k = 1..N, so
     ``horizon`` equals ``len(kernels)``. The kernels are stored once, as the read-only
     ``(N, d, d)`` array ``matrices``; ``kernels`` views its matrices, built on first read.
-    The behavior also holds, once built: ``_mu``, its read-only ``(N + 1, d)`` state marginals
-    from its own initial pmf, read by `evaluate_cost`, `bound_value` and ``marginals.csv``;
-    its sampling tables (`simulate._tables`, guide tables once sampled); its last draw and
-    log terms, which `sample_trajectories` and `monte_carlo_cost` share; its most likely
-    trajectory; and a synthesized agent its KL rows, read by `evaluate_cost` for that
-    target alone. None of these is compared, and a pickle or copy starts without them.
+    Its marginals, KL rows, sampling tables, last draw and most likely path are `_held`.
     """
 
     initial: StatePMF
     kernels: tuple[TransitionKernel, ...] = field(compare=False)  # views of `matrices`, on read
     matrices: np.ndarray = field(init=False, repr=False)
-    _drawn = None  # ((seed, count), paths, target weakref, log terms); set by `simulate._draw`
-    _sampling = None  # (log pmf, log kernels[, guide tables once drawn]); set in `simulate` alone
-    _best = None  # its most likely `Trajectory`; set by `simulate.most_likely_trajectory` alone
-    _kl = None  # (weakref to a target, KL rows), read-only; set by `synthesis._with_kl` alone
 
     def __post_init__(self) -> None:
         kernels = tuple(self.kernels)
@@ -363,6 +380,11 @@ def _marginals(initial: np.ndarray, matrices: np.ndarray) -> np.ndarray:
     for idx, rows in enumerate(matrices):
         np.matmul(mu[idx], rows, out=mu[idx + 1])
     return mu
+
+
+def _mu(behavior: Behavior) -> np.ndarray:
+    """The behavior's `_held` `_marginals`, (N + 1, d), from its own initial pmf."""
+    return _held(behavior, "_mu", (), lambda: _marginals(behavior.initial.probs, behavior.matrices))
 
 
 def kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -5,14 +5,12 @@ with the caller's integer seed, the same contract `generate_random_scenario`
 uses, so identical seeds reproduce identical batches on any platform. A draw
 takes its uniforms in one ``rng.random((N + 1, count))`` call, row k step k's,
 and each path the first entry of its guarded CDF row above its uniform, found
-through a guide table (`_sample_paths`). A behavior holds, all read-only, its
-log tables, its guide tables once drawn, its most likely path, and its last
-draw for a plain-int (seed, count): the (N + 1, count) paths and its own and
-its last target's log factors, which `sample_trajectories` and
-`monte_carlo_cost` share. Log factors are gathered through one flat step index
-and summed row by row in path order, so each total equals the scalar chain-rule
-sum. `Trajectory` has slots, and a batch is built slot by slot with no
-`__init__` frame per path.
+through a guide table (`_sample_paths`). A behavior holds (`_held`) its log and
+guide tables, its most likely path, and its last draw with the log factors
+`sample_trajectories` and `monte_carlo_cost` share. Log factors are gathered
+through one flat step index and summed row by row in path order, so each total
+equals the scalar chain-rule sum. `Trajectory` has slots, and a batch is built
+slot by slot with no `__init__` frame per path.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Behavior, Label, RewardSchedule, _check_compatible, _set, log_pmf
+from .model import Behavior, Label, RewardSchedule, _check_compatible, _held, log_pmf
 from .scenario import _atomic_write_text, _csv_text
 
 
@@ -47,12 +44,10 @@ class Trajectory:
     log_prob_target: float | None = None
 
 
-def _tables(behavior: Behavior) -> tuple[np.ndarray, ...]:
-    """The behavior's held (log pmf, raveled log kernels), plus its `_guide_tables` once drawn."""
-    if behavior._sampling is None:  # one assignment: threads racing here build equal tables
-        logs = log_pmf(behavior.initial.probs), log_pmf(behavior.matrices.ravel())
-        _set(behavior, _sampling=logs)
-    return behavior._sampling
+def _tables(behavior: Behavior) -> tuple[np.ndarray, np.ndarray]:
+    """The behavior's `_held` (log pmf, raveled log kernels)."""
+    probs, matrices = behavior.initial.probs, behavior.matrices
+    return _held(behavior, "_logs", (), lambda: (log_pmf(probs), log_pmf(matrices.ravel())))
 
 
 def _guide_tables(behavior: Behavior) -> tuple[np.ndarray, ...]:
@@ -99,10 +94,7 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
     is, bit for bit, the one a search of the whole row gives.
     """
     d = policy.space.size
-    tables = _tables(policy)
-    if len(tables) == 2:  # first draw: a behavior that is only ever a target holds logs alone
-        tables = _set(policy, _sampling=(*tables, *_guide_tables(policy)))._sampling
-    starts, states, cdfs, guide = tables[2:]
+    starts, states, cdfs, guide = _held(policy, "_guides", (), lambda: _guide_tables(policy))
     m = guide.shape[1]
     uniforms = rng.random((policy.horizon + 1, count))
     paths = np.multiply(uniforms, m, out=np.empty(uniforms.shape, np.int64), casting="unsafe")
@@ -125,21 +117,20 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
 def _draw(policy: Behavior, count: int, seed: int, target: Behavior | None = None) -> tuple:
     """Step-major paths, (N + 1, count), and the policy's and the target's (or None) log terms.
 
-    A plain-int (seed, count) holds, read-only, the paths and one `_path_log_terms` array:
-    the policy's and the last target's, held by weak reference, or the policy's alone.
+    A plain-int (seed, count) holds the paths and the terms gathered for them, a target's too.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     key = (seed, count) if type(seed) is int and type(count) is int else None
-    held = policy._drawn
-    if held is None or held[0] != key:
-        held = (key, _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T)
-    if len(held) == 2 or (target is not None and held[2]() is not target):
-        behaviors = (policy,) if target is None else (policy, target)
-        held = (key, held[1], weakref.ref(behaviors[-1]), _path_log_terms(behaviors, held[1]))
-    if key is not None and held is not policy._drawn:
-        _set(policy, _drawn=held)  # one assignment: safe across threads
-    return held[1], held[3][0], None if target is None else held[3][-1]
+
+    def sample() -> np.ndarray:  # the generator is built on a miss alone
+        return _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
+
+    paths = _held(policy, "_paths", key, sample)
+    behaviors = (policy,) if target is None else (policy, target)
+    terms = _held(policy, "_terms", key and (paths, *behaviors[1:]),
+                  lambda: _path_log_terms(behaviors, paths))  # the caller's own paths
+    return paths, terms[0], None if target is None else terms[-1]
 
 
 def _path_log_terms(behaviors: tuple[Behavior, ...], paths: np.ndarray) -> np.ndarray:
@@ -148,7 +139,7 @@ def _path_log_terms(behaviors: tuple[Behavior, ...], paths: np.ndarray) -> np.nd
     flat = (np.arange(paths.shape[0] - 1)[:, None] * d + paths[:-1]) * d + paths[1:]
     terms = np.empty((len(behaviors), *paths.shape))
     for behavior, out in zip(behaviors, terms):
-        log_initial, log_steps = _tables(behavior)[:2]
+        log_initial, log_steps = _tables(behavior)
         out[0] = log_initial.take(paths[0])
         log_steps.take(flat, out=out[1:], mode="clip")  # unbuffered; flat is always in range
     return terms
@@ -208,23 +199,25 @@ def most_likely_trajectory(policy: Behavior) -> Trajectory:
     forward greedy walk picks, at each step, the smallest state index that
     attains the optimum. Among all maximum-probability trajectories this
     returns the lexicographically smallest in state-index order. The result
-    is held on the behavior, so a later call returns the same object.
+    is held on the behavior (`_held`), so a later call returns the same object.
     """
-    if policy._best is not None:
-        return policy._best
-    d, n = policy.space.size, policy.horizon
-    log_initial, log_steps = _tables(policy)[:2]
-    log_kernels = log_steps.reshape(n, d, d)
-    best = np.zeros((n + 1, d))  # best[k, x]: optimal log-prob of steps k+1..N from state x
-    for idx in range(n - 1, -1, -1):
-        best[idx] = (log_kernels[idx] + best[idx + 1]).max(axis=1)
 
-    path = [np.argmax(log_initial + best[0])]
-    for idx in range(n):
-        path.append(np.argmax(log_kernels[idx, path[-1]] + best[idx + 1]))
-    states = tuple(policy.space.labels[i] for i in path)
-    log_prob = _sum_in_path_order(_path_log_terms((policy,), np.array(path)[:, None])[0])[0]
-    return _set(policy, _best=Trajectory(states, float(log_prob)))._best  # one assignment
+    def build() -> Trajectory:
+        d, n = policy.space.size, policy.horizon
+        log_initial, log_steps = _tables(policy)
+        log_kernels = log_steps.reshape(n, d, d)
+        best = np.zeros((n + 1, d))  # best[k, x]: optimal log-prob of steps k+1..N from state x
+        for idx in range(n - 1, -1, -1):
+            best[idx] = (log_kernels[idx] + best[idx + 1]).max(axis=1)
+
+        path = [np.argmax(log_initial + best[0])]
+        for idx in range(n):
+            path.append(np.argmax(log_kernels[idx, path[-1]] + best[idx + 1]))
+        states = tuple(policy.space.labels[i] for i in path)
+        log_prob = _sum_in_path_order(_path_log_terms((policy,), np.array(path)[:, None])[0])[0]
+        return Trajectory(states, float(log_prob))
+
+    return _held(policy, "_best", (), build)
 
 
 @dataclass(frozen=True)

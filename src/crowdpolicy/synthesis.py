@@ -25,16 +25,12 @@ bonus and one subtraction from the KL table, into buffers that hold every step; 
 reward schedule's own bound keeps them finite, and only a pool with an exclusion masks
 dead states. After it, one argmin selects, and one gather through a flat row index
 copies each selected row verbatim into the agent's switched kernels. The KL part of
-the scores does not depend on the rewards, so it is tabulated once per (target, pool):
-the pool holds the read-only table of the last target it was scored against and the
-filter report scanned off it once, and both serve every later call with the same target
-object; the agent keeps its own rows of the table, which `evaluate_cost` reads instead
-of computing them for that target.
+the scores does not depend on the rewards, so it is tabulated, with the filter report
+read off it, once per (target, pool) (`_scored`); the agent holds its rows of the table.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +44,11 @@ from .model import (
     WeightVector,
     _check_compatible,
     _FrozenValue,
+    _held,
     _KernelStack,
     _index,
     _marginals,
+    _mu,
     _set,
     kl_rows,
 )
@@ -63,20 +61,14 @@ class ContributorSet(_KernelStack):
     Contributors supply transition kernels only; the initial pmf always comes
     from the target behavior. The kernels are stored once, as the read-only
     ``(S, N, d, d)`` array ``matrices``; ``kernels[i][k-1]`` is a view of
-    ``matrices[i, k-1]``, built when ``kernels`` is first read.
-
-    The pool also holds one entry for `synthesize` and `filter_contributors`: the last
-    target it was scored against, by weak reference and matched by identity, with that
-    target's read-only ``(S, N, d)`` KL table and the `FilterReport` read off it. Both
-    sides are frozen over read-only arrays, so the entry never goes stale; it holds no
-    target alive, and a pickled or copied pool starts without it.
+    ``matrices[i, k-1]``, built when ``kernels`` is first read. The KL table and filter
+    report of the last target it was scored against are `_held` (`_scored`).
     """
 
     space: StateSpace
     kernels: tuple[tuple[TransitionKernel, ...], ...] = field(compare=False)  # views, on read
     ids: tuple[str, ...]
     matrices: np.ndarray = field(init=False, repr=False)
-    _held = None  # (weakref to a target, its KL table, its filter report); set by `_scored` alone
 
     def __post_init__(self) -> None:
         kernels = tuple(tuple(per_k) for per_k in self.kernels)
@@ -122,9 +114,10 @@ class ContributorSet(_KernelStack):
         """The contributors at ``indices``, in that order: all, in order, share the pool's stack."""
         if len(indices) == 0:
             raise ValueError("contributor set must not be empty")
-        whole = list(indices) == list(range(self.size))  # any other selection copies its rows
-        matrices = self.matrices if whole else np.take(self.matrices, indices, axis=0)
-        return ContributorSet._of(self.space, matrices, tuple(self.ids[i] for i in indices))
+        picked = [_index(i, self.size, "contributor") for i in indices]
+        whole = picked == list(range(self.size))  # any other selection copies its rows
+        matrices = self.matrices if whole else np.take(self.matrices, picked, axis=0)
+        return ContributorSet._of(self.space, matrices, tuple(self.ids[i] for i in picked))
 
 
 @dataclass(frozen=True)
@@ -156,7 +149,7 @@ def filter_contributors(
         InfeasibleError: if no contributor survives.
     """
     _check_compatible(target, contributors=contributors)
-    report = _scored(target, contributors)[2]
+    report = _scored(target, contributors)[1]
     if not report.retained_ids:
         raise InfeasibleError(
             "no admissible contributor: every contributor places mass where the target has none"
@@ -164,31 +157,20 @@ def filter_contributors(
     return contributors.subset([contributors.ids.index(i) for i in report.retained_ids]), report
 
 
-def _kl_table(target: Behavior, contributors: ContributorSet) -> np.ndarray:
-    """kl[i, k-1, x] = KL(contributor i's row x at step k || target row), read-only."""
-    return _scored(target, contributors)[1]
-
-
 def _scored(target: Behavior, contributors: ContributorSet) -> tuple:
-    """The pool's entry (weakref to ``target``, its KL table, the `_filter` report read off it).
+    """``(kl, report)``, `_held` for ``target``: the pool's KL table and the `_filter` report.
 
-    The held entry is returned when ``target`` is the very object it was built for; otherwise
-    the table is built one step at a time, scanned once, and held with its report instead.
+    ``kl[i, k-1, x]`` is KL(contributor i's row x at step k || target row), built a step at a time.
     """
-    held = contributors._held
-    if held is None or held[0]() is not target:
+
+    def build() -> tuple:
         kl = np.empty((contributors.size, target.horizon, target.space.size))
         for idx, target_rows in enumerate(target.matrices):
             rows = contributors.matrices[:, idx]
             kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
-        held = (weakref.ref(target), kl, _filter(contributors, kl))
-        _set(contributors, _held=held)  # one assignment: safe across threads
-    return held
+        return kl, _filter(contributors, kl)
 
-
-def _with_kl(target: Behavior, rows: np.ndarray, kl: np.ndarray) -> Behavior:
-    """A behavior over validated ``rows`` from the target's initial pmf, holding KL rows ``kl``."""
-    return _set(Behavior._of(target.initial, rows), _kl=(weakref.ref(target), kl))
+    return _held(contributors, "_scored", (target,), build)
 
 
 def _filter(contributors: ContributorSet, kl: np.ndarray) -> FilterReport:
@@ -271,7 +253,7 @@ def synthesize(
         InfeasibleError: naming a dead state the initial pmf puts mass on.
     """
     _check_compatible(target, contributors=contributors, rewards=rewards)
-    _, kl, report = _scored(target, contributors)
+    kl, report = _scored(target, contributors)
     n, d, s = target.horizon, target.space.size, contributors.size
     alive = np.ones(d, dtype=bool)  # past k = N; a pool with no +inf KL has no dead state
     mask = True  # `alive` once a state may die; an all-True array costs a masked loop
@@ -297,7 +279,8 @@ def synthesize(
     flat = (selected * n + np.arange(n)[:, None]) * d + np.arange(d)  # rows of the (S*N*d, d) pool
     agent_rows = contributors.matrices.reshape(-1, d).take(flat, axis=0)
     weights = np.eye(s).take(selected, axis=0)  # one-hot: a linear score's minimum is a vertex
-    agent = _with_kl(target, agent_rows, np.take_along_axis(kl, selected[None], axis=0)[0])
+    agent = Behavior._of(target.initial, agent_rows)
+    _held(agent, "_kl", (target,), lambda: np.take_along_axis(kl, selected[None], axis=0)[0])
     for arr in (scores, selected, weights, to_go, r_bar):
         arr.setflags(write=False)
     return SynthesizedPolicy(
@@ -326,8 +309,8 @@ def bound_value(policy: SynthesizedPolicy, target: Behavior) -> float:
     _check_compatible(target, policy=policy)
     n, d, s = policy.scores.shape
     sel = policy.scores.take(np.arange(n * d).reshape(n, d) * s + policy.selected)
-    agent, initial = policy.agent, target.initial  # held marginals start at the agent's own pmf
-    mu = (agent._mu if agent.initial is initial else _marginals(initial.probs, agent.matrices))[:-1]
+    agent, pmf = policy.agent, target.initial  # held marginals start at the agent's own pmf
+    mu = (_mu(agent) if agent.initial is pmf else _marginals(pmf.probs, agent.matrices))[:-1]
     steps = sel + np.matmul(agent.matrices, policy.r_hat[..., None])[..., 0]
     running = np.cumsum(np.vecdot(mu, np.where(mu > 0, steps, 0.0)))  # unreachable states: 0
     return float(running[-1])

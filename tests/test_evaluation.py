@@ -34,6 +34,7 @@ from crowdpolicy.model import (
     TransitionKernel,
     WeightVector,
     _marginals,
+    _mu,
     kl_rows,
 )
 from crowdpolicy.scenario import (
@@ -772,6 +773,18 @@ def test_logsum_zero_weight_component_is_ignored():
     assert lhs2 == pytest.approx(rhs2, abs=1e-15)
 
 
+def test_logsum_bound_check_returns_two_plain_floats():
+    # the weighted sum was NumPy's float64 when finite and math.inf when a part is infinite
+    space = StateSpace((0, 1))
+    components = [StatePMF(space, np.array([1.0, 0.0])), StatePMF(space, np.array([0.0, 1.0]))]
+    half = WeightVector(np.array([0.5, 0.5]))
+    for target, finite in ((np.array([0.5, 0.5]), True), (np.array([1.0, 0.0]), False)):
+        lhs, rhs = logsum_bound_check(half, components, StatePMF(space, target))
+        assert type(lhs) is float and type(rhs) is float
+        assert math.isfinite(rhs) is finite
+    assert (lhs, rhs) == (math.inf, math.inf)
+
+
 def test_logsum_inequality_random_sweep():
     rng = np.random.Generator(np.random.Philox(2024))
     sparse_seen = 0
@@ -1161,11 +1174,11 @@ def assert_held_route_equals_the_recompute(target, pool, rewards):
     except InfeasibleError:
         return False
     agent = policy.agent
-    key, rows = agent._kl
+    (key,), rows = vars(agent)["_kl"]  # the `model._held` entry: (key parts, KL rows)
     assert key() is target
     assert rows.tobytes() == kl_rows(agent.matrices, target.matrices).tobytes()
     cold = copy.copy(agent)
-    assert cold._kl is None
+    assert "_kl" not in vars(cold)
     got = _cost(agent, target, rewards)
     assert got == _cost(cold, target, rewards)
     # an equal copy of the target, and another target, recompute
@@ -1230,8 +1243,8 @@ def test_held_rows_come_from_the_pool_table_when_a_lower_index_breaks_the_suppor
 def _marginals_route_cost(policy, target, rewards):
     """`evaluate_cost` with the forward pass recomputed by `_marginals` on every call."""
     mu = _marginals(policy.initial.probs, policy.matrices)[:-1]
-    held = policy._kl
-    kl = held[1] if held and held[0]() is target else kl_rows(policy.matrices, target.matrices)
+    held = vars(policy).get("_kl")  # the `model._held` entry: (key parts, KL rows)
+    kl = held[1] if held and held[0][0]() is target else kl_rows(policy.matrices, target.matrices)
     kl_steps = np.vecdot(mu, np.where(mu > 0, kl, 0.0))
     reward_steps = np.vecdot(mu, np.matmul(policy.matrices, rewards.values[..., None])[..., 0])
     kl_part, reward_part = float(np.cumsum(kl_steps)[-1]), float(np.cumsum(reward_steps)[-1])
@@ -1282,7 +1295,7 @@ def test_the_held_marginals_give_the_bits_of_the_marginals_route(tmp_path):
             assert repr(got) == repr(_marginals_route_bound(policy, other)), (name, which)
             got = evaluate_cost(agent, other, rewards)
             assert repr(got) == repr(_marginals_route_cost(agent, other, rewards)), (name, which)
-        assert agent._mu.tobytes() == want.tobytes() and agent._mu.shape == want.shape
+        assert _mu(agent).tobytes() == want.tobytes() and _mu(agent).shape == want.shape
         scenario = Scenario("held", target.space, target, pool, {"p": rewards})
         _solve(scenario, rewards, tmp_path)
         labels = target.space.labels
@@ -1293,15 +1306,15 @@ def test_the_held_marginals_give_the_bits_of_the_marginals_route(tmp_path):
 def test_the_held_marginals_are_read_only_and_held_once():
     scenario = generate_random_scenario(3, 4, 3, 2, sparsity=0.3)
     policy = synthesize(scenario.target, scenario.contributors, scenario.reward_profile())
-    mu = policy.agent._mu
+    mu = _mu(policy.agent)
     assert mu.shape == (4, 4) and mu.nbytes == (3 + 1) * 4 * 8
-    assert policy.agent._mu is mu
+    assert _mu(policy.agent) is mu
     assert not mu.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         mu[0, 0] = 0.5
     evaluate_cost(policy.agent, scenario.target, scenario.reward_profile())
     bound_value(policy, scenario.target)
-    assert policy.agent._mu is mu
+    assert _mu(policy.agent) is mu
 
 
 @pytest.mark.parametrize(
@@ -1327,4 +1340,4 @@ def test_a_pickled_copied_or_loaded_agent_starts_without_held_marginals(duplicat
     assert "_mu" not in vars(twin)
     assert twin == policy.agent and repr(twin) == repr(policy.agent)
     assert _cost(twin, target, rewards) == want
-    assert twin._mu.tobytes() == policy.agent._mu.tobytes()
+    assert _mu(twin).tobytes() == _mu(policy.agent).tobytes()

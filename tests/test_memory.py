@@ -34,7 +34,8 @@ its most likely path is freed as soon as it is dropped.
 
 A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
 more than the agent without them, never a view into the pool's table, and they
-keep no target alive. Its marginals, held once read, are ``(N + 1) * d * 8``
+keep no target alive; any other behaviour `evaluate_cost` costs holds the same
+``N * d * 8`` bytes for that target. Every value kept is a `model._held` entry. Its marginals, held once read, are ``(N + 1) * d * 8``
 bytes, and an agent holding them is freed as soon as it is dropped.
 """
 
@@ -54,9 +55,9 @@ from crowdpolicy import (
     sample_trajectories,
     synthesize,
 )
-from crowdpolicy.model import Behavior, kl_rows
+from crowdpolicy.model import Behavior, _mu, kl_rows
 from crowdpolicy.simulate import _guide_tables
-from crowdpolicy.synthesis import ContributorSet, _kl_table
+from crowdpolicy.synthesis import ContributorSet, _scored
 
 D, HORIZON, CONTRIBUTORS = 64, 16, 12
 POOL_BYTES = CONTRIBUTORS * HORIZON * D * D * 8
@@ -111,8 +112,8 @@ def test_held_table_is_small_warm_calls_allocate_less_and_no_target_is_kept_aliv
         tracemalloc.stop()
     cold_peak, warm_peak = peaks
     assert warm_peak < cold_peak
-    held = _kl_table(target, contributors)
-    assert contributors._held[0]() is target and contributors._held[1] is held
+    (key,), (held, _) = vars(contributors)["_scored"]  # the `model._held` entry
+    assert key() is target and _scored(target, contributors)[0] is held
     assert held.nbytes <= POOL_BYTES // D
 
     dropped = weakref.ref(target)
@@ -167,7 +168,7 @@ def test_a_warm_call_with_dead_state_checks_holds_no_copy_of_the_kl_table():
         synthesize(target, contributors, rewards)  # cold: builds the held table
         peaks[name] = _peak_of(synthesize, target, contributors, rewards)
     assert len(synthesize(zeroed, contributors, rewards).filter_report.exclusions) == 9
-    kl_bytes = _kl_table(zeroed, contributors).nbytes
+    kl_bytes = _scored(zeroed, contributors)[0].nbytes
     assert kl_bytes == CONTRIBUTORS * HORIZON * D * 8 == 98_304
     assert peaks["zeroed"] - peaks["twin"] < kl_bytes // 4
 
@@ -199,7 +200,7 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
         retained = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    key, paths, _, terms = policy._drawn
+    ((key, paths), (_, terms)) = vars(policy)["_paths"], vars(policy)["_terms"]
     assert key == (19, count)
     held = paths.nbytes + terms.nbytes
     assert held == 3 * (horizon + 1) * count * 8 == 504_000
@@ -207,10 +208,11 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
     rows, buckets = horizon * d + 1, 2 << d.bit_length()
     positive = np.count_nonzero(target.initial.probs) + np.count_nonzero(target.matrices)
     logs = (horizon * d * d + d) * 8
-    tables = sum(table.nbytes for table in policy._sampling)
+    tables = sum(table.nbytes for name in ("_logs", "_guides") for table in vars(policy)[name][1])
     assert (rows, buckets, positive) == (401, 64, 8020)  # the workload's target has no zero
     assert tables == logs + (rows + 1) * 8 + positive * (1 + 8) + rows * buckets == 165_220
-    assert sum(table.nbytes for table in target._sampling) == logs
+    assert "_guides" not in vars(target)
+    assert sum(table.nbytes for table in vars(target)["_logs"][1]) == logs
     assert held <= retained < 2 * held
 
 
@@ -237,13 +239,13 @@ def test_the_held_draw_keeps_no_target_or_rewards_alive():
     del scenario
     monte_carlo_cost(policy, target, rewards, 100, 3)
     sample_trajectories(policy, 100, 3, target)
-    key, _, held, terms = policy._drawn
+    ((key, _), ((_, held), terms)) = vars(policy)["_paths"], vars(policy)["_terms"]
     assert key == (3, 100) and held() is target and terms.shape == (2, 5, 100)
     dropped = weakref.ref(target), weakref.ref(rewards)
     del target, rewards
     gc.collect()
     assert [ref() for ref in dropped] == [None, None]
-    assert held() is None and policy._drawn[3] is terms
+    assert held() is None and vars(policy)["_terms"][1] is terms
 
 
 def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():
@@ -254,7 +256,7 @@ def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():
     monte_carlo_cost(policy, target, rewards, 100, 3)
     sample_trajectories(policy, 100, 3, target)
     best = most_likely_trajectory(policy)
-    assert policy._best is best and policy._drawn is not None
+    assert vars(policy)["_best"][1] is best and "_terms" in vars(policy)
     dropped = weakref.ref(policy)
     del policy
     assert dropped() is None  # by reference count alone: the held state makes no cycle
@@ -270,8 +272,8 @@ def test_an_agent_holding_its_marginals_is_freed_once_dropped():
     policy = synthesize(target, contributors, rewards)
     bound_value(policy, target)
     evaluate_cost(policy.agent, target, rewards)
-    mu = policy.agent._mu
-    assert vars(policy.agent)["_mu"] is mu and mu.nbytes == (4 + 1) * 6 * 8
+    mu = _mu(policy.agent)
+    assert vars(policy.agent)["_mu"][1] is mu and mu.nbytes == (4 + 1) * 6 * 8
     dropped = weakref.ref(policy.agent)
     del policy
     assert dropped() is None  # by reference count alone: the held marginals make no cycle
@@ -289,18 +291,34 @@ def test_an_agent_retains_only_its_n_by_d_kl_rows_more():
         policy = synthesize(target, contributors, rewards)
         gc.collect()
         with_rows = tracemalloc.get_traced_memory()[0] - baseline
-        rows = policy.agent._kl[1]
+        rows = vars(policy.agent)["_kl"][1]
         row_bytes = rows.nbytes
         del rows
-        object.__delattr__(policy.agent, "_kl")  # back to the class default, None
+        object.__delattr__(policy.agent, "_kl")  # drops the `model._held` entry
         gc.collect()
         without_rows = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    assert policy.agent._kl is None
+    assert "_kl" not in vars(policy.agent)
     assert row_bytes == HORIZON * D * 8
     # the rows, plus a few hundred bytes of array headers, key and tuple
     assert row_bytes <= with_rows - without_rows < row_bytes + 1024
+
+
+def test_a_costed_behaviour_that_is_no_agent_holds_its_n_by_d_kl_rows_too():
+    # `evaluate_cost` holds the rows it computes, the size an agent already holds
+    scenario = generate_random_scenario(11, D, HORIZON, 2, sparsity=0.3)
+    target, rewards = scenario.target, scenario.reward_profile()
+    behaviour = Behavior._of(target.initial, np.array(scenario.contributors.matrices[0]))
+    del scenario
+    want = repr(evaluate_cost(behaviour, target, rewards))
+    (key,), rows = vars(behaviour)["_kl"]
+    assert key() is target and rows.nbytes == HORIZON * D * 8 and not rows.flags.writeable
+    assert repr(evaluate_cost(behaviour, target, rewards)) == want
+    assert vars(behaviour)["_kl"][1] is rows  # reused for that very target
+    dropped = weakref.ref(target)
+    del target
+    assert dropped() is None  # by reference count alone: the rows keep no target alive
 
 
 def test_the_agents_held_kl_rows_keep_no_target_alive():
@@ -310,12 +328,12 @@ def test_the_agents_held_kl_rows_keep_no_target_alive():
     )
     del scenario
     policy = synthesize(target, contributors, rewards)
-    assert policy.agent._kl[0]() is target
+    assert vars(policy.agent)["_kl"][0][0]() is target
     twin = copy.copy(target)
-    want = evaluate_cost(policy.agent, twin, rewards)
+    want = evaluate_cost(copy.copy(policy.agent), twin, rewards)  # the agent keeps target's rows
     dropped = weakref.ref(target)
     del target
     gc.collect()
     assert dropped() is None
-    assert policy.agent._kl[0]() is None
+    assert vars(policy.agent)["_kl"][0][0]() is None
     assert repr(evaluate_cost(policy.agent, twin, rewards)) == repr(want)

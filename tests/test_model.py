@@ -1,7 +1,12 @@
 """Unit tests for the probability primitives in crowdpolicy.model."""
 
+import copy
 import math
+import pickle
+import threading
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from crowdpolicy.model import (
     StateSpace,
     TransitionKernel,
     WeightVector,
+    _held,
     _marginals,
     expected_value,
     kl_divergence,
@@ -585,3 +591,122 @@ def test_an_empty_pmf_and_an_empty_weight_vector_are_rejected():
     with pytest.raises(ValueError) as err:
         WeightVector([])
     assert str(err.value) == "weights must be a non-empty vector"
+
+
+# ---------------------------------------------------------------------------
+# `_held`: the one rule for what the library derives from a frozen owner and keeps
+# ---------------------------------------------------------------------------
+
+
+def _owner():
+    return Behavior(pmf([0.5, 0.5]), [TransitionKernel(AB, np.eye(2))])
+
+
+def _counted(make=object):
+    """A build function that returns a new ``make()`` each call, and the list of its calls."""
+    calls = []
+    return lambda: calls.append(1) or make(), calls
+
+
+def test_held_matches_a_key_object_by_identity_not_by_equality():
+    owner, key = _owner(), np.arange(3.0)
+    build, calls = _counted()
+    value = _held(owner, "_x", (key,), build)
+    assert _held(owner, "_x", (key,), build) is value and len(calls) == 1
+    twin = key.copy()
+    assert np.array_equal(twin, key)
+    assert _held(owner, "_x", (twin,), build) is not value and len(calls) == 2  # an equal copy
+    assert _held(owner, "_x", (twin,), build) is not value and len(calls) == 2  # now held
+
+
+def test_held_matches_plain_int_parts_by_value():
+    owner, key = _owner(), np.arange(3.0)
+    build, calls = _counted()
+    big = 10**20  # each `10**20 + 0` below is a new int object
+    value = _held(owner, "_x", (big, key), build)
+    assert _held(owner, "_x", (big + 0, key), build) is value and len(calls) == 1
+    for other in ((big + 1, key), (big, key.copy()), (key, big), (key,)):
+        fresh = _owner()
+        held = _held(fresh, "_x", (big, key), build)
+        assert _held(fresh, "_x", other, build) is not held, other
+    assert len(calls) == 1 + 4 * 2
+
+
+def test_key_none_builds_and_holds_nothing_and_an_empty_key_builds_once():
+    owner = _owner()
+    build, calls = _counted()
+    assert _held(owner, "_x", None, build) is not _held(owner, "_x", None, build)
+    assert len(calls) == 2 and "_x" not in vars(owner)
+    once = _held(owner, "_y", (), build)
+    assert _held(owner, "_y", (), build) is once and len(calls) == 3
+
+
+def test_an_entry_serves_a_key_it_extends_and_no_longer_one():
+    owner, first, second = _owner(), np.zeros(1), np.ones(1)
+    build, calls = _counted()
+    value = _held(owner, "_x", (first, second), build)
+    assert _held(owner, "_x", (first,), build) is value
+    assert _held(owner, "_x", (second,), build) is not value  # a key it does not extend
+    shorter = _held(owner, "_x", (first,), build)
+    assert _held(owner, "_x", (first, second), build) is not shorter  # a longer key misses
+    assert len(calls) == 4
+
+
+def test_a_dropped_key_object_is_freed_and_the_entry_keeps_its_value():
+    owner, key = _owner(), np.arange(3.0)
+    value = _held(owner, "_x", (key,), lambda: np.zeros(2))
+    dropped = weakref.ref(key)
+    del key
+    assert dropped() is None  # by reference count alone: the entry holds a weak reference
+    assert vars(owner)["_x"][1] is value
+
+
+def test_held_arrays_come_back_read_only_however_deeply_nested():
+    owner = _owner()
+    value = _held(owner, "_x", (), lambda: (np.zeros(2), (np.ones(3), ("label", np.ones(1))), 7))
+    flat, (nested, (_, deeper)), _ = value
+    for arr in (flat, nested, deeper):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert not _held(owner, "_y", (), lambda: np.zeros(2)).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_a_pickle_or_copy_of_an_owner_starts_without_its_entries(duplicate):
+    owner, key = _owner(), np.arange(3.0)
+    bare = copy.copy(owner)
+    _held(owner, "_x", (key,), lambda: np.zeros(2))
+    _held(owner, "_y", (), object)
+    twin = duplicate(owner)
+    assert not {"_x", "_y"} & set(vars(twin))
+    assert twin == owner == bare and repr(owner) == repr(bare)  # an entry is never compared
+
+
+def test_threads_racing_on_a_cold_owner_each_get_a_value_equal_to_the_held_one():
+    owner, key, count = _owner(), np.arange(3.0), 4
+    start, got = threading.Barrier(count), [None] * count
+
+    def build():
+        time.sleep(0.01)  # every thread misses before any sets the entry
+        return np.arange(3.0) * 2.0, "report"
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = _held(owner, "_x", (key,), build)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    held = vars(owner)["_x"][1]
+    assert any(value is held for value in got)
+    for table, report in got:
+        assert np.array_equal(table, held[0]) and report == held[1]
+    assert _held(owner, "_x", (key,), build) is held

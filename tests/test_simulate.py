@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import decimal
 import functools
+import itertools
 import math
 import operator
 import pickle
@@ -425,6 +426,22 @@ def _calls(policy, target, rewards, count, seed, order):
     return [calls[name]() for name in order]
 
 
+def _held_draw(policy):
+    """The `model._held` entries of the held draw, each (key parts, value): paths, then terms."""
+    return vars(policy).get("_paths"), vars(policy).get("_terms")
+
+
+def _sampling(behavior):
+    """The held log tables, then the guide tables once drawn (`model._held` values), or None."""
+    held = [vars(behavior)[name][1] for name in ("_logs", "_guides") if name in vars(behavior)]
+    return tuple(itertools.chain(*held)) or None
+
+
+def _same(held, tables):
+    """True when ``held`` holds the very objects of ``tables``, in order."""
+    return len(held) == len(tables) and all(map(operator.is_, held, tables))
+
+
 def _counting(monkeypatch, name):
     """The list each call of `simulate.<name>` appends its first argument to."""
     calls = []
@@ -480,8 +497,8 @@ def test_only_plain_int_seeds_and_counts_are_held():
     cold = copy.copy(policy)
     batch = sample_trajectories(cold, count, 1, target)
     sample_trajectories(policy, count, 1, target)
-    held = policy._drawn
-    assert held[0] == (1, count)
+    held = _held_draw(policy)
+    assert held[0][0] == (1, count)
     for seed, call_count in [(1.0, count), (1, float(count))]:
         for call in (
             lambda p: sample_trajectories(p, call_count, seed, target),
@@ -495,14 +512,14 @@ def test_only_plain_int_seeds_and_counts_are_held():
         assert _result(monte_carlo_cost, policy, target, rewards, count, seed) == _result(
             monte_carlo_cost, cold, target, rewards, count, 1
         )
-    assert policy._drawn is held  # nothing else was held
+    assert _same(_held_draw(policy), held)  # nothing else was held
 
 
 def test_held_arrays_are_read_only():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     monte_carlo_cost(policy, target, rewards, count, seed)
-    key, paths, ref, terms = policy._drawn
-    assert key == (seed, count) and ref() is target
+    (key, paths), ((paths_ref, ref), terms) = _held_draw(policy)
+    assert key == (seed, count) and paths_ref() is paths and ref() is target
     assert paths.shape == (policy.horizon + 1, count)
     assert terms.shape == (2, policy.horizon + 1, count)  # the policy's, then the target's
     for arr in (paths, terms):
@@ -515,14 +532,14 @@ def test_pickles_and_copies_start_without_the_held_draw_and_equality_is_unchange
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     before = copy.copy(policy)
     sample_trajectories(policy, count, seed, target)
-    assert policy._drawn is not None
-    assert "_drawn" not in {f.name for f in fields(Behavior)}
+    assert None not in _held_draw(policy)
+    assert not {"_paths", "_terms"} & {f.name for f in fields(Behavior)}
     for restored in (
         pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
     ):
-        assert restored._drawn is None
+        assert _held_draw(restored) == (None, None)
         assert restored == policy == before
-    assert before._drawn is None
+    assert _held_draw(before) == (None, None)
 
 
 def test_threads_sharing_a_behavior_never_mix_a_draw():
@@ -557,7 +574,7 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-    assert policy._drawn[0] in {(seed, count) for seed in seeds}
+    assert _held_draw(policy)[0][0] in {(seed, count) for seed in seeds}
 
 
 def test_each_behaviors_log_terms_are_gathered_once_per_seed(monkeypatch):
@@ -571,7 +588,7 @@ def test_each_behaviors_log_terms_are_gathered_once_per_seed(monkeypatch):
     assert got == [*want, want[0]]
     assert _result(sample_trajectories, policy, count, seed) == alone  # the policy's held terms
     assert gathered == [(policy, target)] and len(draws) == 1
-    terms = weakref.ref(policy._drawn[3])
+    terms = weakref.ref(_held_draw(policy)[1][1])
     _calls(policy, target, rewards, count, seed + 1, ["estimate"])  # a new seed drops them
     assert terms() is None
     assert gathered == [(policy, target)] * 2 and len(draws) == 2
@@ -587,7 +604,7 @@ def test_an_equal_but_distinct_target_gets_its_own_terms(monkeypatch):
     draws = _counting(monkeypatch, "_sample_paths")
     assert _calls(policy, twin, rewards, count, seed, ["sample", "estimate"]) == want
     assert gathered == [(policy, twin)] and draws == []  # the held paths, new terms
-    assert policy._drawn[2]() is twin
+    assert _held_draw(policy)[1][0][-1]() is twin
 
 
 def test_terms_held_without_a_target_are_gathered_again_for_one(monkeypatch):
@@ -595,7 +612,8 @@ def test_terms_held_without_a_target_are_gathered_again_for_one(monkeypatch):
     policy = copy.copy(policy)
     want = _calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
     sample_trajectories(policy, count, seed)
-    assert policy._drawn[2]() is policy and policy._drawn[3].shape[0] == 1
+    parts, terms = _held_draw(policy)[1]
+    assert len(parts) == 1 and terms.shape[0] == 1  # the policy's alone
     gathered = _counting(monkeypatch, "_path_log_terms")
     assert _calls(policy, target, rewards, count, seed, ["sample", "estimate"]) == want
     assert gathered == [(policy, target)]
@@ -617,7 +635,7 @@ def test_tables_are_built_once_per_behavior_across_all_three_calls(monkeypatch):
     assert [arr.shape for arr in logs] == [(5,), (4 * 5 * 5,)] * 2
     # guide tables for the sampled policy alone: the target is never drawn from
     assert len(guides) == 1 and guides[0] is policy
-    assert len(policy._sampling) == 6 and len(target._sampling) == 2
+    assert len(_sampling(policy)) == 6 and len(_sampling(target)) == 2
 
 
 def _assert_read_only(tables):
@@ -631,13 +649,13 @@ def test_held_tables_are_read_only_and_hold_the_logs_and_cdfs():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     policy = copy.copy(policy)
     most_likely_trajectory(policy)  # reads the logs alone: no guide tables before a draw
-    logs = policy._sampling
+    logs = _sampling(policy)
     assert [arr.shape for arr in logs] == [(5,), (100,)]
     assert np.array_equal(logs[0], log_pmf(policy.initial.probs))
     assert np.array_equal(logs[1], log_pmf(policy.matrices).ravel())
     _assert_read_only(logs)
     monte_carlo_cost(policy, target, rewards, count, seed)  # the first draw adds the guide
-    tables = policy._sampling
+    tables = _sampling(policy)
     assert tables[0] is logs[0] and tables[1] is logs[1]
     # row 0 is the initial pmf, row 1 + 5k + x step k's row from x; 16 buckets a row
     rows = np.concatenate([policy.initial.probs[None], policy.matrices.reshape(20, 5)])
@@ -658,20 +676,20 @@ def test_held_tables_are_read_only_and_hold_the_logs_and_cdfs():
     _assert_read_only(tables)
     sample_trajectories(policy, count, seed, target)
     sample_trajectories(policy, count, seed + 1, target)
-    assert policy._sampling is tables
-    assert len(target._sampling) == 2
+    assert _same(_sampling(policy), tables)
+    assert len(_sampling(target)) == 2
 
 
 def test_pickles_and_copies_start_without_the_held_tables():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     policy = copy.copy(policy)
     monte_carlo_cost(policy, target, rewards, count, seed)
-    assert policy._sampling is not None
-    assert "_sampling" not in {f.name for f in fields(Behavior)}
+    assert _sampling(policy) is not None
+    assert not {"_logs", "_guides"} & {f.name for f in fields(Behavior)}
     for restored in (
         pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
     ):
-        assert restored._sampling is None
+        assert _sampling(restored) is None
         assert restored == policy
 
 
@@ -684,13 +702,13 @@ def test_warm_tables_give_a_fresh_copys_bytes(case, order):
     policy, target, rewards, count, seed = _held_draw_cases()[case]
     policy, target = copy.copy(policy), copy.copy(target)
     _calls(policy, target, rewards, count, seed + 1, order)
-    tables = policy._sampling, target._sampling
+    tables = _sampling(policy), _sampling(target)
     cold = [
         _calls(copy.copy(policy), copy.copy(target), rewards, count, seed, [name])[0]
         for name in order
     ]
     assert _calls(policy, target, rewards, count, seed, order) == cold
-    assert policy._sampling is tables[0] and target._sampling is tables[1]
+    assert _same(_sampling(policy), tables[0]) and _same(_sampling(target), tables[1])
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +819,7 @@ def test_a_warm_most_likely_path_is_the_held_object():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     policy = copy.copy(policy)
     best = most_likely_trajectory(policy)
-    assert policy._best is best
+    assert vars(policy)["_best"][1] is best
     _calls(policy, target, rewards, count, seed, ["sample", "estimate"])
     assert most_likely_trajectory(policy) is best
     fresh = most_likely_trajectory(copy.copy(policy))
@@ -826,7 +844,7 @@ def test_pickles_and_copies_start_without_the_held_path():
     for restored in (
         pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
     ):
-        assert restored._best is None
+        assert "_best" not in vars(restored)
         assert restored == policy
         assert most_likely_trajectory(restored) == best
 

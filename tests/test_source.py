@@ -87,3 +87,36 @@ def test_package_source_stays_within_the_line_budget():
     assert paths, f"no source files under {SOURCE}"
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
     assert lines <= LINE_BUDGET
+
+
+def test_only_model_holds_values_and_no_other_module_sets_a_private_field():
+    # what the library derives from a frozen owner and keeps goes through `model._held`,
+    # which alone holds weak references; a module that imported weakref, or set a private
+    # field itself (by `_set`, `_stack` or a setattr by name), would hold a cache of its own
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == "weakref" for alias in node.names
+            ):
+                found.append(f"{where} imports weakref")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "weakref":
+                found.append(f"{where} imports from weakref")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("_set", "_stack"):
+                for keyword in node.keywords:  # `**` unpacks names the rule cannot read
+                    if keyword.arg is None or keyword.arg.startswith("_"):
+                        found.append(f"{where} passes {name} {keyword.arg or '**'}")
+            if name in ("setattr", "__setattr__") and any(
+                isinstance(arg, ast.Constant) and str(arg.value).startswith("_")
+                for arg in node.args
+            ):
+                found.append(f"{where} sets a private field by name")
+    assert sorted(SOURCE.glob("*.py")), f"no source files under {SOURCE}"
+    assert found == []

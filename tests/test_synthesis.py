@@ -35,6 +35,7 @@ from crowdpolicy.model import (
     StateSpace,
     TransitionKernel,
     _check_compatible,
+    _held,
     kl_rows,
     simplex_argmin,
 )
@@ -46,8 +47,7 @@ from crowdpolicy.synthesis import (
     FilterReport,
     SynthesizedPolicy,
     _filter,
-    _kl_table,
-    _with_kl,
+    _scored,
     bound_value,
     filter_contributors,
     synthesize,
@@ -55,6 +55,11 @@ from crowdpolicy.synthesis import (
 
 LN2 = math.log(2.0)
 AB = StateSpace(("a", "b"))
+
+
+def _kl_table(target, contributors):
+    """The pool's held KL table against ``target``: the first part of its `_scored` entry."""
+    return _scored(target, contributors)[0]
 
 
 def homogeneous(space, row_per_state, horizon):
@@ -881,7 +886,8 @@ def _two_pass_synthesize(target, contributors, rewards):
     selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index
     agent_rows = contributors.matrices[selected, np.arange(n)[:, None], np.arange(d)]
     weights = np.eye(s)[selected]  # one-hot: the minimum of a linear score is at a vertex
-    agent = _with_kl(target, agent_rows, np.take_along_axis(kl, selected[None], axis=0)[0])
+    agent = Behavior._of(target.initial, agent_rows)
+    _held(agent, "_kl", (target,), lambda: np.take_along_axis(kl, selected[None], axis=0)[0])
     for arr in (scores, selected, weights, to_go, r_bar):
         arr.setflags(write=False)
     return SynthesizedPolicy(
@@ -903,7 +909,7 @@ def assert_matches_two_passes(target, contributors, rewards):
     want = _outcome(_two_pass_synthesize, target, _cold(contributors), rewards)
     assert_bit_identical(got, want)
     if not isinstance(want, tuple):
-        assert _bits(got.agent._kl[1]) == _bits(want.agent._kl[1])
+        assert _bits(vars(got.agent)["_kl"][1]) == _bits(vars(want.agent)["_kl"][1])
     return got
 
 
@@ -1073,7 +1079,7 @@ def test_a_subset_of_a_warm_pool_starts_cold():
     target, contributors, rewards = _three_state(6, size=4, zero_share=0.0)
     assert_warm_equals_cold(target, contributors, rewards)
     part = contributors.subset([2, 0])
-    assert part._held is None
+    assert "_scored" not in vars(part)
     assert_warm_equals_cold(target, part, rewards)
     assert_warm_equals_cold(target, part, rewards)
     assert _kl_table(target, part) is not _kl_table(target, contributors)
@@ -1090,7 +1096,7 @@ def test_the_whole_pool_in_order_shares_its_stack_and_any_other_subset_copies():
         assert whole.matrices is contributors.matrices
         with pytest.raises(ValueError, match="read-only"):
             whole.matrices[0, 0, 0, 0] = 0.5
-        assert whole._held is None and "kernels" not in vars(whole)
+        assert "_scored" not in vars(whole) and "kernels" not in vars(whole)
         assert whole == contributors and whole.ids == contributors.ids
         assert_warm_equals_cold(target, whole, rewards)
         assert _kl_table(target, whole) is not _kl_table(target, contributors)
@@ -1150,7 +1156,7 @@ def test_the_held_table_is_read_only():
     target, contributors, rewards = _three_state(9)
     synthesize(target, contributors, rewards)
     table = _kl_table(target, contributors)
-    assert contributors._held[1] is table
+    assert vars(contributors)["_scored"][1][0] is table  # the `model._held` entry
     assert not table.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0, 0] = 0.0
@@ -1175,7 +1181,7 @@ def test_the_filter_report_is_scanned_once_per_target_and_pool(monkeypatch):
         contributors.subset(range(contributors.size)),
     )
     for pool in cold:
-        assert pool._held is None
+        assert "_scored" not in vars(pool)
         assert synthesize(target, pool, rewards).filter_report == report
     assert len(scans) == 2 + len(cold)
 
@@ -1209,9 +1215,9 @@ def test_threads_sharing_one_pool_get_cold_answers():
 def test_a_warm_pool_pickles_and_deep_copies_cold(duplicate):
     target, contributors, rewards = _three_state(13, size=4, zero_share=0.5)
     warm = synthesize(target, contributors, rewards)
-    assert contributors._held is not None
+    assert "_scored" in vars(contributors)
     twin = duplicate(contributors)
-    assert twin._held is None
+    assert "_scored" not in vars(twin)
     assert twin == contributors and twin is not contributors
     assert not twin.matrices.flags.writeable
     assert all(kernel.matrix.base is twin.matrices for per_k in twin.kernels for kernel in per_k)
@@ -1229,7 +1235,7 @@ def test_a_warm_pool_pickles_and_deep_copies_cold(duplicate):
 def test_the_agents_held_kl_rows_are_its_rows_of_the_table_and_read_only():
     target, contributors, rewards = _three_state(21, size=4, zero_share=0.5)
     policy = synthesize(target, contributors, rewards)
-    key, rows = policy.agent._kl
+    (key,), rows = vars(policy.agent)["_kl"]  # the `model._held` entry
     assert key() is target
     assert _bits(rows) == _bits(kl_rows(policy.agent.matrices, target.matrices))
     assert not rows.flags.writeable
@@ -1241,7 +1247,7 @@ def test_the_held_kl_rows_are_no_field_and_change_neither_equality_nor_repr():
     target, contributors, rewards = _three_state(22)
     agent = synthesize(target, contributors, rewards).agent
     bare = Behavior(agent.initial, agent.kernels)
-    assert agent._kl is not None and bare._kl is None
+    assert "_kl" in vars(agent) and "_kl" not in vars(bare)
     assert "_kl" not in {f.name for f in fields(Behavior)}
     assert agent == bare and bare == agent
     assert repr(agent) == repr(bare)
@@ -1266,8 +1272,8 @@ def test_a_pickled_copied_or_loaded_agent_starts_without_held_kl_rows(duplicate,
     target, contributors, rewards = _three_state(23)
     agent = synthesize(target, contributors, rewards).agent
     twin = duplicate(agent, tmp_path)
-    assert agent._kl is not None
-    assert twin._kl is None
+    assert "_kl" in vars(agent)
+    assert "_kl" not in vars(twin)
     assert twin == agent
     assert repr(evaluate_cost(twin, target, rewards)) == repr(evaluate_cost(agent, target, rewards))
 
@@ -1348,3 +1354,19 @@ def test_a_pool_rejects_zero_step_kernels_and_a_kernel_on_another_space():
     with pytest.raises(ValueError) as err:
         ContributorSet(AB, ((own, own), (own, other)), ("fine", "foreign"))
     assert str(err.value) == "contributor 1 uses a different state space"
+
+
+@pytest.mark.parametrize("indices", [[-1], [99], [0, -2], [1, 2]])
+def test_a_subset_rejects_a_contributor_index_outside_the_pool(demo, indices):
+    # the demo has two contributors: -1 once picked the last one, and 99 raised NumPy's bare
+    # "index 99 is out of bounds"
+    with pytest.raises(IndexError) as err:
+        demo.contributors.subset(indices)
+    assert str(err.value) == f"contributor={indices[-1]} is outside 0..1"
+
+
+def test_a_subset_of_every_index_in_order_still_shares_the_stack(demo):
+    pool = demo.contributors
+    for whole in (pool.subset(range(pool.size)), pool.subset(np.arange(pool.size))):
+        assert whole.matrices is pool.matrices and whole.ids == pool.ids
+    assert pool.subset([1, 0]).ids == tuple(reversed(pool.ids))
