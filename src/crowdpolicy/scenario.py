@@ -328,9 +328,9 @@ def _json_text(node: Any, pad: str = "\n") -> str:
 
     ``json``'s ``indent`` encoder is pure Python and visits every float. Each
     array here is checked finite once, and its ``tolist()`` is joined by
-    ``float.__repr__``, the rule ``json`` uses. Dicts and lists take ``json``'s
-    layout; every other node goes to ``json.dumps``. ``pad`` starts the line
-    that closes ``node``.
+    ``float.__repr__``, the rule ``json`` uses. Dicts, and lists holding a dict,
+    list or array, take ``json``'s layout; every other node, a list of scalars
+    whole, goes to ``json.dumps``. ``pad`` starts the line that closes ``node``.
     """
     inner = pad + "  "
     if isinstance(node, np.ndarray):
@@ -341,7 +341,7 @@ def _json_text(node: Any, pad: str = "\n") -> str:
         # json's key rule: int, float, bool and None keys become strings, other types fail
         items = [json.dumps({k: 0})[1:-4] + ": " + _json_text(v, inner) for k, v in node.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(node, list) and node:
+    if isinstance(node, list) and any(isinstance(i, (dict, list, np.ndarray)) for i in node):
         items = [_json_text(item, inner) for item in node]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(node, indent=2, allow_nan=False).replace("\n", pad)

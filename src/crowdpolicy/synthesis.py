@@ -20,13 +20,13 @@ finds them step by step as it scores, whatever the rewards. Only a dead state
 the initial pmf puts mass on makes the problem infeasible; the agent never
 reaches the others, which keep a zero bonus and take the lowest index.
 
-Per step, the backward pass does one product of the pool's rows with reward plus
-bonus and one subtraction from the KL table, into buffers that hold every step; the
-reward schedule's own bound keeps them finite, and only a pool with an exclusion masks
-dead states. After it, one argmin selects, and one gather through a flat row index
-copies each selected row verbatim into the agent's switched kernels. The KL part of
-the scores does not depend on the rewards, so it is tabulated, with the filter report
-read off it, once per (target, pool) (`_scored`); the agent holds its rows of the table.
+Per step, the backward pass does one product of the pool's rows with reward plus bonus,
+one subtraction from the KL table, into buffers that hold every step, and one bare
+`np.minimum.reduce`; the reward schedule's bound keeps them finite, and only a pool with an
+exclusion masks dead states. After it, one argmin selects, and one flat row index gathers
+each selected row verbatim into the agent's switched kernels, and its KL row from the table.
+The KL part of the scores does not depend on the rewards, so it is tabulated, with the filter
+report read off it, once per (target, pool) (`_scored`); the agent holds its rows of it.
 """
 
 from __future__ import annotations
@@ -160,14 +160,17 @@ def filter_contributors(
 def _scored(target: Behavior, contributors: ContributorSet) -> tuple:
     """``(kl, report)``, `_held` for ``target``: the pool's KL table and the `_filter` report.
 
-    ``kl[i, k-1, x]`` is KL(contributor i's row x at step k || target row), built a step at a time.
+    ``kl[i, k-1, x]`` is KL(contributor i's row x at step k || target row), built in blocks of
+    whole steps: at most 2**16 pool entries (512 KB) per `kl_rows` call, never less than a step.
     """
 
     def build() -> tuple:
         kl = np.empty((contributors.size, target.horizon, target.space.size))
-        for idx, target_rows in enumerate(target.matrices):
-            rows = contributors.matrices[:, idx]
-            kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
+        block = max(1, 2**16 // contributors.matrices[:, 0].size)  # steps per `kl_rows` call
+        for idx in range(0, target.horizon, block):
+            steps = slice(idx, idx + block)
+            rows = contributors.matrices[:, steps]
+            kl[:, steps] = kl_rows(rows, np.broadcast_to(target.matrices[steps], rows.shape))
         return kl, _filter(contributors, kl)
 
     return _held(contributors, "_scored", (target,), build)
@@ -268,7 +271,7 @@ def synthesize(
         if report.exclusions:  # +inf on rows with mass on a state dead at the next step
             work[idx][(rows[..., ~alive] > 0).any(axis=-1)] = np.inf
             alive = mask = (work[idx] < np.inf).any(axis=0)
-        np.negative(work[idx].min(axis=0), out=to_go[idx], where=mask)  # dead: stays 0
+        np.negative(np.minimum.reduce(work[idx], axis=0), out=to_go[idx], where=mask)  # dead: 0
     stuck = (target.initial.probs > 0) & ~alive
     if stuck.any():  # the agent starts there; a dead state it never reaches costs nothing
         state = target.space.label(int(stuck.argmax()))
@@ -276,11 +279,11 @@ def synthesize(
 
     scores = np.ascontiguousarray(work.transpose(0, 2, 1))
     selected = scores.argmin(axis=2)  # first minimizer: ties, and dead states, to the lowest index
-    flat = (selected * n + np.arange(n)[:, None]) * d + np.arange(d)  # rows of the (S*N*d, d) pool
+    flat = selected * (n * d) + np.arange(n * d).reshape(n, d)  # rows of the (S*N*d, d) pool
     agent_rows = contributors.matrices.reshape(-1, d).take(flat, axis=0)
     weights = np.eye(s).take(selected, axis=0)  # one-hot: a linear score's minimum is a vertex
     agent = Behavior._of(target.initial, agent_rows)
-    _held(agent, "_kl", (target,), lambda: np.take_along_axis(kl, selected[None], axis=0)[0])
+    _held(agent, "_kl", (target,), lambda: kl.reshape(-1).take(flat))  # its KL rows, same index
     for arr in (scores, selected, weights, to_go, r_bar):
         arr.setflags(write=False)
     return SynthesizedPolicy(

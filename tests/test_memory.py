@@ -14,7 +14,9 @@ that built it, and the table keeps no target alive. A pool with contributors
 the filter report excludes is read step by step, never copied whole: a warm
 call that looks for dead states peaks within a quarter of one KL table of a
 warm call on the same pool that has none to look for. `kl_rows` holds one
-float temporary the size of its input.
+float temporary the size of its input. A cold table on a long-horizon pool
+(d=64, N=64, S=2) is built in blocks of whole steps and peaks below a quarter
+of that pool.
 
 A behavior holds one sampled draw, the last: after draws under many seeds it
 retains ``3 * (N + 1) * count * 8`` bytes, its paths and its own and its
@@ -181,6 +183,17 @@ def test_kl_rows_holds_one_float_temporary():
     p, q = np.array(scenario.contributors.matrices[0]), scenario.target.matrices
     kl_rows(p, q)
     assert _peak_of(kl_rows, p, q) < 2 * p.nbytes
+
+
+def test_a_cold_kl_table_on_a_long_horizon_pool_peaks_below_a_quarter_pool():
+    # d=64, N=64, S=2: 8,192 entries a step, a 4 MB pool. Blocks of whole steps, at most
+    # 2**16 entries a `kl_rows` call, peak near a fifth of it; one call a contributor would
+    # take 0.70 of the pool, one call over the whole pool 1.39
+    scenario = generate_random_scenario(11, 64, 64, 2, sparsity=0.3)
+    target, contributors = scenario.target, scenario.contributors
+    _scored(target, ContributorSet._of(scenario.space, contributors.matrices, contributors.ids))
+    assert "_scored" not in vars(contributors)  # the twin above holds its own table
+    assert _peak_of(_scored, target, contributors) < contributors.matrices.nbytes // 4
 
 
 def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():

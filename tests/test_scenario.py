@@ -868,6 +868,48 @@ def test_json_text_writes_json_dumps_bytes(doc):
     assert _json_text(doc) == json.dumps(_plain(doc), indent=2, allow_nan=False)
 
 
+@pytest.mark.parametrize(
+    "items",
+    [
+        [1, -2, 0, 2**70],
+        ["a", "é\n\"", "", "\u2028"],
+        [True, False],
+        [None],
+        [0.1, -0.0, 1e300, 5e-324, 2.0],
+        [(), (1, "x"), (None, (2.5, True))],
+        [1, "two", None, 3.0, False, (4,)],
+        [],
+        [[], [[]], [1, [2, ["three"]]], [{}], [{"a": [1, 2]}]],
+    ],
+    ids=["ints", "strs", "bools", "none", "floats", "tuples", "mixed", "empty", "nested"],
+)
+def test_json_text_writes_a_list_of_scalars_as_json_dumps_does(items):
+    for doc in (items, {"k": items, "deeper": {"k": items}}, [items, items]):
+        assert _json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+def test_save_policy_makes_as_many_json_dumps_calls_at_any_state_count(tmp_path, monkeypatch):
+    # the state labels go to json.dumps as one list, not one call a label
+    targets = [generate_random_scenario(seed=d, d=d, horizon=3, contributors=1).target
+               for d in (2, 16)]
+    dumps, calls, counts = json.dumps, [], []
+    monkeypatch.setattr(json, "dumps", lambda *args, **kw: calls.append(1) or dumps(*args, **kw))
+    for target in targets:
+        calls.clear()
+        save_policy(target, tmp_path / f"{target.space.size}.json")
+        counts.append(len(calls))
+    monkeypatch.undo()
+    assert counts[0] == counts[1]
+    expected = {
+        "policy_version": POLICY_VERSION,
+        "states": list(targets[1].space.labels),
+        "initial": targets[1].initial.probs.tolist(),
+        "kernels": targets[1].matrices.tolist(),
+    }
+    text = json.dumps(expected, indent=2, allow_nan=False) + "\n"
+    assert (tmp_path / "16.json").read_text(encoding="utf-8") == text
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32),

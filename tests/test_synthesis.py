@@ -1370,3 +1370,88 @@ def test_a_subset_of_every_index_in_order_still_shares_the_stack(demo):
     for whole in (pool.subset(range(pool.size)), pool.subset(np.arange(pool.size))):
         assert whole.matrices is pool.matrices and whole.ids == pool.ids
     assert pool.subset([1, 0]).ids == tuple(reversed(pool.ids))
+
+
+# ---------------------------------------------------------------------------
+# the pool's KL table, built in blocks of whole steps
+# ---------------------------------------------------------------------------
+
+
+def _per_step_table(target, contributors):
+    """Reference: the pool's KL table with one `kl_rows` call a step."""
+    kl = np.empty((contributors.size, target.horizon, target.space.size))
+    for idx, target_rows in enumerate(target.matrices):
+        rows = contributors.matrices[:, idx]
+        kl[:, idx] = kl_rows(rows, np.broadcast_to(target_rows, rows.shape))
+    return kl
+
+
+def _with_odd_entries(scenario):
+    """The scenario's target with, in each row, a subnormal entry (d >= 2) and a zero (d >= 3)."""
+    matrices = np.array(scenario.target.matrices)
+    d = matrices.shape[-1]
+    if d >= 2:  # a subnormal q, where p / q overflows: `kl_rows` takes the log difference
+        matrices[..., 0] += matrices[..., -1] - 5e-320
+        matrices[..., -1] = 5e-320
+    if d >= 3:  # a zero q, where a contributor with mass scores +inf
+        matrices[..., 0] += matrices[..., 1]
+        matrices[..., 1] = 0.0
+    return Behavior._of(scenario.target.initial, matrices)
+
+
+@pytest.mark.parametrize(
+    "d, horizon, size",
+    [
+        (1, 1, 1),  # one entry
+        (8, 6, 4),  # 1,536 entries: one call below the 2**16 budget
+        (16, 16, 16),  # 65,536 entries: one call, exactly at the budget
+        (16, 100, 4),  # 1,024 a step: calls of 64 and 36 steps
+        (64, 3, 16),  # 65,536 a step: one step a call, at the budget
+        (64, 4, 20),  # 81,920 a step: one step a call, above the budget
+    ],
+)
+def test_the_kl_table_in_blocks_of_steps_equals_one_call_a_step(d, horizon, size):
+    scenario = generate_random_scenario(d + horizon + size, d, horizon, size, sparsity=0.3)
+    for target in (scenario.target, _with_odd_entries(scenario)):
+        kl, report = _scored(target, scenario.contributors)
+        want = _per_step_table(target, scenario.contributors)
+        assert _bits(kl) == _bits(want)
+        assert report == _filter(scenario.contributors, want)
+    if d >= 3:  # the random pool puts mass on the zeroed entries, and 5e-320 overflows p / q
+        assert np.isinf(kl).any() and report.exclusions
+
+
+@pytest.mark.parametrize(
+    "d, horizon, size, calls",
+    [
+        (16, 12, 8, 1),  # the largest `fresh-small` pool: 24,576 entries
+        (20, 20, 8, 1),  # `monte-carlo`'s pool: 64,000 entries
+        (64, 16, 12, 16),  # `shared-pool`'s: 49,152 entries a step
+        (16, 100, 4, 2),
+    ],
+)
+def test_the_kl_table_takes_one_kl_rows_call_a_block_of_steps(monkeypatch, d, horizon, size, calls):
+    scenario = generate_random_scenario(0, d, horizon, size, sparsity=0.3)
+    made = []
+    monkeypatch.setattr(synthesis, "kl_rows", lambda *args: made.append(1) or kl_rows(*args))
+    _scored(scenario.target, scenario.contributors)
+    assert len(made) == calls
+    synthesize(scenario.target, scenario.contributors, scenario.reward_profile())  # warm
+    assert len(made) == calls
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (6, 4, 3), (64, 16, 12)])
+def test_the_agents_held_kl_rows_equal_the_table_gathered_along_contributors(shape):
+    scenario = generate_random_scenario(3, *shape, sparsity=0.3)
+    pool, odd = scenario.contributors, _with_odd_entries(scenario)
+    # the odd target's own kernels join the pool: it excludes others, yet no state dies
+    stack = np.concatenate([pool.matrices, odd.matrices[None]])
+    joined = ContributorSet._of(scenario.space, stack, pool.ids + ("own",))
+    for target, contributors in ((scenario.target, pool), (odd, joined)):
+        policy = synthesize(target, contributors, scenario.reward_profile())
+        kl = _kl_table(target, contributors)
+        want = np.take_along_axis(kl, policy.selected[None], axis=0)[0]
+        (key,), rows = vars(policy.agent)["_kl"]
+        assert key() is target and _bits(rows) == _bits(want)
+        assert not np.shares_memory(rows, kl)  # a copy, not a view into the pool's table
+    assert shape[0] < 3 or policy.filter_report.exclusions
