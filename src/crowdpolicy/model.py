@@ -97,16 +97,15 @@ def _held(owner, name: str, key: tuple | None, build: Callable):
     """``build()``, held on ``owner`` as ``name``: the same object while ``key`` comes back.
 
     A plain ``int`` key part matches by value; any other part by identity, held by weak
-    reference, so an entry keeps nothing alive. An entry serves any key it extends: one held
-    for ``(a, b)`` serves ``(a,)``. ``key=None`` builds and holds nothing; ``key=()`` builds
-    once. The entry, ``(parts, value)``, is set in one `_set` assignment with its arrays locked
-    (racing threads each get an equal value); it is never compared, and a pickle or copy
-    starts without it.
+    reference, so an entry keeps nothing alive, and serves only a key of its own length.
+    ``key=None`` builds and holds nothing; ``key=()`` builds once. The entry, ``(parts,
+    value)``, is set in one `_set` assignment with its arrays locked (racing threads each get
+    an equal value); it is never compared, and a pickle or copy starts without it.
     """
     if key is None:
         return build()
     entry = owner.__dict__.get(name)
-    if entry is not None and len(entry[0]) >= len(key):
+    if entry is not None and len(entry[0]) == len(key):
         for part, given in zip(entry[0], key):  # a plain loop: a hit costs no generator
             if part != given if type(given) is int else type(part) is int or part() is not given:
                 break
@@ -146,8 +145,9 @@ class _FrozenValue:
 
     Two values are equal when they are of the same type and every field with
     ``compare=True`` is equal, arrays by ``np.array_equal``; the values are
-    unhashable. A pickle or copy restored through ``__setstate__`` has every
-    array read-only again.
+    unhashable. A pickle or copy carries the fields alone, every instance name that does
+    not start with ``_``, and one restored through ``__setstate__`` has every array
+    read-only again.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -160,6 +160,9 @@ class _FrozenValue:
             else mine == theirs
             for mine, theirs in pairs
         )
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if not name.startswith("_")}
 
     def __setstate__(self, state: dict) -> None:
         _set(self, **state)
@@ -244,7 +247,7 @@ class _KernelStack(_FrozenValue):
     """Base of `Behavior` and `ContributorSet`, which store a read-only kernel stack alone.
 
     Their ``kernels`` field, views of ``matrices`` nested like its leading axes, is built on
-    first read, in one assignment; what the library derives from a stack and keeps is `_held`.
+    first read and `_held` as ``_kernels``, like all else the library derives from a stack.
     """
 
     def _stack(self, matrices: np.ndarray, **fields: object):
@@ -255,7 +258,7 @@ class _KernelStack(_FrozenValue):
     def __getattr__(self, name: str):
         if name != "kernels":
             return object.__getattribute__(self, name)  # raises the standard AttributeError
-        return _set(self, kernels=_kernel_views(self.space, self.matrices)).kernels
+        return _held(self, "_kernels", (), lambda: _kernel_views(self.space, self.matrices))
 
     @property
     def horizon(self) -> int:
@@ -269,7 +272,7 @@ class Behavior(_KernelStack):
     ``kernels[k-1]`` governs the transition from ``x_{k-1}`` to ``x_k`` for k = 1..N, so
     ``horizon`` equals ``len(kernels)``. The kernels are stored once, as the read-only
     ``(N, d, d)`` array ``matrices``; ``kernels`` views its matrices, built on first read.
-    Its marginals, KL rows, sampling tables, last draw and most likely path are `_held`.
+    Its views, marginals, KL rows, sampling tables, last draw and most likely path are `_held`.
     """
 
     initial: StatePMF
@@ -289,10 +292,6 @@ class Behavior(_KernelStack):
     def _of(cls, initial: StatePMF, matrices: np.ndarray) -> "Behavior":
         """A behavior that takes over ``matrices``, an (N, d, d) stack of validated kernels."""
         return object.__new__(cls)._stack(matrices, initial=initial)
-
-    def __reduce__(self):
-        """Pickle and copy the pmf and the stack: the copy builds its kernel views on read."""
-        return type(self)._of, (self.initial, self.matrices)
 
     @property
     def space(self) -> StateSpace:

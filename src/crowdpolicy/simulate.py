@@ -6,11 +6,12 @@ uses, so identical seeds reproduce identical batches on any platform. A draw
 takes its uniforms in one ``rng.random((N + 1, count))`` call, row k step k's,
 and each path the first entry of its guarded CDF row above its uniform, found
 through a guide table (`_sample_paths`). A behavior holds (`_held`) its log and
-guide tables, its most likely path, and its last draw with the log factors
-`sample_trajectories` and `monte_carlo_cost` share. Log factors are gathered
-through one flat step index and summed row by row in path order, so each total
-equals the scalar chain-rule sum. `Trajectory` has slots, and a batch is built
-slot by slot with no `__init__` frame per path.
+guide tables, its most likely path, and its last draw: the paths and their log
+factors for one (seed, count, target), which `sample_trajectories` and
+`monte_carlo_cost` share. Log factors are gathered through one flat step index
+and summed row by row in path order, so each total equals the scalar chain-rule
+sum. `Trajectory` has slots, and a batch is built slot by slot with no
+`__init__` frame per path.
 """
 
 from __future__ import annotations
@@ -115,22 +116,21 @@ def _sample_paths(policy: Behavior, count: int, rng: np.random.Generator) -> np.
 
 
 def _draw(policy: Behavior, count: int, seed: int, target: Behavior | None = None) -> tuple:
-    """Step-major paths, (N + 1, count), and the policy's and the target's (or None) log terms.
+    """Step-major paths, (N + 1, count), and their log terms: the policy's, then the target's.
 
-    A plain-int (seed, count) holds the paths and the terms gathered for them, a target's too.
+    The pair is one entry, `_held` for a plain-int (seed, count) and the target when one is
+    given; another seed, count or target draws again, the same paths for the same seed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    key = (seed, count) if type(seed) is int and type(count) is int else None
-
-    def sample() -> np.ndarray:  # the generator is built on a miss alone
-        return _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
-
-    paths = _held(policy, "_paths", key, sample)
     behaviors = (policy,) if target is None else (policy, target)
-    terms = _held(policy, "_terms", key and (paths, *behaviors[1:]),
-                  lambda: _path_log_terms(behaviors, paths))  # the caller's own paths
-    return paths, terms[0], None if target is None else terms[-1]
+    key = (seed, count, *behaviors[1:]) if type(seed) is int and type(count) is int else None
+
+    def build() -> tuple:  # the generator is built on a miss alone
+        paths = _sample_paths(policy, count, np.random.Generator(np.random.Philox(seed))).T
+        return paths, _path_log_terms(behaviors, paths)
+
+    return _held(policy, "_draw", key, build)
 
 
 def _path_log_terms(behaviors: tuple[Behavior, ...], paths: np.ndarray) -> np.ndarray:
@@ -170,8 +170,8 @@ def sample_trajectories(
     """
     if target is not None:
         _check_compatible(target, policy=policy)
-    paths, *terms = _draw(policy, count, seed, target)
-    sums = (_sum_in_path_order(each).tolist() for each in terms if each is not None)
+    paths, terms = _draw(policy, count, seed, target)
+    sums = (_sum_in_path_order(each).tolist() for each in terms)
     states = zip(*np.array(policy.space.labels, dtype=object)[paths].tolist())  # one tuple per path
     return _trajectories(paths.shape[1], states, *sums)
 
@@ -252,7 +252,7 @@ def monte_carlo_cost(
             named.
     """
     _check_compatible(target, policy=policy, rewards=rewards)
-    paths, log_p, log_t = _draw(policy, count, seed, target)
+    paths, (log_p, log_t) = _draw(policy, count, seed, target)
     count = paths.shape[1]
     costs = np.subtract(log_p[1:], log_t[1:])
     steps = np.arange(rewards.horizon)[:, None] * rewards.space.size

@@ -97,10 +97,6 @@ class ContributorSet(_KernelStack):
             raise ValueError("contributor ids must be unique")
         return self._stack(matrices, ids=ids)
 
-    def __reduce__(self):
-        """Pickle and copy the stack alone: the copy is read-only and holds no views or table."""
-        return type(self)._of, (self.space, self.matrices, self.ids)
-
     @property
     def size(self) -> int:
         return self.matrices.shape[0]

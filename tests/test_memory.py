@@ -18,10 +18,10 @@ float temporary the size of its input. A cold table on a long-horizon pool
 (d=64, N=64, S=2) is built in blocks of whole steps and peaks below a quarter
 of that pool.
 
-A behavior holds one sampled draw, the last: after draws under many seeds it
-retains ``3 * (N + 1) * count * 8`` bytes, its paths and its own and its
-target's log terms, not one draw per seed, and the draw and its terms keep no
-target or reward schedule alive. Its sampling tables are the logs of
+A behavior holds one sampled draw, the last, as one entry, ``_draw``: after
+draws under many seeds it retains ``3 * (N + 1) * count * 8`` bytes, its paths
+and its own and its target's log terms, not one draw per seed, and the draw
+keeps no target or reward schedule alive. Its sampling tables are the logs of
 its initial pmf and kernels, ``(N * d * d + d) * 8`` bytes, and its guide tables
 over their R = N * d + 1 rows: ``(R + 1) * 8`` bytes of row starts, 9 bytes
 for each of the P positive entries (a one-byte state index and its CDF value
@@ -34,11 +34,14 @@ entry: at d=256 its peak stays below 4 times the kernel stack, where an
 behavior only ever used as a target holds the logs alone. A behavior holding
 its most likely path is freed as soon as it is dropped.
 
-A synthesized agent holds its KL rows against its target: ``N * d * 8`` bytes
-more than the agent without them, never a view into the pool's table, and they
-keep no target alive; any other behaviour `evaluate_cost` costs holds the same
-``N * d * 8`` bytes for that target. Every value kept is a `model._held` entry. Its marginals, held once read, are ``(N + 1) * d * 8``
-bytes, and an agent holding them is freed as soon as it is dropped.
+A synthesized agent holds its KL rows against its target: dropping them frees
+``N * d * 8`` bytes and a few hundred of header and key, counted from two
+snapshots as the blocks alive at the first and gone at the second, so nothing
+allocated between them counts; they are never a view into the pool's table, and
+they keep no target alive. Any other behaviour `evaluate_cost` costs holds the
+same ``N * d * 8`` bytes for that target. Every value kept is a `model._held`
+entry. Its marginals, held once read, are ``(N + 1) * d * 8`` bytes, and an
+agent holding them is freed as soon as it is dropped.
 """
 
 import copy
@@ -213,8 +216,8 @@ def test_a_behavior_holds_one_draw_whatever_the_number_of_seeds():
         retained = tracemalloc.get_traced_memory()[0] - baseline
     finally:
         tracemalloc.stop()
-    ((key, paths), (_, terms)) = vars(policy)["_paths"], vars(policy)["_terms"]
-    assert key == (19, count)
+    (key_seed, key_count, held_target), (paths, terms) = vars(policy)["_draw"]  # one entry
+    assert (key_seed, key_count) == (19, count) and held_target() is target
     held = paths.nbytes + terms.nbytes
     assert held == 3 * (horizon + 1) * count * 8 == 504_000
     d = target.space.size
@@ -252,13 +255,13 @@ def test_the_held_draw_keeps_no_target_or_rewards_alive():
     del scenario
     monte_carlo_cost(policy, target, rewards, 100, 3)
     sample_trajectories(policy, 100, 3, target)
-    ((key, _), ((_, held), terms)) = vars(policy)["_paths"], vars(policy)["_terms"]
-    assert key == (3, 100) and held() is target and terms.shape == (2, 5, 100)
+    (seed, count, held), (_, terms) = vars(policy)["_draw"]  # the `model._held` entry
+    assert (seed, count) == (3, 100) and held() is target and terms.shape == (2, 5, 100)
     dropped = weakref.ref(target), weakref.ref(rewards)
     del target, rewards
     gc.collect()
     assert [ref() for ref in dropped] == [None, None]
-    assert held() is None and vars(policy)["_terms"][1] is terms
+    assert held() is None and vars(policy)["_draw"][1][1] is terms
 
 
 def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():
@@ -269,7 +272,7 @@ def test_a_behavior_holding_its_most_likely_path_is_freed_once_dropped():
     monte_carlo_cost(policy, target, rewards, 100, 3)
     sample_trajectories(policy, 100, 3, target)
     best = most_likely_trajectory(policy)
-    assert vars(policy)["_best"][1] is best and "_terms" in vars(policy)
+    assert vars(policy)["_best"][1] is best and "_draw" in vars(policy)
     dropped = weakref.ref(policy)
     del policy
     assert dropped() is None  # by reference count alone: the held state makes no cycle
@@ -298,24 +301,26 @@ def test_an_agent_retains_only_its_n_by_d_kl_rows_more():
         scenario.target, scenario.contributors, scenario.reward_profile()
     )
     synthesize(target, contributors, rewards)  # builds and holds the pool's table
-    tracemalloc.start()
+    tracemalloc.start(32)  # whole call stacks, so an allocation site is seldom shared
     try:
-        baseline, _ = tracemalloc.get_traced_memory()
         policy = synthesize(target, contributors, rewards)
         gc.collect()
-        with_rows = tracemalloc.get_traced_memory()[0] - baseline
+        with_rows = tracemalloc.take_snapshot()
         rows = vars(policy.agent)["_kl"][1]
         row_bytes = rows.nbytes
         del rows
         object.__delattr__(policy.agent, "_kl")  # drops the `model._held` entry
         gc.collect()
-        without_rows = tracemalloc.get_traced_memory()[0] - baseline
+        without_rows = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert "_kl" not in vars(policy.agent)
     assert row_bytes == HORIZON * D * 8
-    # the rows, plus a few hundred bytes of array headers, key and tuple
-    assert row_bytes <= with_rows - without_rows < row_bytes + 1024
+    # the bytes alive at the first reading and gone at the second: the rows, plus a few
+    # hundred bytes of array header and key; what is allocated between the readings adds none
+    changes = without_rows.compare_to(with_rows, "traceback")
+    freed = -sum(change.size_diff for change in changes if change.size_diff < 0)
+    assert row_bytes <= freed < row_bytes + 1024
 
 
 def test_a_costed_behaviour_that_is_no_agent_holds_its_n_by_d_kl_rows_too():

@@ -641,15 +641,16 @@ def test_key_none_builds_and_holds_nothing_and_an_empty_key_builds_once():
     assert _held(owner, "_y", (), build) is once and len(calls) == 3
 
 
-def test_an_entry_serves_a_key_it_extends_and_no_longer_one():
+def test_a_shorter_or_a_longer_key_misses_and_rebuilds():
     owner, first, second = _owner(), np.zeros(1), np.ones(1)
     build, calls = _counted()
     value = _held(owner, "_x", (first, second), build)
-    assert _held(owner, "_x", (first,), build) is value
-    assert _held(owner, "_x", (second,), build) is not value  # a key it does not extend
-    shorter = _held(owner, "_x", (first,), build)
-    assert _held(owner, "_x", (first, second), build) is not shorter  # a longer key misses
-    assert len(calls) == 4
+    shorter = _held(owner, "_x", (first,), build)  # a key the entry's parts begin with
+    assert shorter is not value and len(calls) == 2
+    assert _held(owner, "_x", (first,), build) is shorter and len(calls) == 2
+    longer = _held(owner, "_x", (first, second), build)  # a key that begins with its parts
+    assert longer is not shorter and longer is not value and len(calls) == 3
+    assert _held(owner, "_x", (first, second), build) is longer and len(calls) == 3
 
 
 def test_a_dropped_key_object_is_freed_and_the_entry_keeps_its_value():

@@ -280,7 +280,7 @@ def _decimal_estimate(policy, target, rewards, count, seed):
     the mean of each path's sum of absolute terms, A_i, and
     ``sqrt(sum(A_i**2) / (count * (count - 1)))`` for the error.
     """
-    paths, log_p, log_t = simulate._draw(policy, count, seed, target)
+    paths, (log_p, log_t) = simulate._draw(policy, count, seed, target)
     log_p, log_t = log_p[1:], log_t[1:]
     collected = rewards.values[np.arange(policy.horizon)[:, None], paths[1:]]
     with decimal.localcontext() as context:
@@ -416,19 +416,26 @@ def _held_draw_cases():
     return {"finite": finite, "dead": dead, "scaled": scaled}
 
 
-def _calls(policy, target, rewards, count, seed, order):
-    """The results of the named calls, in ``order``: "sample", "estimate" or "route"."""
+def _calls(policy, target, rewards, count, seed, order, twin=None):
+    """The results of the named calls, in ``order``.
+
+    "sample", "estimate" or "route" run under ``target``; "alone" samples with no target;
+    "sample twin" and "estimate twin" run under ``twin``.
+    """
     calls = {
         "sample": lambda: _result(sample_trajectories, policy, count, seed, target),
         "estimate": lambda: _result(monte_carlo_cost, policy, target, rewards, count, seed),
         "route": lambda: _result(most_likely_trajectory, policy),
+        "alone": lambda: _result(sample_trajectories, policy, count, seed),
+        "sample twin": lambda: _result(sample_trajectories, policy, count, seed, twin),
+        "estimate twin": lambda: _result(monte_carlo_cost, policy, twin, rewards, count, seed),
     }
     return [calls[name]() for name in order]
 
 
 def _held_draw(policy):
-    """The `model._held` entries of the held draw, each (key parts, value): paths, then terms."""
-    return vars(policy).get("_paths"), vars(policy).get("_terms")
+    """The `model._held` entry of the held draw, (key parts, (paths, terms)), or None."""
+    return vars(policy).get("_draw")
 
 
 def _sampling(behavior):
@@ -452,18 +459,29 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("order", [("sample", "estimate"), ("estimate", "sample")])
+#: Calls that switch target: none, then the target, then an equal twin of it.
+SWITCHING = ("alone", "sample", "estimate", "sample twin", "estimate twin")
+
+
+@pytest.mark.parametrize(
+    "order", [("sample", "estimate"), ("estimate", "sample"), SWITCHING, SWITCHING[::-1]]
+)
 @pytest.mark.parametrize("case", ["finite", "dead", "scaled"])
 def test_warm_calls_equal_cold_ones_to_the_byte(case, order, monkeypatch):
     policy, target, rewards, count, seed = _held_draw_cases()[case]
+    twin = copy.copy(target)
     cold = [
-        _calls(copy.copy(policy), target, rewards, count, seed, [name])[0] for name in order
+        _calls(copy.copy(policy), target, rewards, count, seed, [name], twin)[0]
+        for name in order
     ]
     draws = _counting(monkeypatch, "_sample_paths")
-    warm = _calls(policy, target, rewards, count, seed, order)
-    again = _calls(policy, target, rewards, count, seed, order)
+    warm = _calls(policy, target, rewards, count, seed, order, twin)
+    again = _calls(policy, target, rewards, count, seed, order, twin)
     assert warm == cold and again == cold
-    assert len(draws) == 1
+    # one draw, and one more each time the target differs from the last call's
+    under = [{"alone": None, "sample twin": twin, "estimate twin": twin}.get(name, target)
+             for name in order * 2]
+    assert len(draws) == 1 + sum(map(operator.is_not, under, under[1:]))
     estimate = cold[order.index("estimate")]
     error = {"finite": None, "dead": "ValueError", "scaled": None}[case]
     assert estimate.startswith("MonteCarloEstimate(") if error is None else estimate[0] == error
@@ -498,7 +516,7 @@ def test_only_plain_int_seeds_and_counts_are_held():
     batch = sample_trajectories(cold, count, 1, target)
     sample_trajectories(policy, count, 1, target)
     held = _held_draw(policy)
-    assert held[0][0] == (1, count)
+    assert held[0][:2] == (1, count) and held[0][2]() is target
     for seed, call_count in [(1.0, count), (1, float(count))]:
         for call in (
             lambda p: sample_trajectories(p, call_count, seed, target),
@@ -512,14 +530,14 @@ def test_only_plain_int_seeds_and_counts_are_held():
         assert _result(monte_carlo_cost, policy, target, rewards, count, seed) == _result(
             monte_carlo_cost, cold, target, rewards, count, 1
         )
-    assert _same(_held_draw(policy), held)  # nothing else was held
+    assert _held_draw(policy) is held  # nothing else was held
 
 
 def test_held_arrays_are_read_only():
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     monte_carlo_cost(policy, target, rewards, count, seed)
-    (key, paths), ((paths_ref, ref), terms) = _held_draw(policy)
-    assert key == (seed, count) and paths_ref() is paths and ref() is target
+    (key_seed, key_count, ref), (paths, terms) = _held_draw(policy)
+    assert (key_seed, key_count) == (seed, count) and ref() is target
     assert paths.shape == (policy.horizon + 1, count)
     assert terms.shape == (2, policy.horizon + 1, count)  # the policy's, then the target's
     for arr in (paths, terms):
@@ -532,14 +550,14 @@ def test_pickles_and_copies_start_without_the_held_draw_and_equality_is_unchange
     policy, target, rewards, count, seed = _held_draw_cases()["finite"]
     before = copy.copy(policy)
     sample_trajectories(policy, count, seed, target)
-    assert None not in _held_draw(policy)
-    assert not {"_paths", "_terms"} & {f.name for f in fields(Behavior)}
+    assert _held_draw(policy) is not None
+    assert "_draw" not in {f.name for f in fields(Behavior)}
     for restored in (
         pickle.loads(pickle.dumps(policy)), copy.copy(policy), copy.deepcopy(policy)
     ):
-        assert _held_draw(restored) == (None, None)
+        assert _held_draw(restored) is None
         assert restored == policy == before
-    assert _held_draw(before) == (None, None)
+    assert _held_draw(before) is None
 
 
 def test_threads_sharing_a_behavior_never_mix_a_draw():
@@ -574,7 +592,7 @@ def test_threads_sharing_a_behavior_never_mix_a_draw():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
-    assert _held_draw(policy)[0][0] in {(seed, count) for seed in seeds}
+    assert _held_draw(policy)[0][:2] in {(seed, count) for seed in seeds}
 
 
 def test_each_behaviors_log_terms_are_gathered_once_per_seed(monkeypatch):
@@ -586,12 +604,13 @@ def test_each_behaviors_log_terms_are_gathered_once_per_seed(monkeypatch):
     draws = _counting(monkeypatch, "_sample_paths")
     got = _calls(policy, target, rewards, count, seed, ["sample", "estimate", "sample"])
     assert got == [*want, want[0]]
-    assert _result(sample_trajectories, policy, count, seed) == alone  # the policy's held terms
     assert gathered == [(policy, target)] and len(draws) == 1
+    assert _result(sample_trajectories, policy, count, seed) == alone  # no target: drawn again
+    assert gathered == [(policy, target), (policy,)] and len(draws) == 2
     terms = weakref.ref(_held_draw(policy)[1][1])
     _calls(policy, target, rewards, count, seed + 1, ["estimate"])  # a new seed drops them
     assert terms() is None
-    assert gathered == [(policy, target)] * 2 and len(draws) == 2
+    assert gathered == [(policy, target), (policy,), (policy, target)] and len(draws) == 3
 
 
 def test_an_equal_but_distinct_target_gets_its_own_terms(monkeypatch):
@@ -600,11 +619,13 @@ def test_an_equal_but_distinct_target_gets_its_own_terms(monkeypatch):
     assert twin == target and twin is not target
     want = _calls(copy.copy(policy), twin, rewards, count, seed, ["sample", "estimate"])
     _calls(policy, target, rewards, count, seed, ["sample", "estimate"])
+    paths = _held_draw(policy)[1][0]
     gathered = _counting(monkeypatch, "_path_log_terms")
     draws = _counting(monkeypatch, "_sample_paths")
     assert _calls(policy, twin, rewards, count, seed, ["sample", "estimate"]) == want
-    assert gathered == [(policy, twin)] and draws == []  # the held paths, new terms
-    assert _held_draw(policy)[1][0][-1]() is twin
+    assert gathered == [(policy, twin)] and len(draws) == 1  # drawn again, new terms
+    parts, (again, _) = _held_draw(policy)
+    assert parts[-1]() is twin and again is not paths and np.array_equal(again, paths)
 
 
 def test_terms_held_without_a_target_are_gathered_again_for_one(monkeypatch):
@@ -612,8 +633,8 @@ def test_terms_held_without_a_target_are_gathered_again_for_one(monkeypatch):
     policy = copy.copy(policy)
     want = _calls(copy.copy(policy), target, rewards, count, seed, ["sample", "estimate"])
     sample_trajectories(policy, count, seed)
-    parts, terms = _held_draw(policy)[1]
-    assert len(parts) == 1 and terms.shape[0] == 1  # the policy's alone
+    parts, (_, terms) = _held_draw(policy)
+    assert parts == (seed, count) and terms.shape[0] == 1  # the policy's alone
     gathered = _counting(monkeypatch, "_path_log_terms")
     assert _calls(policy, target, rewards, count, seed, ["sample", "estimate"]) == want
     assert gathered == [(policy, target)]
@@ -720,8 +741,8 @@ LABELS = {"int": (0, 1, 2, 3), "str": ("a", "b", "c", "d"), "mixed": ("a", 1, "b
 
 def _init_built(policy, count, seed, target=None):
     """The batch of the held draw, each trajectory built through `Trajectory.__init__`."""
-    paths, *terms = simulate._draw(policy, count, seed, target)
-    sums = [_sum_in_path_order(each).tolist() for each in terms if each is not None]
+    paths, terms = simulate._draw(policy, count, seed, target)
+    sums = [_sum_in_path_order(each).tolist() for each in terms]
     log_t = sums[1] if target is not None else [None] * count
     labels = policy.space.labels
     return [

@@ -120,3 +120,25 @@ def test_only_model_holds_values_and_no_other_module_sets_a_private_field():
                 found.append(f"{where} sets a private field by name")
     assert sorted(SOURCE.glob("*.py")), f"no source files under {SOURCE}"
     assert found == []
+
+
+def test_only_model_decides_what_a_pickle_or_copy_carries():
+    # `_FrozenValue.__getstate__` and `__setstate__` are the one rule: a copy carries the
+    # fields and no held entry; a hook of another module's own would decide again
+    hooks = {"__reduce__", "__reduce_ex__", "__getstate__", "__setstate__", "__copy__",
+             "__deepcopy__"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} defines {name}" for name in hooks & set(names)]
+    assert sorted(SOURCE.glob("*.py")), f"no source files under {SOURCE}"
+    assert found == []

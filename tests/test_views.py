@@ -27,7 +27,7 @@ DEMO = str(demo_scenario_path())
 
 
 def _unviewed(*holders):
-    return ["kernels" not in vars(holder) for holder in holders]
+    return ["_kernels" not in vars(holder) for holder in holders]  # the `model._held` entry
 
 
 def _scenarios(tmp_path):
@@ -98,7 +98,7 @@ def test_a_first_read_views_the_stack_and_matches_a_public_twin(tmp_path):
     for scenario in _scenarios(tmp_path).values():
         target, pool = scenario.target, scenario.contributors
         twin = Behavior(target.initial, target.kernels)
-        assert "kernels" in vars(target) and _unviewed(twin) == [True]
+        assert _unviewed(target, twin) == [False, True]
         assert all(kernel.matrix.base is target.matrices for kernel in target.kernels)
         assert repr(twin) == repr(target) and twin == target
         assert [type(kernel) for kernel in twin.kernels] == [TransitionKernel] * target.horizon
@@ -107,6 +107,7 @@ def test_a_first_read_views_the_stack_and_matches_a_public_twin(tmp_path):
         pool_twin = ContributorSet(pool.space, pool.kernels, pool.ids)
         assert repr(pool_twin) == repr(pool) and pool_twin == pool
         assert [len(per_k) for per_k in pool.kernels] == [pool.horizon] * pool.size
+        assert _unviewed(pool) == [False]
         assert all(
             _points_into(pool.kernels[i][idx].matrix, pool.matrices[i, idx])
             and pool.kernel(i, idx + 1) is pool.kernels[i][idx]
