@@ -7,8 +7,10 @@ Three reference optimizers bracket the synthesizer:
 * per-time exhaustive search -- a strictly smaller class (one contributor per
   step for all states), so its optimum can only be worse or equal;
 * a simplex grid over per-step mixture weights -- a different class that can
-  genuinely beat every pure switch, because the cost is not convex in the
-  weights and an interior mixture sometimes reproduces the target exactly.
+  genuinely beat every pure switch, because the cost is not linear in the
+  weights: the synthesizer minimizes a log-sum bound that is linear in them and
+  tight only at the vertices, and an interior mixture sometimes reproduces the
+  target exactly.
 
 The last section constructs the canonical certificate for that gap.
 """

@@ -91,10 +91,8 @@ def _pure_costs(scenario: Scenario, rewards: RewardSchedule) -> dict[str, float]
 
 
 def _flags(args: argparse.Namespace) -> dict:
-    """Flag set embedded in reports; --out is deliberately omitted."""
-    keep = ("scenario", "reward_profile", "policy", "seed", "count", "mode",
-            "grid_resolution", "tolerance_mode")
-    return {key: getattr(args, key) for key in keep if hasattr(args, key)}
+    """Flag set embedded in reports: every parsed flag; --out is deliberately omitted."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out")}
 
 
 def _inputs(args: argparse.Namespace) -> tuple[Scenario, RewardSchedule | None, dict]:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import OracleGuardError
 from .model import (
     Behavior,
+    ContributorSet,
     RewardSchedule,
     StatePMF,
     WeightVector,
@@ -32,7 +33,6 @@ from .model import (
     kl_rows,
     log_pmf,
 )
-from .synthesis import ContributorSet
 
 #: An agent policy is structurally just a behavior.
 AgentPolicy = Behavior

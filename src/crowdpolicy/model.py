@@ -1,7 +1,7 @@
 """Finite-state probability primitives.
 
-State spaces, probability vectors, row-stochastic transition kernels, Markov
-behaviors, reward schedules, and simplex weight vectors, with the array routines the
+State spaces, probability vectors, row-stochastic transition kernels, Markov behaviors,
+contributor pools, reward schedules, and simplex weight vectors, with the array routines the
 other modules build on (row-wise KL, log pmfs, forward marginals) and three single-pmf
 operations no library routine calls: `kl_divergence`, `expected_value`, `simplex_argmin`.
 
@@ -237,10 +237,10 @@ class TransitionKernel(_FrozenValue):
 
     def row(self, x: int) -> np.ndarray:
         """Transition pmf out of internal state index ``x`` as a raw array."""
-        return self.matrix[x]
+        return self.matrix[_index(x, self.space.size, "state")]
 
     def row_pmf(self, x: int) -> StatePMF:
-        return StatePMF(self.space, self.matrix[x])
+        return StatePMF(self.space, self.row(x))
 
 
 class _KernelStack(_FrozenValue):
@@ -296,6 +296,68 @@ class Behavior(_KernelStack):
     @property
     def space(self) -> StateSpace:
         return self.initial.space
+
+
+@dataclass(frozen=True, eq=False)
+class ContributorSet(_KernelStack):
+    """A pool of contributor kernels sharing one state space and horizon.
+
+    Contributors supply transition kernels only; the initial pmf always comes
+    from the target behavior. The kernels are stored once, as the read-only
+    ``(S, N, d, d)`` array ``matrices``; ``kernels[i][k-1]`` is a view of
+    ``matrices[i, k-1]``, built when ``kernels`` is first read. The KL table and filter
+    report of the last target it was scored against are `_held` (`synthesis._scored`).
+    """
+
+    space: StateSpace
+    kernels: tuple[tuple[TransitionKernel, ...], ...] = field(compare=False)  # views, on read
+    ids: tuple[str, ...]
+    matrices: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        kernels = tuple(tuple(per_k) for per_k in self.kernels)
+        if len(kernels) == 0:
+            raise ValueError("contributor set must not be empty")
+        horizon = len(kernels[0])
+        if horizon == 0:
+            raise ValueError("contributors must cover at least one step")
+        for i, per_k in enumerate(kernels):
+            if len(per_k) != horizon:
+                raise ValueError(f"contributor {i} has horizon {len(per_k)}, expected {horizon}")
+            if any(kernel.space != self.space for kernel in per_k):
+                raise ValueError(f"contributor {i} uses a different state space")
+        self._hold(np.array([[kernel.matrix for kernel in per_k] for per_k in kernels]), self.ids)
+
+    @classmethod
+    def _of(cls, space: StateSpace, matrices: np.ndarray, ids: tuple[str, ...]) -> "ContributorSet":
+        """A pool that takes over ``matrices``, an (S, N, d, d) stack of validated kernels."""
+        return _set(object.__new__(cls), space=space)._hold(matrices, ids)
+
+    def _hold(self, matrices: np.ndarray, ids: tuple[str, ...]) -> "ContributorSet":
+        ids = tuple(ids)
+        if len(ids) != len(matrices):
+            raise ValueError("one id per contributor required")
+        if len(set(ids)) != len(ids):
+            raise ValueError("contributor ids must be unique")
+        return self._stack(matrices, ids=ids)
+
+    @property
+    def size(self) -> int:
+        return self.matrices.shape[0]
+
+    def kernel(self, contributor: int, k: int) -> TransitionKernel:
+        """Kernel of a contributor at step k (1-based)."""
+        i = _index(contributor, self.size, "contributor")
+        return self.kernels[i][_index(k, self.horizon, "step k", 1)]
+
+    def subset(self, indices: list[int]) -> "ContributorSet":
+        """The contributors at ``indices``, in that order: all, in order, share the pool's stack."""
+        if len(indices) == 0:
+            raise ValueError("contributor set must not be empty")
+        picked = [_index(i, self.size, "contributor") for i in indices]
+        whole = picked == list(range(self.size))  # any other selection copies its rows
+        matrices = self.matrices if whole else np.take(self.matrices, picked, axis=0)
+        return ContributorSet._of(self.space, matrices, tuple(self.ids[i] for i in picked))
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ValidationError
 from .model import (
     Behavior,
+    ContributorSet,
     RewardSchedule,
     StatePMF,
     StateSpace,
@@ -38,7 +39,6 @@ from .model import (
     _check_compatible,
     _FrozenValue,
 )
-from .synthesis import ContributorSet
 
 SCENARIO_VERSION = 1
 

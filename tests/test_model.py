@@ -125,6 +125,19 @@ def test_kernel_shape_and_lookup():
         TransitionKernel(AB, np.ones((2, 3)) / 3)
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+@pytest.mark.parametrize("accessor", ["row", "row_pmf"])
+def test_a_kernel_rejects_a_row_index_outside_its_space(accessor, index):
+    # -1 once read the last row, 3 raised NumPy's bare out-of-bounds error
+    space = StateSpace(("a", "b", "c"))
+    kernel = TransitionKernel(space, np.eye(3)[[1, 2, 0]])
+    with pytest.raises(IndexError) as err:
+        getattr(kernel, accessor)(index)
+    assert str(err.value) == f"state={index} is outside 0..2"
+    assert [int(kernel.row(x).argmax()) for x in range(3)] == [1, 2, 0]
+    assert [kernel.row_pmf(x).prob(lab) for x, lab in enumerate("bca")] == [1.0] * 3
+
+
 def test_behavior_horizon_and_space_checks():
     kernel = TransitionKernel(AB, np.full((2, 2), 0.5))
     behavior = Behavior(pmf([1.0, 0.0]), (kernel, kernel, kernel))

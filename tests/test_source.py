@@ -91,8 +91,10 @@ def test_package_source_stays_within_the_line_budget():
 
 def test_only_model_holds_values_and_no_other_module_sets_a_private_field():
     # what the library derives from a frozen owner and keeps goes through `model._held`,
-    # which alone holds weak references; a module that imported weakref, or set a private
-    # field itself (by `_set`, `_stack` or a setattr by name), would hold a cache of its own
+    # which alone holds weak references; a module that imported weakref, or set a field
+    # itself (by a setattr of a private name, or by naming `_set`, `_stack` or their class
+    # `_KernelStack` at all), would hold a cache or build a kernel stack of its own
+    stack_names = {"_set", "_stack", "_KernelStack"}
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         if path.name == "model.py":
@@ -105,14 +107,18 @@ def test_only_model_holds_values_and_no_other_module_sets_a_private_field():
                 found.append(f"{where} imports weakref")
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "weakref":
                 found.append(f"{where} imports from weakref")
+            named = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if named in stack_names:
+                found.append(f"{where} names {named}")
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in ("_set", "_stack"):
-                for keyword in node.keywords:  # `**` unpacks names the rule cannot read
-                    if keyword.arg is None or keyword.arg.startswith("_"):
-                        found.append(f"{where} passes {name} {keyword.arg or '**'}")
             if name in ("setattr", "__setattr__") and any(
                 isinstance(arg, ast.Constant) and str(arg.value).startswith("_")
                 for arg in node.args
@@ -141,4 +147,34 @@ def test_only_model_decides_what_a_pickle_or_copy_carries():
                 continue
             found += [f"{path.name}:{node.lineno} defines {name}" for name in hooks & set(names)]
     assert sorted(SOURCE.glob("*.py")), f"no source files under {SOURCE}"
+    assert found == []
+
+
+def _synthesis_imports(tree: ast.AST):
+    """``(node, names)`` for each import of the synthesizer: the names it takes, or the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".synthesis", "crowdpolicy.synthesis"):
+                yield node, [alias.name for alias in node.names]
+            elif module in (".", "crowdpolicy"):
+                yield from ((node, [a.name]) for a in node.names if a.name == "synthesis")
+        elif isinstance(node, ast.Import):
+            yield from ((node, [a.name]) for a in node.names if a.name == "crowdpolicy.synthesis")
+
+
+def test_the_oracles_and_loaders_import_nothing_from_the_synthesizer():
+    # `evaluation.py`'s oracles check `synthesize`, so they stay independent of it, and the
+    # loaders only build its inputs; the pool type both read lives in `model.py`. No module
+    # reaches into the synthesizer's private names either
+    independent = {"evaluation.py", "scenario.py"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node, names in _synthesis_imports(tree):
+            where = f"{path.name}:{node.lineno}"
+            if path.name in independent:
+                found.append(f"{where} imports {', '.join(names)} from synthesis")
+            found += [f"{where} imports {name} from synthesis" for name in names if name[0] == "_"]
+    assert independent <= {path.name for path in SOURCE.glob("*.py")}, f"missing under {SOURCE}"
     assert found == []
